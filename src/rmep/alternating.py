@@ -72,7 +72,6 @@ class AlternatingConfig:
     initial_lambdas: tuple[complex, ...] | None = None
     max_iters: int = 1000
     rel_tol: float = 1e-6
-    kkt_check: bool = True
     restarts: int = 0
     seed: int = 0
 
@@ -87,7 +86,7 @@ class AlternatingConfig:
 
 @dataclass
 class AlternatingTrace:
-    """Per-sweep objective values and convergence diagnostics."""
+    """Per-sweep objective values and KKT residuals, and convergence diagnostics."""
 
     objectives: list[float] = field(default_factory=list)
     kkt: list[float] = field(default_factory=list)
@@ -100,11 +99,7 @@ class AlternatingTrace:
 
 def build_pencil(problem: RmepProblem, value: HomogeneousEigenvalue, i: int) -> np.ndarray:
     """R_i(v) = gamma A_i - sum_s alpha_s B_is for block i."""
-    blk = problem.blocks[i]
-    r = value.gamma * blk.a.astype(np.complex128)
-    for a, bi in zip(value.alphas, blk.b):
-        r = r - a * bi
-    return r
+    return problem.blocks[i].pencil(value.coefficients)
 
 
 def _vector_step(problem: RmepProblem, value: HomogeneousEigenvalue):
@@ -134,11 +129,11 @@ def build_gram(problem: RmepProblem, xs) -> np.ndarray:
     """H(x) = sum_i S_i(x_i)^H S_i(x_i), Hermitian PSD of size (k+1)."""
     if len(xs) != problem.k:
         raise ValidationError("need one vector per equation block")
-    k = problem.k
-    h = np.zeros((k + 1, k + 1), dtype=np.complex128)
+    # Row j of signs @ (S_i x_i) is column j of S_i(x_i).
+    signs = np.diag([1.0] + [-1.0] * problem.k)
+    h = np.zeros((problem.k + 1, problem.k + 1), dtype=np.complex128)
     for blk, x in zip(problem.blocks, xs):
-        cols = [blk.a @ x] + [-(bi @ x) for bi in blk.b]
-        s = np.column_stack(cols)
+        s = blk.pencil(signs, x).T
         h += s.conj().T @ s
     return (h + h.conj().T) / 2.0
 
@@ -185,19 +180,19 @@ def reconstruct_perturbation(problem: RmepProblem, value: HomogeneousEigenvalue,
         A^_i  = A_i  - gamma      * f_i x_i^H,
         B^_is = B_is + conj(a_s)  * f_i x_i^H,
 
-    satisfy A^_i x_i = sum_s lambda_s B^_is x_i (for gamma > 0), and the
-    squared Frobenius cost of the update collapses to sum_i ||f_i||^2, the
+    (one update of the block array, S^_i = S_i - conj(c) (x) f_i x_i^H with
+    c = (gamma, -alpha_1, ..., -alpha_k)) satisfy
+    A^_i x_i = sum_s lambda_s B^_is x_i (for gamma > 0), and the squared
+    Frobenius cost of the update collapses to sum_i ||f_i||^2, the
     homogeneous objective at the state.
     """
     if len(xs) != problem.k:
         raise ValidationError("need one vector per equation block")
+    c = value.coefficients
     blocks = []
     for blk, x in zip(problem.blocks, xs):
-        f = value.gamma * (blk.a @ x) - sum(a * (bi @ x) for a, bi in zip(value.alphas, blk.b))
-        outer = np.outer(f, x.conj())
-        a_hat = blk.a - value.gamma * outer
-        b_hat = tuple(bi + np.conj(a) * outer for a, bi in zip(value.alphas, blk.b))
-        blocks.append(EquationBlock(a=a_hat, b=b_hat))
+        s_hat = blk.coeffs - c.conj()[:, None, None] * np.outer(blk.pencil(c, x), x.conj())
+        blocks.append(EquationBlock(a=s_hat[0], b=tuple(s_hat[1:])))
     return PerturbationSet.from_blocks(problem, blocks)
 
 
@@ -210,17 +205,14 @@ def _run(problem, value, cfg, config):
         theta, value = best_value(h, config)
         trace.objectives.append(theta)
         trace.iterations += 1
-        if cfg.kkt_check:
-            state = EigenTuple(value=value, vectors=tuple(xs))
-            trace.kkt.append(kkt_residual(problem, state))
+        trace.kkt.append(kkt_residual(problem, EigenTuple(value=value, vectors=tuple(xs))))
         n = len(trace.objectives)
         if n >= 2 and abs(trace.objectives[-1] - trace.objectives[-2]) <= (trace.objectives[-1] + 1.0) * cfg.rel_tol:
             trace.status = STATUS_TOL
             break
     else:
         trace.status = STATUS_BUDGET
-    state = EigenTuple(value=value, vectors=tuple(xs))
-    trace.final_kkt = trace.kkt[-1] if trace.kkt else kkt_residual(problem, state)
+    trace.final_kkt = trace.kkt[-1]
     if trace.status == STATUS_TOL and trace.final_kkt > config.stagnation_kkt:
         # The cheap objective-change rule can fire long before first-order
         # optimality holds; report that instead of claiming convergence.
@@ -270,9 +262,8 @@ def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None, config
 
 
 def write_trace_csv(trace: AlternatingTrace, fileobj) -> None:
-    """Columns: iter, theta1, eps_kkt (eps_kkt blank when not recorded)."""
+    """Columns: iter, theta1, eps_kkt."""
     writer = csv.writer(fileobj)
     writer.writerow(["iter", "theta1", "eps_kkt"])
-    for j, theta in enumerate(trace.objectives, start=1):
-        kkt = trace.kkt[j - 1] if j - 1 < len(trace.kkt) else ""
-        writer.writerow([j, f"{theta:.17g}", f"{kkt:.17g}" if kkt != "" else ""])
+    for j, (theta, kkt) in enumerate(zip(trace.objectives, trace.kkt), start=1):
+        writer.writerow([j, f"{theta:.17g}", f"{kkt:.17g}"])

@@ -256,8 +256,6 @@ def _bench_trial(m: int, n: int, k: int, sigma: float, child_seed) -> dict:
 
 
 def _cmd_bench_random(opt: dict) -> int:
-    import concurrent.futures
-
     import numpy as np
 
     from .errors import ValidationError
@@ -274,12 +272,11 @@ def _cmd_bench_random(opt: dict) -> int:
     else:
         sigmas = [float(s) for s in sigmas_opt]
     seed = int(opt["seed"])
-    workers = min(4, os.cpu_count() or 1)
     rows = []
     for sigma in sigmas:
         children = np.random.SeedSequence(seed).spawn(trials)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(lambda c: _bench_trial(m, n, k, sigma, c), children))
+        # Serial: the per-trial work is Python holding the interpreter lock.
+        stats = [_bench_trial(m, n, k, sigma, c) for c in children]
         row = {"sigma": sigma, "trials": trials}
         for s in range(k):
             row[f"mean_max_rel_err_lambda{s + 1}"] = float(np.mean([st["max"][s] for st in stats]))

@@ -38,8 +38,6 @@ class NumericsConfig:
     attainment_margin  -- margin under 1.0 required of the leading V-block
                           spectral norm before the truncation certificate is
                           marked attained.
-    separability_warn  -- Kronecker factorization score above which an
-                          eigenvector is flagged as poorly separable.
     """
 
     eps: float = EPS
@@ -52,7 +50,6 @@ class NumericsConfig:
     irregular_rcond: float = EPS
     stagnation_kkt: float = 1e-4
     attainment_margin: float = 1e-10
-    separability_warn: float = 1e-6
 
 
 DEFAULT = NumericsConfig()

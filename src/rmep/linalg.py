@@ -1,9 +1,10 @@
 """Dense complex linear-algebra primitives.
 
 Thin, validated wrappers around LAPACK (via numpy/scipy) that fix the
-conventions the solvers rely on: descending singular values with a full V
-factor, ascending Hermitian eigenvalues, homogeneous (alpha, beta) pencil
-eigenvalues, column-pivoted QR, and a size-capped Kronecker product.
+conventions the solvers rely on: descending singular values with a thin U
+and a full V factor, ascending Hermitian eigenvalues, homogeneous (alpha,
+beta) pencil eigenvalues with right and left eigenvectors, column-pivoted
+QR, and a size-capped Kronecker product.
 All functions are pure; returned arrays are freshly allocated.
 """
 
@@ -43,14 +44,14 @@ def as_matrix(a, name="matrix") -> np.ndarray:
 class SvdResult:
     """SVD ``A = U @ diag(s) @ V[:, :len(s)].conj().T``.
 
-    U is thin (m x min(m, n)); V is full (n x n) unless `economy`, in which
-    case V is n x min(m, n).  Singular values are nonincreasing.
+    U is thin (m x min(m, n)) and V is full (n x n), so V[:, -1] is a right
+    singular vector for the smallest singular value even when m < n.
+    Singular values are nonincreasing.
     """
 
     u: np.ndarray
     singular_values: np.ndarray
     v: np.ndarray
-    economy: bool
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.singular_values) @ self.v[:, : self.singular_values.size].conj().T
@@ -63,13 +64,13 @@ class GepResult:
     beta[j] == 0 encodes an infinite eigenvalue.  `singular[j]` is set when
     both coordinates are negligible relative to the data norms, which signals
     a (numerically) singular pencil rather than a meaningful eigenvalue.
-    Right (and optional left) eigenvectors are unit 2-norm columns.
+    Right and left eigenvectors are unit 2-norm columns.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     right: np.ndarray
-    left: np.ndarray | None
+    left: np.ndarray
     singular: np.ndarray
 
     @property
@@ -79,16 +80,15 @@ class GepResult:
             return np.where(self.beta == 0, np.inf, self.alpha / self.beta)
 
 
-def svd(a, economy: bool = False) -> SvdResult:
+def svd(a) -> SvdResult:
     """Singular value decomposition with descending singular values."""
     a = as_matrix(a)
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=not economy)
+        # Only a wide matrix needs full_matrices for V to be square.
+        u, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     except np.linalg.LinAlgError as exc:
         raise BackendError(f"SVD did not converge for shape {a.shape}", shape=a.shape) from exc
-    if not economy:
-        u = u[:, : s.size]
-    return SvdResult(u=u, singular_values=s, v=vh.conj().T, economy=economy)
+    return SvdResult(u=u, singular_values=s, v=vh.conj().T)
 
 
 def eig_hermitian(h, config: NumericsConfig = DEFAULT):
@@ -111,24 +111,20 @@ def eig_hermitian(h, config: NumericsConfig = DEFAULT):
     return w, v
 
 
-def gep(a, b, left: bool = False, config: NumericsConfig = DEFAULT) -> GepResult:
-    """QZ solve of the generalized eigenproblem A z = lambda B z."""
+def gep(a, b, config: NumericsConfig = DEFAULT) -> GepResult:
+    """QZ solve of the generalized eigenproblem A z = lambda B z, with right
+    and left eigenvectors."""
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValidationError(f"pencil matrices must be square and equal-shaped, got {a.shape}, {b.shape}")
     try:
-        if left:
-            ab, vl, vr = sla.eig(a, b, left=True, right=True, homogeneous_eigvals=True)
-        else:
-            ab, vr = sla.eig(a, b, left=False, right=True, homogeneous_eigvals=True)
-            vl = None
+        ab, vl, vr = sla.eig(a, b, left=True, right=True, homogeneous_eigvals=True)
     except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
         raise BackendError(f"QZ iteration failed for shape {a.shape}", shape=a.shape) from exc
     alpha, beta = np.asarray(ab[0]), np.asarray(ab[1])
     vr = vr / np.linalg.norm(vr, axis=0, keepdims=True)
-    if vl is not None:
-        vl = vl / np.linalg.norm(vl, axis=0, keepdims=True)
+    vl = vl / np.linalg.norm(vl, axis=0, keepdims=True)
     scale = max(np.linalg.norm(a, "fro"), np.linalg.norm(b, "fro"))
     tol = config.singular_pair_rtol * scale
     singular = (np.abs(alpha) <= tol) & (np.abs(beta) <= tol)
@@ -157,14 +153,6 @@ def kron(a, b, config: NumericsConfig = DEFAULT) -> np.ndarray:
             f"exceeding the cap of {config.kron_cap}"
         )
     return np.kron(a, b)
-
-
-def smallest_right_singular_vector(a) -> np.ndarray:
-    """Unit right singular vector for the smallest singular value of `a`.
-
-    Deterministic tie-break: the last column of the full descending-order V.
-    """
-    return svd(a).v[:, -1].copy()
 
 
 def rcond_1norm(a) -> float:

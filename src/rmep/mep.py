@@ -50,15 +50,11 @@ MAX_PARAMETERS = 4  # the expansion has k! Kronecker terms per determinant
 
 @dataclass(frozen=True)
 class OperatorDeterminants:
-    """The k+1 lifted matrices D_0..D_k plus build-time regularity info.
-
-    `weights`/`rcond` describe the combination sum_j weights[j] * D_j whose
-    conditioning was estimated at build time (the plain D_0 by default).
-    """
+    """The k+1 lifted matrices D_0..D_k, the block sizes (n_1, ..., n_k) and
+    the reciprocal 1-norm condition estimate `rcond` of D_0."""
 
     matrices: tuple[np.ndarray, ...]
     dims: tuple[int, ...]
-    weights: np.ndarray
     rcond: float
 
     @property
@@ -68,13 +64,12 @@ class OperatorDeterminants:
 
 @dataclass(frozen=True)
 class MepSolution:
-    """One recovered tuple: homogeneous value, factored unit vectors, the
-    Kronecker eigenvector it came from, and how decomposable that vector was."""
+    """One recovered tuple: homogeneous value, unit vectors factored from its
+    Kronecker eigenvector, and how decomposable that eigenvector was."""
 
     value: HomogeneousEigenvalue
     vectors: tuple[np.ndarray, ...]
     separability: float
-    kron_vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -141,14 +136,7 @@ def operator_determinants(problem: MepProblem, config: NumericsConfig = DEFAULT)
         cols = list(b_columns)
         cols[j] = a_column
         mats.append(_operator_determinant(cols, config))
-    weights = np.zeros(k + 1, dtype=np.complex128)
-    weights[0] = 1.0
-    return OperatorDeterminants(
-        matrices=tuple(mats),
-        dims=problem.dims,
-        weights=weights,
-        rcond=rcond_1norm(mats[0]),
-    )
+    return OperatorDeterminants(matrices=tuple(mats), dims=problem.dims, rcond=rcond_1norm(mats[0]))
 
 
 def extract_factors(z, dims):
@@ -173,7 +161,7 @@ def extract_factors(z, dims):
     current = z
     for d in dims[:-1]:
         mat = current.reshape(d, -1)
-        res = svd(mat, economy=True)
+        res = svd(mat)
         factors.append(res.u[:, 0].copy())
         current = res.singular_values[0] * res.v[:, 0].conj()
         cn = np.linalg.norm(current)
@@ -195,24 +183,41 @@ def extract_factors(z, dims):
     return factors, score
 
 
-def _pick_mass(deltas: OperatorDeterminants, rng, config: NumericsConfig):
-    """D_0 when well conditioned, else the best random combination."""
-    if deltas.rcond >= 1.0 / config.cond_threshold:
-        return deltas.matrices[0], deltas.weights, deltas.rcond
+def _random_combination(matrices, rng):
+    """Random unit complex weights w and the combination sum_j w_j D_j."""
+    w = rng.standard_normal(len(matrices)) + 1j * rng.standard_normal(len(matrices))
+    w /= np.linalg.norm(w)
+    return w, sum(wj * dj for wj, dj in zip(w, matrices))
+
+
+def _best_combination(matrices, rng, trials: int, stop: float = np.inf):
+    """Best-conditioned of `trials` random unit-weight combinations of
+    `matrices`, drawn until one's rcond exceeds `stop`.
+
+    Returns (combination, weights, rcond); the first draw is kept on ties.
+    """
     best = None
-    for _ in range(config.weight_trials):
-        w = rng.standard_normal(len(deltas.matrices)) + 1j * rng.standard_normal(len(deltas.matrices))
-        w /= np.linalg.norm(w)
-        candidate = sum(wj * dj for wj, dj in zip(w, deltas.matrices))
+    for _ in range(trials):
+        w, candidate = _random_combination(matrices, rng)
         rc = rcond_1norm(candidate)
         if best is None or rc > best[2]:
             best = (candidate, w, rc)
-    if best[2] < config.irregular_rcond:
+        if best[2] > stop:
+            break
+    return best
+
+
+def _pick_mass(deltas: OperatorDeterminants, rng, config: NumericsConfig):
+    """(mass, rcond): D_0 when well conditioned, else the best random combination."""
+    if deltas.rcond >= 1.0 / config.cond_threshold:
+        return deltas.matrices[0], deltas.rcond
+    mass, _, rc = _best_combination(deltas.matrices, rng, config.weight_trials)
+    if rc < config.irregular_rcond:
         raise IrregularMepError(
             f"no combination of the operator determinants was numerically invertible "
-            f"(best rcond {best[2]:.2e} over {config.weight_trials} draws)"
+            f"(best rcond {rc:.2e} over {config.weight_trials} draws)"
         )
-    return best
+    return mass, rc
 
 
 def solve_mep(problem: MepProblem, seed: int = 0, config: NumericsConfig = DEFAULT) -> list[MepSolution]:
@@ -225,15 +230,19 @@ def solve_mep(problem: MepProblem, seed: int = 0, config: NumericsConfig = DEFAU
     return solve_from_determinants(deltas, seed=seed, config=config)
 
 
+def _least_squares_quotients(matrices, mz, z) -> np.ndarray:
+    """(M z)^H D_j z / ||M z||^2 for each j: the homogeneous tuple from least
+    squares on the pairs (M z, D_j z), used when the left vector is unusable."""
+    return np.array([np.vdot(mz, dj @ z) for dj in matrices]) / float(np.vdot(mz, mz).real)
+
+
 def solve_from_determinants(
     deltas: OperatorDeterminants, seed: int = 0, config: NumericsConfig = DEFAULT
 ) -> list[MepSolution]:
     rng = np.random.default_rng(seed)
-    mass, _, _ = _pick_mass(deltas, rng, config)
-    coeffs = rng.standard_normal(len(deltas.matrices)) + 1j * rng.standard_normal(len(deltas.matrices))
-    coeffs /= np.linalg.norm(coeffs)
-    lhs = sum(cj * dj for cj, dj in zip(coeffs, deltas.matrices))
-    pencil = gep(lhs, mass, left=True, config=config)
+    mass, _ = _pick_mass(deltas, rng, config)
+    _, lhs = _random_combination(deltas.matrices, rng)
+    pencil = gep(lhs, mass, config=config)
     solutions = []
     for j in range(deltas.size):
         z = pencil.right[:, j]
@@ -246,16 +255,12 @@ def solve_from_determinants(
             or not np.all(np.isfinite(raw.view(np.float64)))
         )
         if left_unusable:
-            # Left vector unusable for this index; fall back to least squares
-            # on the pairs (M z, D_j z).
-            denom = float(np.vdot(mz, mz).real)
-            raw = np.array([np.vdot(mz, dj @ z) / denom for dj in deltas.matrices])
+            raw = _least_squares_quotients(deltas.matrices, mz, z)
         value = HomogeneousEigenvalue.from_vector(raw)
         factors, score = extract_factors(z, deltas.dims)
-        solutions.append(
-            MepSolution(value=value, vectors=tuple(factors), separability=score, kron_vector=z.copy())
-        )
+        solutions.append(MepSolution(value=value, vectors=tuple(factors), separability=score))
     return solutions
+
 
 
 def check_regularity(
@@ -272,16 +277,7 @@ def check_regularity(
     a much smaller best rcond, so a negative verdict is a hint, not proof.
     """
     rng = np.random.default_rng(seed)
-    best_rc = 0.0
-    best_w = np.zeros(len(deltas.matrices), dtype=np.complex128)
-    for _ in range(max(1, trials)):
-        w = rng.standard_normal(len(deltas.matrices)) + 1j * rng.standard_normal(len(deltas.matrices))
-        w /= np.linalg.norm(w)
-        rc = rcond_1norm(sum(wj * dj for wj, dj in zip(w, deltas.matrices)))
-        if rc > best_rc:
-            best_rc, best_w = rc, w
-        if best_rc > threshold:
-            break
+    _, best_w, best_rc = _best_combination(deltas.matrices, rng, max(1, trials), stop=threshold)
     return RegularityReport(
         trials=trials,
         best_rcond=best_rc,

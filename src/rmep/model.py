@@ -18,7 +18,7 @@ and the seeded random generator used by the benchmark harness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -51,19 +51,26 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EquationBlock:
-    """One equation's coefficients: `a` plus the k parameter matrices `b`."""
+    """One equation's coefficients: `a` plus the k parameter matrices `b`.
+
+    The block holds them as one read-only (k+1, m, n) array
+    `coeffs` = S = (A, B_1, ..., B_k); `a` and `b` are views of it, and every
+    pencil sum_j c_j S_j is formed by `pencil`.
+    """
 
     a: np.ndarray
     b: tuple[np.ndarray, ...]
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = _freeze(as_matrix(self.a, "A"))
-        bs = tuple(_freeze(as_matrix(bi, f"B[{s}]")) for s, bi in enumerate(self.b))
-        for bi in bs:
-            if bi.shape != a.shape:
-                raise ValidationError(f"all matrices in a block must share shape {a.shape}, got {bi.shape}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", bs)
+        mats = [as_matrix(self.a, "A")] + [as_matrix(bi, f"B[{s}]") for s, bi in enumerate(self.b)]
+        for bi in mats[1:]:
+            if bi.shape != mats[0].shape:
+                raise ValidationError(f"all matrices in a block must share shape {mats[0].shape}, got {bi.shape}")
+        coeffs = _freeze(np.stack(mats))
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "a", coeffs[0])
+        object.__setattr__(self, "b", tuple(coeffs[1:]))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -71,7 +78,20 @@ class EquationBlock:
 
     def stacked(self) -> np.ndarray:
         """[A, B_1, ..., B_k] of shape m x (k+1)n."""
-        return np.hstack((self.a,) + self.b)
+        return self.coeffs.transpose(1, 0, 2).reshape(self.shape[0], -1)
+
+    def pencil(self, c, x=None) -> np.ndarray:
+        """The pencil sum_j c_j S_j, or its product with `x` when given.
+
+        With c = (gamma, -alpha_1, ..., -alpha_k) this is gamma A - sum_s
+        alpha_s B_s, and with c = (1, -lambda_1, ..., -lambda_k) the finite
+        form A - sum_s lambda_s B_s.  A 2-D `c` gives one pencil per row.
+        """
+        c = np.asarray(c, dtype=np.complex128)
+        if x is not None:
+            return c @ (self.coeffs @ x)
+        k1 = self.coeffs.shape[0]
+        return (c @ self.coeffs.reshape(k1, -1)).reshape(c.shape[:-1] + self.shape)
 
 
 @dataclass(frozen=True)
@@ -154,6 +174,11 @@ class HomogeneousEigenvalue:
     def k(self) -> int:
         return self.alphas.size
 
+    @property
+    def coefficients(self) -> np.ndarray:
+        """(gamma, -alpha_1, ..., -alpha_k), the pencil coefficients of this value."""
+        return np.concatenate(([self.gamma], -self.alphas))
+
     @classmethod
     def from_vector(cls, v) -> "HomogeneousEigenvalue":
         """Normalize an arbitrary nonzero (k+1)-vector and fix the phase.
@@ -226,11 +251,9 @@ def _frobenius_cost(origin: RmepProblem, blocks) -> float:
         raise ValidationError("perturbation block count does not match the problem")
     total = 0.0
     for blk, pblk in zip(origin.blocks, blocks):
-        if pblk.shape != blk.shape:
+        if pblk.coeffs.shape != blk.coeffs.shape:
             raise ValidationError("perturbation shapes do not match the problem")
-        total += float(np.linalg.norm(pblk.a - blk.a, "fro") ** 2)
-        for b, pb in zip(blk.b, pblk.b):
-            total += float(np.linalg.norm(pb - b, "fro") ** 2)
+        total += float(np.linalg.norm(pblk.coeffs - blk.coeffs) ** 2)
     return total
 
 
@@ -265,10 +288,10 @@ def normalized_residual(problem: RmepProblem, t: EigenTuple, config: NumericsCon
     lam = dehomogenize(t.value, config)
     if len(t.vectors) != problem.k:
         raise ValidationError("eigen-tuple vector count does not match the problem")
+    c = np.concatenate(([1.0], -lam))
     rho = np.empty(problem.k)
     for i, blk in enumerate(problem.blocks):
-        x = t.vectors[i]
-        r = blk.a @ x - sum(l * (bi @ x) for l, bi in zip(lam, blk.b))
+        r = blk.pencil(c, t.vectors[i])
         norm_a, norms_b = problem.spectral_norms[i]
         den = norm_a + sum(abs(l) * nb for l, nb in zip(lam, norms_b))
         rho[i] = np.linalg.norm(r) / den
@@ -277,12 +300,8 @@ def normalized_residual(problem: RmepProblem, t: EigenTuple, config: NumericsCon
 
 def homogeneous_residual(problem: RmepProblem, t: EigenTuple) -> float:
     """sum_i ||gamma A_i x_i - sum_s alpha_s B_is x_i||_2^2 (finite for any gamma)."""
-    v = t.value
-    total = 0.0
-    for blk, x in zip(problem.blocks, t.vectors):
-        r = v.gamma * (blk.a @ x) - sum(a * (bi @ x) for a, bi in zip(v.alphas, blk.b))
-        total += float(np.linalg.norm(r) ** 2)
-    return total
+    c = t.value.coefficients
+    return sum(float(np.linalg.norm(blk.pencil(c, x)) ** 2) for blk, x in zip(problem.blocks, t.vectors))
 
 
 def apply_perturbation(problem: RmepProblem, pset: PerturbationSet) -> RmepProblem:

@@ -204,23 +204,26 @@ def discretize(spec: OdeSpec, config: NumericsConfig = DEFAULT) -> DiscretizedOd
         fv = _sample(eq.f, basis.nodes)
         operator = (basis.second_derivs + fv[:, None] * basis.values) * sqrt_w
         q_factor, r_factor = _qr_positive_diagonal(operator)
-        sigma = np.linalg.svd(r_factor, compute_uv=False)
-        if sigma[-1] < 1e-10 * sigma[0]:
-            warnings.warn(
-                f"operator table on {eq.interval} is numerically rank-deficient "
-                f"(sigma_min/sigma_max = {sigma[-1] / sigma[0]:.2e}); this is structural "
-                "when f = 0 (polynomials of degree < 2 sit in the kernel of d^2/dt^2) "
-                "and the boundary rows then restore full column rank",
-                stacklevel=2,
-            )
         g = q_factor.conj().T @ (pv[:, None] * basis.values * sqrt_w)
         k_mat = q_factor.conj().T @ (qv[:, None] * basis.values * sqrt_w)
         boundary_vals, _ = _chebyshev_tables(np.array([-1.0, 1.0]), eq.n)
         _, boundary_r = _qr_positive_diagonal(boundary_vals)
+        a_block = np.vstack([r_factor, boundary_r])
+        # Only the assembled block matters: when f = 0 the operator table alone
+        # is rank-deficient (d^2/dt^2 kills degree < 2) but the boundary rows
+        # restore full column rank.
+        sigma = np.linalg.svd(a_block, compute_uv=False)
+        if sigma[-1] < 1e-10 * sigma[0]:
+            warnings.warn(
+                f"assembled block A on {eq.interval} is numerically rank-deficient "
+                f"(sigma_min/sigma_max = {sigma[-1] / sigma[0]:.2e}): a function in the "
+                "basis nearly satisfies u'' + f u = 0 and both boundary conditions",
+                stacklevel=2,
+            )
         zeros = np.zeros((2, eq.n))
         blocks.append(
             EquationBlock(
-                a=np.vstack([r_factor, boundary_r]),
+                a=a_block,
                 b=(np.vstack([-g, zeros]), np.vstack([-k_mat, zeros])),
             )
         )
@@ -270,9 +273,12 @@ def continuous_residual(
         s_r = int_a^b |u_r'' + (lambda p_r + mu q_r + f_r) u_r| dt,
 
     integrated by Clenshaw-Curtis on a node set refined to twice the basis
-    oversampling.  Requires a finite eigenvalue.  A zero coefficient vector
-    gives a zero defect; that degenerate case is flagged with a warning since
-    the zero function is not an eigenfunction.
+    oversampling.  Each vector is read on its own basis in `bases` (size and
+    interval), and a vector whose length differs from its basis size raises
+    ValidationError; the spec supplies p, q and f.  Requires a finite
+    eigenvalue.  A zero coefficient vector gives a zero defect; that
+    degenerate case is flagged with a warning since the zero function is not
+    an eigenfunction.
 
     The defect is absolute: it is taken for the tuple's own coefficient
     vectors, which `solve_complete` returns with unit 2-norm, and is not
@@ -283,15 +289,18 @@ def continuous_residual(
     lam, mu = dehomogenize(t.value, config)
     out = []
     for eq, basis, coeffs in zip(spec.equations, bases, t.vectors):
+        coeffs = np.asarray(coeffs)
+        if coeffs.size != basis.n:
+            raise ValidationError(f"coefficient vector has length {coeffs.size}, basis expects {basis.n}")
         if np.linalg.norm(coeffs) == 0:
             warnings.warn("zero coefficient vector; the zero function is not an eigenfunction", stacklevel=2)
             out.append(0.0)
             continue
-        a, b = eq.interval
-        ref, w = _clenshaw_curtis(2 * spec.oversampling * eq.n)
+        a, b = basis.interval
+        ref, w = _clenshaw_curtis(2 * basis.oversampling * basis.n)
         nodes = a + (b - a) * (ref + 1.0) / 2.0
         weights = w * (b - a) / 2.0
-        values, second = _chebyshev_tables(ref, eq.n)
+        values, second = _chebyshev_tables(ref, basis.n)
         second = second * (2.0 / (b - a)) ** 2
         u = values @ coeffs
         upp = second @ coeffs

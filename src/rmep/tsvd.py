@@ -160,8 +160,8 @@ def reduced_mep(truncations: list[BlockTruncation]) -> MepProblem:
 
 
 def _best_vector_for(blk: EquationBlock, lambdas) -> np.ndarray:
-    pencil = blk.a - sum(l * bi for l, bi in zip(lambdas, blk.b))
-    return svd(pencil).v[:, -1].copy()
+    """Smallest right singular vector of A - sum_s lambda_s B_s."""
+    return svd(blk.pencil(np.concatenate(([1.0], -np.asarray(lambdas))))).v[:, -1].copy()
 
 
 def solve_complete(

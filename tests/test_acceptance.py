@@ -31,8 +31,6 @@ from rmep.tsvd import reduced_mep, solve_complete, truncate_blocks, truncation_c
 from conftest import crandn, match_multisets, random_problem
 from test_mep import resultant_oracle
 
-pytestmark = pytest.mark.filterwarnings("ignore:operator table")
-
 
 def report(num, name, ok, detail):
     line = f"criterion {num:02d} [{'PASS' if ok else 'FAIL'}] {name}: {detail}"

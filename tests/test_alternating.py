@@ -284,7 +284,7 @@ class TestRgepSpecialization:
             gamma, alpha = abs(vec[0].real), vec[1]
             thetas.append(float(w[0]))
 
-        cfg = AlternatingConfig(max_iters=25, rel_tol=1e-300, kkt_check=False)
+        cfg = AlternatingConfig(max_iters=25, rel_tol=1e-300)
         _, _, trace = solve_one(p, cfg)
         assert len(trace.objectives) == 25
         for ours, ref in zip(trace.objectives, thetas):

@@ -10,8 +10,6 @@ from rmep.cli import main
 from rmep.model import random_planted_problem
 from rmep.serialization import save_binary, save_json
 
-pytestmark = pytest.mark.filterwarnings("ignore:operator table")
-
 
 def read_csv(path):
     with open(path, newline="") as f:

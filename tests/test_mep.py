@@ -3,6 +3,7 @@ import pytest
 
 from rmep.config import NumericsConfig
 from rmep.errors import CapacityError, IrregularMepError, ValidationError
+from rmep import mep
 from rmep.mep import (
     check_regularity,
     extract_factors,
@@ -233,6 +234,47 @@ class TestSolveMep:
             lam = dehomogenize(s.value)
             assert abs(lam[0] - 3.0) < 1e-10
             assert abs(lam[1] - 5.0) < 1e-10
+
+    def test_least_squares_quotient_fallback(self, monkeypatch):
+        # A_1 is defective, so every two-sided quotient w^H M z is ~1e-15 and
+        # each tuple must come from the least-squares quotient
+        calls = []
+        original = mep._least_squares_quotients
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(mep, "_least_squares_quotients", spy)
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        p = mep_from([(np.array([[3.0, 1.0], [0.0, 3.0]]), eye, zero), (5.0 * eye, zero, eye)])
+        sols = solve_mep(p, seed=0)
+        assert len(calls) == len(sols) == 4
+        for s in sols:
+            lam = dehomogenize(s.value)
+            assert abs(lam[0] - 3.0) < 1e-10
+            assert abs(lam[1] - 5.0) < 1e-10
+
+    def test_shifted_mass_fallback(self, monkeypatch):
+        # blocks sharing (B_1, B_2) make D_0 = B_1 (x) B_2 - B_2 (x) B_1 singular
+        shifted = []
+        original = mep._pick_mass
+        def spy(deltas, *args):
+            result = original(deltas, *args)
+            shifted.append(result[0] is not deltas.matrices[0])
+            return result
+        monkeypatch.setattr(mep, "_pick_mass", spy)
+        rng = np.random.default_rng(0)
+        b1, b2 = crandn(rng, 2, 2), crandn(rng, 2, 2)
+        p = mep_from([(crandn(rng, 2, 2), b1, b2), (crandn(rng, 2, 2), b1, b2)])
+        sols = solve_mep(p, seed=0)
+        assert shifted == [True]
+        finite = [dehomogenize(s.value) for s in sols if s.value.is_finite()]
+        assert len(finite) == 2 and len(sols) == 4
+        for lam, mu in finite:
+            for blk in p.blocks:
+                sv = np.linalg.svd(blk.a - lam * blk.b[0] - mu * blk.b[1], compute_uv=False)
+                assert sv[-1] <= 1e-12 * sv[0]
+        bounded = [r for r in resultant_oracle(p) if max(abs(r[0]), abs(r[1])) < 1e3]
+        assert match_multisets(finite, bounded) < 1e-8
 
     def test_irregular_raises(self):
         zero = np.zeros((2, 2))

@@ -57,6 +57,32 @@ class TestProblemTypes:
         p = random_problem(rng, 4, 2, 1)
         with pytest.raises(ValueError):
             p.blocks[0].a[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            p.blocks[0].coeffs[1, 0, 0] = 0.0
+
+
+class TestPencil:
+    def test_matches_loop_reference(self):
+        # reference: the explicit loop gamma A - sum_s alpha_s B_s; only the
+        # summation order differs
+        rng = np.random.default_rng(14)
+        for m, n, k in [(5, 3, 1), (20, 15, 2), (7, 4, 3)]:
+            blk = random_problem(rng, m, n, k).blocks[0]
+            value = HomogeneousEigenvalue.from_vector(crandn(rng, k + 1))
+            x = crandn(rng, n)
+            loop = value.gamma * blk.a - sum(a * bi for a, bi in zip(value.alphas, blk.b))
+            scale = np.abs(blk.coeffs).max()
+            assert np.abs(blk.pencil(value.coefficients) - loop).max() <= 10 * (k + 1) * EPS * scale
+            assert np.abs(blk.pencil(value.coefficients, x) - loop @ x).max() <= 10 * (k + 1) * n * EPS * scale * np.abs(x).max()
+
+    def test_views_and_stacked(self):
+        rng = np.random.default_rng(15)
+        blk = random_problem(rng, 5, 3, 2).blocks[0]
+        assert blk.coeffs.shape == (3, 5, 3)
+        assert np.array_equal(blk.a, blk.coeffs[0]) and np.array_equal(blk.b[1], blk.coeffs[2])
+        assert np.array_equal(blk.stacked(), np.hstack((blk.a,) + blk.b))
+        # a 2-D c gives one pencil per row
+        assert np.array_equal(blk.pencil(np.eye(3)), blk.coeffs)
 
 
 class TestHomogenize:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,6 @@ from rmep.spectral import (
     sample_eigenfunction,
 )
 from rmep.tsvd import solve_complete
-
-pytestmark = pytest.mark.filterwarnings("ignore:operator table")
 
 
 def project_onto_basis(basis: ChebyshevBasis, fn):
@@ -138,11 +138,17 @@ class TestDiscretize:
             best = min(abs(dehomogenize(t.value)[0] - pi2) for t in tuples if t.residual is not None)
             assert best <= 1e-8
 
-    def test_rank_deficiency_warning_for_zero_f(self):
-        # f = 0 leaves constants in the operator kernel (tau_1'' = 0), which
-        # the structural-degeneracy warning reports; boundary rows restore rank
-        with pytest.warns(UserWarning, match="rank-deficient"):
+    def test_rank_warning_only_for_rank_deficient_block(self):
+        # f = 0 leaves degree < 2 in the kernel of the operator table, but the
+        # boundary rows restore the assembled block's rank: no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             discretize(builtin_sturm_liouville(n1=8, n2=8))
+            discretize(builtin_mathieu(4.0, 1.0, n1=12, n2=12))
+        # u'' + u = 0 on (0, pi): sin t meets both boundary conditions
+        eq = OdeEquation(p=lambda t: 1.0, q=lambda t: 0.0, f=lambda t: 1.0, interval=(0.0, np.pi), n=20)
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            discretize(OdeSpec(equations=(eq, eq)))
 
 
 class TestReconstruct:
@@ -212,6 +218,18 @@ class TestContinuousResidual:
         with pytest.warns(UserWarning, match="zero coefficient"):
             s1, s2, total = continuous_residual(spec, bases, tup)
         assert s1 == 0.0
+
+    def test_vectors_read_on_their_own_bases(self):
+        # 36-term vectors on 36-term bases work with a 30-term spec; on the
+        # spec's own 30-term bases they are rejected
+        spec30 = builtin_sturm_liouville(n1=30, n2=30)
+        spec36 = builtin_sturm_liouville(n1=36, n2=36)
+        bases36 = (build_basis((0.0, 1.0), 36), build_basis((0.0, 1.0), 36))
+        c = [project_onto_basis(b, lambda t: np.sin(np.pi * t)) for b in bases36]
+        tup = EigenTuple(value=homogenize([np.pi**2, 0.0]), vectors=tuple(x / np.linalg.norm(x) for x in c))
+        assert continuous_residual(spec30, bases36, tup) == continuous_residual(spec36, bases36, tup)
+        with pytest.raises(ValidationError, match="length 36"):
+            continuous_residual(spec30, discretize(spec30).bases, tup)
 
     def test_additivity(self):
         spec = builtin_sturm_liouville(n1=8, n2=8)
