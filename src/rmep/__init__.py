@@ -11,7 +11,6 @@ eigenproblems into such systems, and a batch CLI for experiments.
 """
 
 from .alternating import AlternatingConfig, AlternatingTrace, solve_one
-from .config import DEFAULT, NumericsConfig
 from .errors import (
     BackendError,
     CapacityError,
@@ -21,7 +20,7 @@ from .errors import (
     RmepError,
     ValidationError,
 )
-from .mep import check_regularity, extract_factors, operator_determinants, solve_mep
+from .mep import extract_factors, operator_determinants, solve_mep
 from .model import (
     EigenTuple,
     EquationBlock,
@@ -59,7 +58,6 @@ __all__ = [
     "BackendError",
     "CapacityError",
     "ChebyshevBasis",
-    "DEFAULT",
     "DiscretizedOde",
     "DomainError",
     "EigenTuple",
@@ -68,7 +66,6 @@ __all__ = [
     "InfiniteEigenvalueError",
     "IrregularMepError",
     "MepProblem",
-    "NumericsConfig",
     "OdeEquation",
     "OdeSpec",
     "PerturbationSet",
@@ -79,7 +76,6 @@ __all__ = [
     "build_basis",
     "builtin_mathieu",
     "builtin_sturm_liouville",
-    "check_regularity",
     "continuous_residual",
     "dehomogenize",
     "discretize",

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, NumericsConfig
 from .errors import ValidationError
 from .linalg import eig_hermitian, svd
 from .model import (
@@ -44,8 +43,6 @@ from .model import (
 __all__ = [
     "AlternatingConfig",
     "AlternatingTrace",
-    "build_pencil",
-    "best_vectors",
     "build_gram",
     "best_value",
     "kkt_residual",
@@ -57,6 +54,9 @@ __all__ = [
 STATUS_TOL = "tol-met"
 STATUS_BUDGET = "budget-exhausted"
 STATUS_STAGNATED = "stagnated"
+# Normalized KKT residual above which a run that met the objective-change
+# rule is reported as stagnated rather than converged.
+STAGNATION_KKT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -97,32 +97,22 @@ class AlternatingTrace:
     degenerate_blocks: tuple[int, ...] = ()
 
 
-def build_pencil(problem: RmepProblem, value: HomogeneousEigenvalue, i: int) -> np.ndarray:
-    """R_i(v) = gamma A_i - sum_s alpha_s B_is for block i."""
-    return problem.blocks[i].pencil(value.coefficients)
-
-
 def _vector_step(problem: RmepProblem, value: HomogeneousEigenvalue):
-    """Optimal unit vectors for fixed value, plus the smallest-sigma gaps."""
+    """Optimal unit vectors for fixed value, plus the smallest-sigma gaps.
+
+    Each x_i is the right singular vector of R_i(v) = gamma A_i - sum_s
+    alpha_s B_is for its smallest singular value; ties are broken
+    deterministically by the last-column convention of the descending SVD.
+    """
     xs = []
     gaps = []
-    for i in range(problem.k):
-        r = build_pencil(problem, value, i)
-        res = svd(r)
+    for blk in problem.blocks:
+        res = svd(blk.pencil(value.coefficients))
         s = res.singular_values
         xs.append(res.v[:, -1].copy())
         scale = s[0] if s[0] > 0 else 1.0
         gaps.append((s[-2] - s[-1]) / scale if s.size >= 2 else np.inf)
     return xs, gaps
-
-
-def best_vectors(problem: RmepProblem, value: HomogeneousEigenvalue) -> list[np.ndarray]:
-    """Right singular vectors of each R_i for its smallest singular value.
-
-    Ties are broken deterministically by the fixed last-column convention of
-    the descending-order SVD.
-    """
-    return _vector_step(problem, value)[0]
 
 
 def build_gram(problem: RmepProblem, xs) -> np.ndarray:
@@ -138,9 +128,9 @@ def build_gram(problem: RmepProblem, xs) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
-def best_value(h: np.ndarray, config: NumericsConfig = DEFAULT):
+def best_value(h: np.ndarray):
     """Smallest eigenpair of the Gram matrix as (theta, homogeneous value)."""
-    w, v = eig_hermitian(h, config)
+    w, v = eig_hermitian(h)
     theta = float(max(w[0], 0.0))
     return theta, HomogeneousEigenvalue.from_vector(v[:, 0])
 
@@ -160,7 +150,7 @@ def kkt_residual(problem: RmepProblem, t: EigenTuple) -> float:
         norm_a, norms_b = problem.spectral_norms[i]
         xi = norm_a**2 + sum(nb**2 for nb in norms_b)
         xis.append(xi)
-        r = build_pencil(problem, v, i)
+        r = problem.blocks[i].pencil(v.coefficients)
         rx = r @ xs[i]
         omega = float(np.linalg.norm(rx) ** 2)
         total += np.linalg.norm(r.conj().T @ rx - xs[i] * omega) / xi
@@ -196,13 +186,13 @@ def reconstruct_perturbation(problem: RmepProblem, value: HomogeneousEigenvalue,
     return PerturbationSet.from_blocks(problem, blocks)
 
 
-def _run(problem, value, cfg, config):
+def _run(problem, value, cfg):
     trace = AlternatingTrace()
     xs = None
     for _ in range(cfg.max_iters):
         xs, gaps = _vector_step(problem, value)
         h = build_gram(problem, xs)
-        theta, value = best_value(h, config)
+        theta, value = best_value(h)
         trace.objectives.append(theta)
         trace.iterations += 1
         trace.kkt.append(kkt_residual(problem, EigenTuple(value=value, vectors=tuple(xs))))
@@ -213,7 +203,7 @@ def _run(problem, value, cfg, config):
     else:
         trace.status = STATUS_BUDGET
     trace.final_kkt = trace.kkt[-1]
-    if trace.status == STATUS_TOL and trace.final_kkt > config.stagnation_kkt:
+    if trace.status == STATUS_TOL and trace.final_kkt > STAGNATION_KKT:
         # The cheap objective-change rule can fire long before first-order
         # optimality holds; report that instead of claiming convergence.
         trace.status = STATUS_STAGNATED
@@ -222,7 +212,7 @@ def _run(problem, value, cfg, config):
     return value, xs, trace
 
 
-def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None, config: NumericsConfig = DEFAULT):
+def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None):
     """Alternate both half-steps until the relative objective change rule
 
         |theta_{j+1} - theta_j| <= (theta_{j+1} + 1) * rel_tol
@@ -247,14 +237,14 @@ def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None, config
             guesses.append(rng.standard_normal(problem.k) + 1j * rng.standard_normal(problem.k))
     best = None
     for guess in guesses:
-        value, xs, trace = _run(problem, homogenize(guess), cfg, config)
+        value, xs, trace = _run(problem, homogenize(guess), cfg)
         if best is None or trace.objectives[-1] < best[2].objectives[-1]:
             best = (value, xs, trace)
     value, xs, trace = best
     pset = reconstruct_perturbation(problem, value, xs)
     tup = EigenTuple(value=value, vectors=tuple(xs))
-    if value.is_finite(config):
-        _, rho = normalized_residual(problem, tup, config)
+    if value.is_finite():
+        _, rho = normalized_residual(problem, tup)
         tup = EigenTuple(value=value, vectors=tuple(xs), residual=rho)
     else:
         trace.likely_infimum = True

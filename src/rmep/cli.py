@@ -233,7 +233,7 @@ def _bench_trial(m: int, n: int, k: int, sigma: float, child_seed) -> dict:
     from .tsvd import solve_complete
 
     problem, reference = random_planted_problem([m] * k, [n] * k, sigma, child_seed)
-    solver_seed = int(np.random.SeedSequence(child_seed).generate_state(1)[0]) if isinstance(child_seed, int) else int(child_seed.generate_state(1)[0])
+    solver_seed = int(child_seed.generate_state(1)[0])
     ref_vals = []
     for sol in solve_mep(reference, seed=solver_seed):
         if sol.value.is_finite():
@@ -271,6 +271,10 @@ def _cmd_bench_random(opt: dict) -> int:
         sigmas = [float(s) for s in sigmas_opt.split(",") if s.strip() != ""]
     else:
         sigmas = [float(s) for s in sigmas_opt]
+    if not sigmas:
+        raise ValidationError("bench-random needs at least one noise level in --sigmas")
+    if trials < 1:
+        raise ValidationError(f"bench-random needs --trials >= 1, got {trials}")
     seed = int(opt["seed"])
     rows = []
     for sigma in sigmas:

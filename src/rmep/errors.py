@@ -10,7 +10,7 @@ class ValidationError(RmepError, ValueError):
 
 
 class CapacityError(RmepError):
-    """A requested dense operation would exceed the configured size cap."""
+    """A requested dense operation would exceed a fixed size cap."""
 
 
 class BackendError(RmepError):

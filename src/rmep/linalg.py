@@ -3,8 +3,8 @@
 Thin, validated wrappers around LAPACK (via numpy/scipy) that fix the
 conventions the solvers rely on: descending singular values with a thin U
 and a full V factor, ascending Hermitian eigenvalues, homogeneous (alpha,
-beta) pencil eigenvalues with right and left eigenvectors, column-pivoted
-QR, and a size-capped Kronecker product.
+beta) pencil eigenvalues with right and left eigenvectors, and
+column-pivoted QR.
 All functions are pure; returned arrays are freshly allocated.
 """
 
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .config import DEFAULT, NumericsConfig
-from .errors import BackendError, CapacityError, ValidationError
+from .errors import BackendError, ValidationError
 
 __all__ = [
     "SvdResult",
@@ -26,8 +25,14 @@ __all__ = [
     "eig_hermitian",
     "gep",
     "rank_revealing_qr",
-    "kron",
 ]
+
+EPS = float(np.finfo(np.float64).eps)
+# Allowed relative asymmetry before a matrix is rejected as non-Hermitian.
+HERMITIAN_RTOL = 1e-10
+# Multiple of the data norm under which both homogeneous coordinates of a
+# pencil eigenvalue are flagged as a singular-pencil artifact.
+SINGULAR_PAIR_RTOL = 1e3 * EPS
 
 
 def as_matrix(a, name="matrix") -> np.ndarray:
@@ -73,12 +78,6 @@ class GepResult:
     left: np.ndarray
     singular: np.ndarray
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """alpha/beta with inf where beta vanishes (use with care)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.beta == 0, np.inf, self.alpha / self.beta)
-
 
 def svd(a) -> SvdResult:
     """Singular value decomposition with descending singular values."""
@@ -91,7 +90,7 @@ def svd(a) -> SvdResult:
     return SvdResult(u=u, singular_values=s, v=vh.conj().T)
 
 
-def eig_hermitian(h, config: NumericsConfig = DEFAULT):
+def eig_hermitian(h):
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     The input is checked for Hermitian symmetry relative to its Frobenius
@@ -101,7 +100,7 @@ def eig_hermitian(h, config: NumericsConfig = DEFAULT):
     if h.shape[0] != h.shape[1]:
         raise ValidationError(f"expected square matrix, got {h.shape}")
     scale = np.linalg.norm(h, "fro")
-    if scale > 0 and np.linalg.norm(h - h.conj().T, "fro") > config.hermitian_rtol * scale:
+    if scale > 0 and np.linalg.norm(h - h.conj().T, "fro") > HERMITIAN_RTOL * scale:
         raise ValidationError("matrix is not Hermitian within tolerance")
     h = (h + h.conj().T) / 2.0
     try:
@@ -111,7 +110,7 @@ def eig_hermitian(h, config: NumericsConfig = DEFAULT):
     return w, v
 
 
-def gep(a, b, config: NumericsConfig = DEFAULT) -> GepResult:
+def gep(a, b) -> GepResult:
     """QZ solve of the generalized eigenproblem A z = lambda B z, with right
     and left eigenvectors."""
     a = as_matrix(a, "A")
@@ -126,7 +125,7 @@ def gep(a, b, config: NumericsConfig = DEFAULT) -> GepResult:
     vr = vr / np.linalg.norm(vr, axis=0, keepdims=True)
     vl = vl / np.linalg.norm(vl, axis=0, keepdims=True)
     scale = max(np.linalg.norm(a, "fro"), np.linalg.norm(b, "fro"))
-    tol = config.singular_pair_rtol * scale
+    tol = SINGULAR_PAIR_RTOL * scale
     singular = (np.abs(alpha) <= tol) & (np.abs(beta) <= tol)
     return GepResult(alpha=alpha, beta=beta, right=vr, left=vl, singular=singular)
 
@@ -139,20 +138,6 @@ def rank_revealing_qr(a):
     a = as_matrix(a)
     q, r, perm = sla.qr(a, mode="economic", pivoting=True)
     return q, r, perm
-
-
-def kron(a, b, config: NumericsConfig = DEFAULT) -> np.ndarray:
-    """Kronecker product with a guard on the dense result size."""
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > config.kron_cap or cols > config.kron_cap:
-        raise CapacityError(
-            f"Kronecker product of {a.shape} and {b.shape} would be {rows}x{cols}, "
-            f"exceeding the cap of {config.kron_cap}"
-        )
-    return np.kron(a, b)
 
 
 def rcond_1norm(a) -> float:

@@ -26,26 +26,33 @@ the eigenvector error and needs no pairing across the k pencils.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
 
-from .config import DEFAULT, NumericsConfig
 from .errors import CapacityError, IrregularMepError, ValidationError
-from .linalg import gep, kron, rcond_1norm, svd
+from .linalg import EPS, gep, rcond_1norm, svd
 from .model import HomogeneousEigenvalue, MepProblem
 
 __all__ = [
     "OperatorDeterminants",
     "MepSolution",
-    "RegularityReport",
     "operator_determinants",
     "extract_factors",
     "solve_mep",
-    "check_regularity",
 ]
 
 MAX_PARAMETERS = 4  # the expansion has k! Kronecker terms per determinant
+# Largest lifted size N; D_0..D_k are dense N x N, so memory grows as N^2.
+KRON_CAP = 20_000
+# Largest condition number of D_0 for which the plain pencil is solved
+# directly; beyond it a random combination is used as the mass matrix.
+COND_THRESHOLD = 1e12
+# Random combinations drawn before the problem is declared irregular.
+WEIGHT_TRIALS = 8
+# Reciprocal condition number below which a combination counts as singular.
+IRREGULAR_RCOND = EPS
 
 
 @dataclass(frozen=True)
@@ -72,33 +79,20 @@ class MepSolution:
     separability: float
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    trials: int
-    best_rcond: float
-    best_weights: np.ndarray
-    regular_likely: bool
-    threshold: float
-
-
-def _operator_determinant(columns, config: NumericsConfig) -> np.ndarray:
+def _operator_determinant(columns) -> np.ndarray:
     """Expansion sum_pi sign(pi) * kron(columns[pi(1)][1], ..., columns[pi(k)][k]).
 
     `columns[j][i]` is the block in row i, column j of the operator array.
     """
-    k = len(columns)
-    if k == 1:
-        return columns[0][0].copy()
-    if k == 2:
-        # Two-term formula, by far the common case.
-        return kron(columns[0][0], columns[1][1], config) - kron(columns[1][0], columns[0][1], config)
     total = None
-    for perm in permutations(range(k)):
-        sign = _permutation_sign(perm)
-        term = columns[perm[0]][0]
-        for i in range(1, k):
-            term = kron(term, columns[perm[i]][i], config)
-        total = sign * term if total is None else total + sign * term
+    for perm in permutations(range(len(columns))):
+        term = reduce(np.kron, [columns[j][i] for i, j in enumerate(perm)])
+        if total is None:
+            total = np.array(term)  # the identity permutation comes first
+        elif _permutation_sign(perm) > 0:
+            total += term
+        else:
+            total -= term
     return total
 
 
@@ -119,7 +113,7 @@ def _permutation_sign(perm) -> int:
     return sign
 
 
-def operator_determinants(problem: MepProblem, config: NumericsConfig = DEFAULT) -> OperatorDeterminants:
+def operator_determinants(problem: MepProblem) -> OperatorDeterminants:
     """Build D_0..D_k for a square problem (k <= 4, N capped)."""
     if not isinstance(problem, MepProblem):
         raise ValidationError("operator determinants require a square MepProblem")
@@ -127,15 +121,15 @@ def operator_determinants(problem: MepProblem, config: NumericsConfig = DEFAULT)
     if k > MAX_PARAMETERS:
         raise CapacityError(f"determinant expansion supports k <= {MAX_PARAMETERS}, got k = {k}")
     n_total = problem.total_dim
-    if n_total > config.kron_cap:
-        raise CapacityError(f"operator determinants would be {n_total}x{n_total}, cap is {config.kron_cap}")
+    if n_total > KRON_CAP:
+        raise CapacityError(f"operator determinants would be {n_total}x{n_total}, cap is {KRON_CAP}")
     b_columns = [[problem.blocks[i].b[j] for i in range(k)] for j in range(k)]
-    mats = [_operator_determinant(b_columns, config)]
+    mats = [_operator_determinant(b_columns)]
     a_column = [problem.blocks[i].a for i in range(k)]
     for j in range(k):
         cols = list(b_columns)
         cols[j] = a_column
-        mats.append(_operator_determinant(cols, config))
+        mats.append(_operator_determinant(cols))
     return OperatorDeterminants(matrices=tuple(mats), dims=problem.dims, rcond=rcond_1norm(mats[0]))
 
 
@@ -184,50 +178,39 @@ def extract_factors(z, dims):
 
 
 def _random_combination(matrices, rng):
-    """Random unit complex weights w and the combination sum_j w_j D_j."""
+    """sum_j w_j D_j for random unit complex weights w."""
     w = rng.standard_normal(len(matrices)) + 1j * rng.standard_normal(len(matrices))
     w /= np.linalg.norm(w)
-    return w, sum(wj * dj for wj, dj in zip(w, matrices))
+    return sum(wj * dj for wj, dj in zip(w, matrices))
 
 
-def _best_combination(matrices, rng, trials: int, stop: float = np.inf):
-    """Best-conditioned of `trials` random unit-weight combinations of
-    `matrices`, drawn until one's rcond exceeds `stop`.
-
-    Returns (combination, weights, rcond); the first draw is kept on ties.
-    """
-    best = None
-    for _ in range(trials):
-        w, candidate = _random_combination(matrices, rng)
-        rc = rcond_1norm(candidate)
-        if best is None or rc > best[2]:
-            best = (candidate, w, rc)
-        if best[2] > stop:
-            break
-    return best
-
-
-def _pick_mass(deltas: OperatorDeterminants, rng, config: NumericsConfig):
-    """(mass, rcond): D_0 when well conditioned, else the best random combination."""
-    if deltas.rcond >= 1.0 / config.cond_threshold:
+def _pick_mass(deltas: OperatorDeterminants, rng):
+    """(mass, rcond): D_0 when well conditioned, else the best-conditioned of
+    WEIGHT_TRIALS random combinations (the first draw is kept on ties)."""
+    if deltas.rcond >= 1.0 / COND_THRESHOLD:
         return deltas.matrices[0], deltas.rcond
-    mass, _, rc = _best_combination(deltas.matrices, rng, config.weight_trials)
-    if rc < config.irregular_rcond:
+    mass, rc = None, 0.0
+    for _ in range(WEIGHT_TRIALS):
+        candidate = _random_combination(deltas.matrices, rng)
+        candidate_rc = rcond_1norm(candidate)
+        if mass is None or candidate_rc > rc:
+            mass, rc = candidate, candidate_rc
+    if rc < IRREGULAR_RCOND:
         raise IrregularMepError(
             f"no combination of the operator determinants was numerically invertible "
-            f"(best rcond {rc:.2e} over {config.weight_trials} draws)"
+            f"(best rcond {rc:.2e} over {WEIGHT_TRIALS} draws)"
         )
     return mass, rc
 
 
-def solve_mep(problem: MepProblem, seed: int = 0, config: NumericsConfig = DEFAULT) -> list[MepSolution]:
+def solve_mep(problem: MepProblem, seed: int = 0) -> list[MepSolution]:
     """All N = n_1*...*n_k tuples of a square problem, multiplicities kept.
 
     Deterministic for a fixed seed (which drives the random mass-matrix
     weights and the tuple-splitting combination).
     """
-    deltas = operator_determinants(problem, config)
-    return solve_from_determinants(deltas, seed=seed, config=config)
+    deltas = operator_determinants(problem)
+    return solve_from_determinants(deltas, seed=seed)
 
 
 def _least_squares_quotients(matrices, mz, z) -> np.ndarray:
@@ -236,13 +219,10 @@ def _least_squares_quotients(matrices, mz, z) -> np.ndarray:
     return np.array([np.vdot(mz, dj @ z) for dj in matrices]) / float(np.vdot(mz, mz).real)
 
 
-def solve_from_determinants(
-    deltas: OperatorDeterminants, seed: int = 0, config: NumericsConfig = DEFAULT
-) -> list[MepSolution]:
+def solve_from_determinants(deltas: OperatorDeterminants, seed: int = 0) -> list[MepSolution]:
     rng = np.random.default_rng(seed)
-    mass, _ = _pick_mass(deltas, rng, config)
-    _, lhs = _random_combination(deltas.matrices, rng)
-    pencil = gep(lhs, mass, config=config)
+    mass, _ = _pick_mass(deltas, rng)
+    pencil = gep(_random_combination(deltas.matrices, rng), mass)
     solutions = []
     for j in range(deltas.size):
         z = pencil.right[:, j]
@@ -250,7 +230,7 @@ def solve_from_determinants(
         mz = mass @ z
         raw = np.array([np.vdot(w, dj @ z) for dj in deltas.matrices])
         left_unusable = (
-            abs(np.vdot(w, mz)) <= 1e3 * config.eps * np.linalg.norm(mz)
+            abs(np.vdot(w, mz)) <= 1e3 * EPS * np.linalg.norm(mz)
             or np.linalg.norm(raw) == 0.0
             or not np.all(np.isfinite(raw.view(np.float64)))
         )
@@ -261,27 +241,3 @@ def solve_from_determinants(
         solutions.append(MepSolution(value=value, vectors=tuple(factors), separability=score))
     return solutions
 
-
-
-def check_regularity(
-    deltas: OperatorDeterminants,
-    trials: int = 8,
-    seed: int = 0,
-    threshold: float = 1e-12,
-) -> RegularityReport:
-    """Probe det(sum_j w_j D_j) != 0 with random unit weights.
-
-    Reports the best reciprocal condition estimate found; `regular_likely`
-    is set as soon as any trial beats the threshold.  A conservative
-    threshold is used by default -- problems can be solvable (regular) with
-    a much smaller best rcond, so a negative verdict is a hint, not proof.
-    """
-    rng = np.random.default_rng(seed)
-    _, best_w, best_rc = _best_combination(deltas.matrices, rng, max(1, trials), stop=threshold)
-    return RegularityReport(
-        trials=trials,
-        best_rcond=best_rc,
-        best_weights=best_w,
-        regular_likely=best_rc > threshold,
-        threshold=threshold,
-    )

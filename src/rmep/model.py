@@ -23,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT, NumericsConfig
 from .errors import InfiniteEigenvalueError, ValidationError
 from .linalg import as_matrix
 
@@ -42,6 +41,10 @@ __all__ = [
     "perturbation_cost",
     "random_planted_problem",
 ]
+
+# Below this gamma a homogeneous eigenvalue is treated as infinite instead of
+# dividing alpha by gamma.
+GAMMA_THRESHOLD = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -205,11 +208,8 @@ class HomogeneousEigenvalue:
         w = w / np.linalg.norm(w)
         return cls(gamma=float(w[0].real), alphas=w[1:])
 
-    def lambdas(self, config: NumericsConfig = DEFAULT) -> np.ndarray:
-        return dehomogenize(self, config)
-
-    def is_finite(self, config: NumericsConfig = DEFAULT) -> bool:
-        return self.gamma > config.gamma_threshold
+    def is_finite(self) -> bool:
+        return self.gamma > GAMMA_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -266,18 +266,18 @@ def homogenize(lambdas) -> HomogeneousEigenvalue:
     return HomogeneousEigenvalue(gamma=1.0 / tau, alphas=lam / tau)
 
 
-def dehomogenize(value: HomogeneousEigenvalue, config: NumericsConfig = DEFAULT) -> np.ndarray:
+def dehomogenize(value: HomogeneousEigenvalue) -> np.ndarray:
     """Recover (lambda_1, ..., lambda_k); raises when gamma is negligible."""
-    if value.gamma <= config.gamma_threshold:
+    if value.gamma <= GAMMA_THRESHOLD:
         raise InfiniteEigenvalueError(
-            f"gamma = {value.gamma:.3e} is at/below the threshold {config.gamma_threshold:.0e}; "
+            f"gamma = {value.gamma:.3e} is at/below the threshold {GAMMA_THRESHOLD:.0e}; "
             "the eigenvalue is infinite in at least one component",
             alphas=value.alphas.copy(),
         )
     return value.alphas / value.gamma
 
 
-def normalized_residual(problem: RmepProblem, t: EigenTuple, config: NumericsConfig = DEFAULT):
+def normalized_residual(problem: RmepProblem, t: EigenTuple):
     """Per-block and total backward-error style residuals.
 
         rho_i = ||A_i x_i - sum_s lambda_s B_is x_i||_2
@@ -285,7 +285,7 @@ def normalized_residual(problem: RmepProblem, t: EigenTuple, config: NumericsCon
 
     Only defined for finite eigenvalues; use `homogeneous_residual` otherwise.
     """
-    lam = dehomogenize(t.value, config)
+    lam = dehomogenize(t.value)
     if len(t.vectors) != problem.k:
         raise ValidationError("eigen-tuple vector count does not match the problem")
     c = np.concatenate(([1.0], -lam))
@@ -344,8 +344,8 @@ def random_planted_problem(m, n, sigma: float, seed):
     for mi, ni in zip(m, n):
         if mi <= ni:
             raise ValidationError(f"planted problems need m_i > n_i, got {mi} <= {ni}")
-    if sigma < 0:
-        raise ValidationError("sigma must be nonnegative")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValidationError(f"sigma must be finite and nonnegative, got {sigma}")
     rng = np.random.default_rng(seed)
     ref_blocks = []
     blocks = []

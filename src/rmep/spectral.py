@@ -33,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT, NumericsConfig
 from .errors import DomainError, ValidationError
 from .model import EigenTuple, EquationBlock, RmepProblem, dehomogenize
 
@@ -191,7 +190,7 @@ def _qr_positive_diagonal(a):
     return q * phase.conj(), r * phase.conj()[:, None]
 
 
-def discretize(spec: OdeSpec, config: NumericsConfig = DEFAULT) -> DiscretizedOde:
+def discretize(spec: OdeSpec) -> DiscretizedOde:
     """Weighted-collocation least-squares assembly of both equations."""
     bases = []
     blocks = []
@@ -262,12 +261,7 @@ def reconstruct(basis: ChebyshevBasis, coeffs):
     return u, u_second
 
 
-def continuous_residual(
-    spec: OdeSpec,
-    bases,
-    t: EigenTuple,
-    config: NumericsConfig = DEFAULT,
-):
+def continuous_residual(spec: OdeSpec, bases, t: EigenTuple):
     """L1 defect of the reconstructed eigenfunctions in the continuous ODEs.
 
         s_r = int_a^b |u_r'' + (lambda p_r + mu q_r + f_r) u_r| dt,
@@ -286,7 +280,7 @@ def continuous_residual(
     the Chebyshev tail that the n-term basis truncates, so a bound on it is
     a bound on resolution as much as on eigenvalue accuracy.
     """
-    lam, mu = dehomogenize(t.value, config)
+    lam, mu = dehomogenize(t.value)
     out = []
     for eq, basis, coeffs in zip(spec.equations, bases, t.vectors):
         coeffs = np.asarray(coeffs)
@@ -296,19 +290,14 @@ def continuous_residual(
             warnings.warn("zero coefficient vector; the zero function is not an eigenfunction", stacklevel=2)
             out.append(0.0)
             continue
-        a, b = basis.interval
-        ref, w = _clenshaw_curtis(2 * basis.oversampling * basis.n)
-        nodes = a + (b - a) * (ref + 1.0) / 2.0
-        weights = w * (b - a) / 2.0
-        values, second = _chebyshev_tables(ref, basis.n)
-        second = second * (2.0 / (b - a)) ** 2
-        u = values @ coeffs
-        upp = second @ coeffs
-        pv = _sample(eq.p, nodes)
-        qv = _sample(eq.q, nodes)
-        fv = _sample(eq.f, nodes)
+        fine = build_basis(basis.interval, basis.n, 2 * basis.oversampling)
+        u = fine.values @ coeffs
+        upp = fine.second_derivs @ coeffs
+        pv = _sample(eq.p, fine.nodes)
+        qv = _sample(eq.q, fine.nodes)
+        fv = _sample(eq.f, fine.nodes)
         defect = upp + (lam * pv + mu * qv + fv) * u
-        out.append(float(weights @ np.abs(defect)))
+        out.append(float(fine.weights @ np.abs(defect)))
     return out[0], out[1], out[0] + out[1]
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, NumericsConfig
 from .linalg import rank_revealing_qr, svd
 from .mep import solve_mep
 from .model import (
@@ -45,6 +44,10 @@ __all__ = [
     "solve_complete",
     "write_complete_csv",
 ]
+
+# Margin under 1.0 required of every ||V_11||_2 before the truncation
+# certificate is marked attained: at 1 the coupling solve is singular.
+ATTAINMENT_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -110,9 +113,7 @@ class TruncationCertificate:
 
 
 def truncation_certificate(
-    problem: RmepProblem,
-    truncations: list[BlockTruncation] | None = None,
-    config: NumericsConfig = DEFAULT,
+    problem: RmepProblem, truncations: list[BlockTruncation] | None = None
 ) -> TruncationCertificate:
     truncations = truncations if truncations is not None else truncate_blocks(problem)
     per_block = np.array([float(np.sum(t.tail**2)) for t in truncations])
@@ -123,7 +124,7 @@ def truncation_certificate(
         b_hat = tuple(core @ vb.conj().T for vb in t.vblocks[1:])
         blocks.append(EquationBlock(a=a_hat, b=b_hat))
     pset = PerturbationSet.from_blocks(problem, blocks)
-    attained = all(t.v11_norm < 1.0 - config.attainment_margin for t in truncations)
+    attained = all(t.v11_norm < 1.0 - ATTAINMENT_MARGIN for t in truncations)
     couplings = None
     if attained:
         couplings = []
@@ -164,9 +165,7 @@ def _best_vector_for(blk: EquationBlock, lambdas) -> np.ndarray:
     return svd(blk.pencil(np.concatenate(([1.0], -np.asarray(lambdas))))).v[:, -1].copy()
 
 
-def solve_complete(
-    problem: RmepProblem, seed: int = 0, config: NumericsConfig = DEFAULT
-) -> list[EigenTuple]:
+def solve_complete(problem: RmepProblem, seed: int = 0) -> list[EigenTuple]:
     """All N approximate eigen-tuples, ordered by ascending total residual.
 
     The reduced square problem supplies the eigenvalues.  Each finite tuple's
@@ -180,14 +179,14 @@ def solve_complete(
     """
     truncations = truncate_blocks(problem)
     reduced = reduced_mep(truncations)
-    solutions = solve_mep(reduced, seed=seed, config=config)
+    solutions = solve_mep(reduced, seed=seed)
     tuples = []
     for sol in solutions:
-        if sol.value.is_finite(config):
-            lambdas = dehomogenize(sol.value, config)
+        if sol.value.is_finite():
+            lambdas = dehomogenize(sol.value)
             xs = tuple(_best_vector_for(blk, lambdas) for blk in problem.blocks)
             tup = EigenTuple(value=sol.value, vectors=xs)
-            _, rho = normalized_residual(problem, tup, config)
+            _, rho = normalized_residual(problem, tup)
             tuples.append(EigenTuple(value=sol.value, vectors=xs, residual=rho))
         else:
             tuples.append(EigenTuple(value=sol.value, vectors=sol.vectors, residual=None))
@@ -195,7 +194,7 @@ def solve_complete(
     return tuples
 
 
-def write_complete_csv(problem: RmepProblem, tuples, fileobj, config: NumericsConfig = DEFAULT) -> None:
+def write_complete_csv(problem: RmepProblem, tuples, fileobj) -> None:
     """Columns: j, re/im of each lambda_s, gamma, rho, rho_1..rho_k."""
     k = problem.k
     writer = csv.writer(fileobj)
@@ -206,11 +205,11 @@ def write_complete_csv(problem: RmepProblem, tuples, fileobj, config: NumericsCo
     writer.writerow(header)
     for j, tup in enumerate(tuples, start=1):
         row = [j]
-        if tup.value.is_finite(config):
-            lambdas = dehomogenize(tup.value, config)
+        if tup.value.is_finite():
+            lambdas = dehomogenize(tup.value)
             for l in lambdas:
                 row += [f"{l.real:.17g}", f"{l.imag:.17g}"]
-            per_block, rho = normalized_residual(problem, tup, config)
+            per_block, rho = normalized_residual(problem, tup)
             row += [f"{tup.value.gamma:.17g}", f"{rho:.17g}"]
             row += [f"{r:.17g}" for r in per_block]
         else:

@@ -3,6 +3,8 @@ import pytest
 
 from rmep.model import EquationBlock, MepProblem, RmepProblem
 
+EPS = float(np.finfo(float).eps)
+
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -14,7 +14,6 @@ import pytest
 
 from rmep.alternating import AlternatingConfig, solve_one
 from rmep.cli import main
-from rmep.config import EPS
 from rmep.mep import solve_mep
 from rmep.model import (
     EigenTuple,
@@ -28,7 +27,7 @@ from rmep.alternating import reconstruct_perturbation
 from rmep.spectral import builtin_mathieu, continuous_residual, discretize, mathieu_geometry
 from rmep.tsvd import reduced_mep, solve_complete, truncate_blocks, truncation_certificate
 
-from conftest import crandn, match_multisets, random_problem
+from conftest import EPS, crandn, match_multisets, random_problem
 from test_mep import resultant_oracle
 
 

@@ -5,16 +5,14 @@ import pytest
 
 from rmep.alternating import (
     AlternatingConfig,
+    _vector_step,
     best_value,
-    best_vectors,
     build_gram,
-    build_pencil,
     kkt_residual,
     reconstruct_perturbation,
     solve_one,
     write_trace_csv,
 )
-from rmep.config import EPS
 from rmep.linalg import svd
 from rmep.mep import solve_mep
 from rmep.model import (
@@ -28,7 +26,7 @@ from rmep.model import (
     perturbation_cost,
 )
 
-from conftest import crandn, random_problem
+from conftest import EPS, crandn, random_problem
 
 
 def scalar_problem():
@@ -40,7 +38,7 @@ class TestBuildPencil:
         rng = np.random.default_rng(0)
         p = random_problem(rng, 5, 3, 2)
         v = HomogeneousEigenvalue(gamma=1.0, alphas=[0.0, 0.0])
-        assert np.allclose(build_pencil(p, v, 0), p.blocks[0].a)
+        assert np.allclose(p.blocks[0].pencil(v.coefficients), p.blocks[0].a)
 
     def test_k1_equal_weights(self):
         rng = np.random.default_rng(1)
@@ -48,12 +46,12 @@ class TestBuildPencil:
         s = 1 / np.sqrt(2)
         v = HomogeneousEigenvalue(gamma=s, alphas=[s])
         expected = (p.blocks[0].a - p.blocks[0].b[0]) * s
-        assert np.allclose(build_pencil(p, v, 0), expected)
+        assert np.allclose(p.blocks[0].pencil(v.coefficients), expected)
 
     def test_scalar_vanishes_at_solution(self):
         p = scalar_problem()
         v = homogenize([2.0])
-        assert np.allclose(build_pencil(p, v, 0), 0.0)
+        assert np.allclose(p.blocks[0].pencil(v.coefficients), 0.0)
 
 
 class TestBestVectors:
@@ -61,16 +59,16 @@ class TestBestVectors:
         a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         p = RmepProblem(blocks=(EquationBlock(a=a, b=(np.zeros((3, 2)),)),))
         v = HomogeneousEigenvalue(gamma=1.0, alphas=[0.0])
-        (x,) = best_vectors(p, v)
+        (x,) = _vector_step(p, v)[0]
         assert abs(abs(x[1]) - 1.0) < 1e-13
 
     def test_achieves_smallest_singular_value(self):
         rng = np.random.default_rng(2)
         p = random_problem(rng, 5, 3, 2)
         v = homogenize(crandn(rng, 2))
-        xs = best_vectors(p, v)
+        xs = _vector_step(p, v)[0]
         for i, x in enumerate(xs):
-            r = build_pencil(p, v, i)
+            r = p.blocks[i].pencil(v.coefficients)
             smin = svd(r).singular_values[-1]
             assert abs(np.linalg.norm(r @ x) - smin) <= 1e-12 * max(1.0, smin)
 
@@ -79,8 +77,8 @@ class TestBestVectors:
         # convention must return the same choice every time
         p = RmepProblem(blocks=(EquationBlock(a=np.eye(3), b=(np.zeros((3, 3)),)),))
         v = HomogeneousEigenvalue(gamma=1.0, alphas=[0.0])
-        (x1,) = best_vectors(p, v)
-        (x2,) = best_vectors(p, v)
+        (x1,) = _vector_step(p, v)[0]
+        (x2,) = _vector_step(p, v)[0]
         assert np.array_equal(x1, x2)
         assert abs(np.linalg.norm(np.eye(3) @ x1) - 1.0) < 1e-14
 
@@ -89,12 +87,12 @@ class TestBestVectors:
         rng = np.random.default_rng(3)
         p = random_problem(rng, 6, 3, 2)
         v = homogenize(crandn(rng, 2))
-        xs = best_vectors(p, v)
-        base = sum(np.linalg.norm(build_pencil(p, v, i) @ x) ** 2 for i, x in enumerate(xs))
+        xs = _vector_step(p, v)[0]
+        base = sum(np.linalg.norm(p.blocks[i].pencil(v.coefficients) @ x) ** 2 for i, x in enumerate(xs))
         for _ in range(200):
             ys = [crandn(rng, 3) for _ in range(2)]
             ys = [y / np.linalg.norm(y) for y in ys]
-            competitor = sum(np.linalg.norm(build_pencil(p, v, i) @ y) ** 2 for i, y in enumerate(ys))
+            competitor = sum(np.linalg.norm(p.blocks[i].pencil(v.coefficients) @ y) ** 2 for i, y in enumerate(ys))
             assert competitor >= base - 1e-10
 
 
@@ -183,6 +181,30 @@ class TestSolveOne:
             for a, b in zip(th, th[1:]):
                 assert b <= a + 1e2 * EPS * (1.0 + a)
 
+    def test_loose_tolerance_reports_stagnation(self):
+        # rel_tol = 0.5 stops after two sweeps, far from first-order optimality
+        p = random_problem(np.random.default_rng(0), 20, 15, 2)
+        _, _, trace = solve_one(p, AlternatingConfig(rel_tol=0.5))
+        assert trace.status == "stagnated"
+        assert trace.final_kkt > 1e-4
+        th = trace.objectives
+        for a, b in zip(th, th[1:]):
+            assert b <= a + 1e2 * EPS * (1.0 + a)
+
+    def test_infimum_at_infinite_eigenvalue(self):
+        # B's zero second column lets gamma -> 0 drive the defect to zero, so
+        # the optimum is approached only by an infinite eigenvalue
+        rng = np.random.default_rng(0)
+        a = crandn(rng, 4, 2)
+        b = crandn(rng, 4, 2)
+        b[:, 1] = 0.0
+        p = RmepProblem(blocks=(EquationBlock(a=a, b=(b,)),))
+        tup, pset, trace = solve_one(p, AlternatingConfig(initial_lambdas=(1e13,)))
+        assert trace.likely_infimum
+        assert tup.residual is None
+        assert tup.value.gamma <= 1e-12
+        assert pset.cost == pytest.approx(trace.objectives[-1], rel=1e-12)
+
     def test_restarts_deterministic(self):
         p = random_problem(np.random.default_rng(8), 10, 7, 2)
         cfg = AlternatingConfig(restarts=2, seed=5, max_iters=200)
@@ -239,7 +261,7 @@ class TestReconstructPerturbation:
         p = random_problem(rng, 6, 4, 2)
         lam = crandn(rng, 2)
         value = homogenize(lam)
-        xs = best_vectors(p, value)
+        xs = _vector_step(p, value)[0]
         pset = reconstruct_perturbation(p, value, xs)
         for blk, x in zip(pset.blocks, xs):
             r = blk.a @ x - sum(l * (bi @ x) for l, bi in zip(lam, blk.b))

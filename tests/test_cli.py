@@ -62,6 +62,24 @@ def test_bench_random_requires_seed(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sigmas", ","], "noise level"),
+        (["--trials", "-1"], "trials"),
+        (["--trials", "0"], "trials"),
+        (["--sigmas", "nan"], "sigma"),
+        (["--sigmas", "inf"], "sigma"),
+    ],
+    ids=["empty-sigmas", "negative-trials", "zero-trials", "nan-sigma", "inf-sigma"],
+)
+def test_bench_random_rejects_bad_input(tmp_path, capsys, flags, message):
+    argv = ["bench-random", "--m", "8", "--n", "2", "--seed", "1", "--out", str(tmp_path)]
+    assert main(argv + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bench.csv").exists()
+
+
 def test_missing_input_is_config_error(tmp_path):
     rc = main(["solve-complete", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2

@@ -3,18 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from rmep.config import EPS, NumericsConfig
-from rmep.errors import CapacityError, ValidationError
+from rmep.errors import ValidationError
 from rmep.linalg import (
     as_matrix,
     eig_hermitian,
     gep,
-    kron,
     rank_revealing_qr,
     svd,
 )
 
-from conftest import crandn, match_multisets
+from conftest import EPS, crandn, match_multisets
 
 
 class TestSvd:
@@ -195,44 +193,6 @@ class TestRankRevealingQr:
         assert np.linalg.norm(a[:, perm] - q @ r) < 1e-12 * np.linalg.norm(a)
         d = np.abs(np.diag(r))
         assert np.all(d[:-1] >= d[1:] - 1e-12)
-
-
-class TestKron:
-    def test_identity_blockdiag(self):
-        rng = np.random.default_rng(11)
-        m = crandn(rng, 2, 3)
-        out = kron(np.eye(2), m)
-        assert np.allclose(out[:2, :3], m)
-        assert np.allclose(out[2:, 3:], m)
-        assert np.allclose(out[:2, 3:], 0)
-
-    def test_scalar_case(self):
-        rng = np.random.default_rng(12)
-        m = crandn(rng, 3, 2)
-        out = kron(np.array([[2.0 + 1.0j]]), m)
-        assert np.allclose(out, (2.0 + 1.0j) * m)
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(13)
-        for _ in range(5):
-            a, b = crandn(rng, 3, 3), crandn(rng, 2, 2)
-            x, y = crandn(rng, 3), crandn(rng, 2)
-            lhs = kron(a, b) @ np.kron(x, y)
-            rhs = np.kron(a @ x, b @ y)
-            assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
-
-    def test_capacity_guard(self):
-        cfg = NumericsConfig(kron_cap=10)
-        with pytest.raises(CapacityError):
-            kron(np.eye(4), np.eye(4), cfg)
-
-    def test_layout_convention(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        out = kron(a, b)
-        # (A kron B)[(i-1)p+r, (j-1)q+s] = A[i,j] * B[r,s]
-        assert out[0, 2] == a[0, 1] * b[0, 0]
-        assert out[3, 1] == a[1, 0] * b[1, 1]
 
 
 def test_as_matrix_rejects_vectors():

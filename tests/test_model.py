@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from rmep.config import EPS
 from rmep.errors import InfiniteEigenvalueError, ValidationError
 from rmep.linalg import svd
 from rmep.model import (
@@ -20,7 +19,7 @@ from rmep.model import (
     random_planted_problem,
 )
 
-from conftest import crandn, random_problem
+from conftest import EPS, crandn, random_problem
 
 
 def scalar_problem():
@@ -277,6 +276,11 @@ class TestRandomPlantedProblem:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValidationError):
             random_planted_problem([5], [5], 0.0, seed=0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+    def test_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValidationError, match="sigma"):
+            random_planted_problem([6], [3], sigma, seed=0)
 
     def test_exact_rank_condition_of_reduction(self):
         # sigma_{n+1} of each stacked block is at the roundoff floor

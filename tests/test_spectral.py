@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from rmep.config import EPS
 from rmep.errors import DomainError, ValidationError
 from rmep.model import EigenTuple, dehomogenize, homogenize
 from rmep.spectral import (
@@ -20,6 +19,8 @@ from rmep.spectral import (
     sample_eigenfunction,
 )
 from rmep.tsvd import solve_complete
+
+from conftest import EPS
 
 
 def project_onto_basis(basis: ChebyshevBasis, fn):

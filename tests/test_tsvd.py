@@ -2,7 +2,6 @@ import io
 
 import numpy as np
 
-from rmep.config import EPS
 from rmep.linalg import gep, svd
 from rmep.model import (
     EquationBlock,
@@ -22,7 +21,7 @@ from rmep.tsvd import (
     write_complete_csv,
 )
 
-from conftest import crandn, match_multisets, random_problem
+from conftest import EPS, crandn, match_multisets, random_problem
 
 
 class TestTruncateBlocks:
