@@ -142,16 +142,32 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _convert(value, kind, option: str):
+    """kind(value), or a ValidationError naming the option it came from."""
+    from .errors import ValidationError
+
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        expected = "an integer" if kind is int else "a number"
+        raise ValidationError(f"--{option} expects {expected}, got {value!r}") from exc
+
+
+def _option(opt: dict, key: str, kind, default):
+    """The option `key` (or its default) as `kind`."""
+    return _convert(opt.get(key, default), kind, key.replace("_", "-"))
+
+
 def _cmd_solve_one(opt: dict) -> int:
     from .alternating import AlternatingConfig, solve_one, write_trace_csv
     from .model import dehomogenize
 
     problem = _load_problem(Path(opt["input"]))
     cfg = AlternatingConfig(
-        max_iters=int(opt.get("max_iters", 1000)),
-        rel_tol=float(opt.get("rel_tol", 1e-6)),
-        restarts=int(opt.get("restarts", 0)),
-        seed=int(opt.get("seed", 0)),
+        max_iters=_option(opt, "max_iters", int, 1000),
+        rel_tol=_option(opt, "rel_tol", float, 1e-6),
+        restarts=_option(opt, "restarts", int, 0),
+        seed=_option(opt, "seed", int, 0),
     )
     tup, pset, trace = solve_one(problem, cfg)
     out = opt["out"]
@@ -184,7 +200,7 @@ def _cmd_solve_complete(opt: dict) -> int:
     from .tsvd import solve_complete, write_complete_csv
 
     problem = _load_problem(Path(opt["input"]))
-    tuples = solve_complete(problem, seed=int(opt.get("seed", 0)))
+    tuples = solve_complete(problem, seed=_option(opt, "seed", int, 0))
     with _artifact(opt["out"] / "complete_set.csv", bool(opt.get("no_timestamp"))) as f:
         write_complete_csv(problem, tuples, f)
     finite = sum(1 for t in tuples if t.residual is not None)
@@ -262,20 +278,19 @@ def _cmd_bench_random(opt: dict) -> int:
 
     if "seed" not in opt:
         raise ValidationError("bench-random requires a seed (--seed or config)")
-    m = int(opt.get("m", 20))
-    n = int(opt.get("n", 5))
-    k = int(opt.get("k", 2))
-    trials = int(opt.get("trials", 10))
+    m = _option(opt, "m", int, 20)
+    n = _option(opt, "n", int, 5)
+    k = _option(opt, "k", int, 2)
+    trials = _option(opt, "trials", int, 10)
     sigmas_opt = opt.get("sigmas", "0,0.01,0.05,0.1,0.2")
     if isinstance(sigmas_opt, str):
-        sigmas = [float(s) for s in sigmas_opt.split(",") if s.strip() != ""]
-    else:
-        sigmas = [float(s) for s in sigmas_opt]
+        sigmas_opt = [s for s in sigmas_opt.split(",") if s.strip() != ""]
+    sigmas = [_convert(s, float, "sigmas") for s in sigmas_opt]
     if not sigmas:
         raise ValidationError("bench-random needs at least one noise level in --sigmas")
     if trials < 1:
         raise ValidationError(f"bench-random needs --trials >= 1, got {trials}")
-    seed = int(opt["seed"])
+    seed = _option(opt, "seed", int, None)
     rows = []
     for sigma in sigmas:
         children = np.random.SeedSequence(seed).spawn(trials)
@@ -321,19 +336,19 @@ def _cmd_ode(opt: dict, mathieu: bool) -> int:
     )
     from .tsvd import solve_complete
 
-    n1 = int(opt.get("n1", 30))
-    n2 = int(opt.get("n2", 30))
-    oversampling = int(opt.get("oversampling", 4))
-    top = int(opt.get("top", 8 if mathieu else 10))
+    n1 = _option(opt, "n1", int, 30)
+    n2 = _option(opt, "n2", int, 30)
+    oversampling = _option(opt, "oversampling", int, 4)
+    top = _option(opt, "top", int, 8 if mathieu else 10)
     if mathieu:
-        alpha = float(opt.get("alpha", 4.0))
-        beta = float(opt.get("beta", 1.0))
+        alpha = _option(opt, "alpha", float, 4.0)
+        beta = _option(opt, "beta", float, 1.0)
         spec = builtin_mathieu(alpha, beta, n1=n1, n2=n2, oversampling=oversampling)
         h, _ = mathieu_geometry(alpha, beta)
     else:
         spec = builtin_sturm_liouville(n1=n1, n2=n2, oversampling=oversampling)
     disc = discretize(spec)
-    tuples = solve_complete(disc.problem, seed=int(opt.get("seed", 0)))
+    tuples = solve_complete(disc.problem, seed=_option(opt, "seed", int, 0))
     finite = [t for t in tuples if t.residual is not None][:top]
     out = opt["out"]
     stamp = bool(opt.get("no_timestamp"))

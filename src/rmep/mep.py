@@ -21,6 +21,12 @@ two-sided Rayleigh quotients
 
 with (z, w) the right/left eigenvectors.  This is quadratically accurate in
 the eigenvector error and needs no pairing across the k pencils.
+
+`linalg.gep` solves the pencil as the standard problem M^{-1} sum_j c_j D_j
+(the commuting structure of the determinants makes it equivalent) and keeps
+that solve only if every right and left pair has a backward error on the
+pencil of at most `linalg.GEP_BACKWARD_RTOL`; otherwise it uses QZ.  The
+quotients of all N tuples are formed together, one product D_j Z per j.
 """
 
 from __future__ import annotations
@@ -219,25 +225,40 @@ def _least_squares_quotients(matrices, mz, z) -> np.ndarray:
     return np.array([np.vdot(mz, dj @ z) for dj in matrices]) / float(np.vdot(mz, mz).real)
 
 
+def _column_vdots(w, x, out):
+    """vdot(w[:, j], x[:, j]) for every column j; `out` (x's shape, may be x
+    itself) is overwritten as scratch."""
+    np.conjugate(x, out=out)
+    out *= w
+    return out.sum(axis=0).conj()
+
+
 def solve_from_determinants(deltas: OperatorDeterminants, seed: int = 0) -> list[MepSolution]:
     rng = np.random.default_rng(seed)
     mass, _ = _pick_mass(deltas, rng)
     pencil = gep(_random_combination(deltas.matrices, rng), mass)
+    z_all, w_all = pencil.right, pencil.left
+    # All tuples' quotients at once: one product per D_j, reusing one buffer.
+    mz_all = mass @ z_all
+    buf = np.empty_like(mz_all)
+    wmz = _column_vdots(w_all, mz_all, buf)
+    mz_norms = np.sqrt(_column_vdots(mz_all, mz_all, buf).real)
+    quotients = np.empty((deltas.size, len(deltas.matrices)), dtype=np.complex128)
+    for j, dj in enumerate(deltas.matrices):
+        np.matmul(dj, z_all, out=buf)
+        quotients[:, j] = _column_vdots(w_all, buf, buf)
     solutions = []
     for j in range(deltas.size):
-        z = pencil.right[:, j]
-        w = pencil.left[:, j]
-        mz = mass @ z
-        raw = np.array([np.vdot(w, dj @ z) for dj in deltas.matrices])
+        z = z_all[:, j]
+        raw = quotients[j]
         left_unusable = (
-            abs(np.vdot(w, mz)) <= 1e3 * EPS * np.linalg.norm(mz)
+            abs(wmz[j]) <= 1e3 * EPS * mz_norms[j]
             or np.linalg.norm(raw) == 0.0
             or not np.all(np.isfinite(raw.view(np.float64)))
         )
         if left_unusable:
-            raw = _least_squares_quotients(deltas.matrices, mz, z)
+            raw = _least_squares_quotients(deltas.matrices, mz_all[:, j], z)
         value = HomogeneousEigenvalue.from_vector(raw)
         factors, score = extract_factors(z, deltas.dims)
         solutions.append(MepSolution(value=value, vectors=tuple(factors), separability=score))
     return solutions
-

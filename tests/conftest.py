@@ -24,13 +24,13 @@ def random_problem(rng, m, n, k, square=False):
 def match_multisets(left, right):
     """Greedy-pair two equal-length complex point sets; returns max pair distance.
 
-    Distance between rows is the max absolute difference over components.
+    Points are rows; 1-D input is a set of scalars.  Distance between rows is
+    the max absolute difference over components.
     """
-    left = np.atleast_2d(np.asarray(left, dtype=np.complex128))
-    right = np.atleast_2d(np.asarray(right, dtype=np.complex128))
-    if left.shape[0] == 1 and left.shape[1] > 1 and right.shape[0] > 1:
-        left = left.T
-        right = right.T
+    left = np.asarray(left, dtype=np.complex128)
+    right = np.asarray(right, dtype=np.complex128)
+    left = left.reshape(-1, 1) if left.ndim == 1 else left
+    right = right.reshape(-1, 1) if right.ndim == 1 else right
     assert left.shape == right.shape
     n = left.shape[0]
     cost = np.max(np.abs(left[:, None, :] - right[None, :, :]), axis=2)

@@ -70,8 +70,9 @@ def test_bench_random_requires_seed(tmp_path):
         (["--trials", "0"], "trials"),
         (["--sigmas", "nan"], "sigma"),
         (["--sigmas", "inf"], "sigma"),
+        (["--sigmas", "0,abc"], "--sigmas expects a number, got 'abc'"),
     ],
-    ids=["empty-sigmas", "negative-trials", "zero-trials", "nan-sigma", "inf-sigma"],
+    ids=["empty-sigmas", "negative-trials", "zero-trials", "nan-sigma", "inf-sigma", "text-sigma"],
 )
 def test_bench_random_rejects_bad_input(tmp_path, capsys, flags, message):
     argv = ["bench-random", "--m", "8", "--n", "2", "--seed", "1", "--out", str(tmp_path)]
@@ -132,6 +133,24 @@ def test_config_file_defaults(tmp_path):
     assert rc == 0
     header, data = read_csv(tmp_path / "bench.csv")
     assert data[0][header.index("trials")] == "2"
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        (["bench-random"], {"seed": "x"}, "--seed expects an integer, got 'x'"),
+        (["bench-random", "--seed", "1"], {"trials": "many"}, "--trials expects an integer"),
+        (["ode-mathieu"], {"alpha": "wide"}, "--alpha expects a number"),
+        (["ode-sl"], {"n1": [12]}, "--n1 expects an integer"),
+    ],
+    ids=["bench-seed", "bench-trials", "mathieu-alpha", "sl-n1"],
+)
+def test_config_values_of_wrong_type_are_config_errors(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_flags_override_config(tmp_path):

@@ -2,13 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rmep import linalg
 from rmep.errors import ValidationError
 from rmep.linalg import (
+    GEP_BACKWARD_RTOL,
     as_matrix,
     eig_hermitian,
     gep,
     rank_revealing_qr,
+    rcond_1norm,
     svd,
 )
 
@@ -121,18 +126,94 @@ class TestEigHermitian:
             eig_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.fixture
+def qz_calls(monkeypatch):
+    """Records every pencil that `gep` hands to QZ."""
+    calls = []
+    qz = linalg._qz
+
+    def spy(a, b, *rest):
+        calls.append((a, b))
+        return qz(a, b, *rest)
+
+    monkeypatch.setattr(linalg, "_qz", spy)
+    return calls
+
+
+def pencil_backward_errors(a, b, res):
+    """Largest normwise backward errors of the right and left pairs of `res`."""
+    scale_a, scale_b = np.linalg.norm(a), np.linalg.norm(b)
+    errors = []
+    for j in range(a.shape[0]):
+        alpha, beta = res.alpha[j], res.beta[j]
+        z, w = res.right[:, j], res.left[:, j]
+        denom = abs(beta) * scale_a + abs(alpha) * scale_b
+        errors.append((
+            np.linalg.norm(beta * (a @ z) - alpha * (b @ z)) / denom,
+            np.linalg.norm(beta * (w.conj() @ a) - alpha * (w.conj() @ b)) / denom,
+        ))
+    return np.max(errors, axis=0)
+
+
 class TestGep:
     def test_diagonal_pencil(self):
         res = gep(np.diag([1.0, 2.0]), np.eye(2))
         lam = sorted((res.alpha / res.beta).real)
         assert np.allclose(lam, [1.0, 2.0], atol=1e-13)
 
-    def test_infinite_eigenvalue(self):
+    def test_infinite_eigenvalue(self, qz_calls, monkeypatch):
+        lu_infos = []
+        zgetrf = linalg.sla.lapack.zgetrf
+
+        def spy(*args, **kwargs):
+            out = zgetrf(*args, **kwargs)
+            lu_infos.append(out[-1])
+            return out
+
+        monkeypatch.setattr(linalg.sla.lapack, "zgetrf", spy)
         res = gep(np.eye(2), np.diag([1.0, 0.0]))
         finite = [a / b for a, b in zip(res.alpha, res.beta) if abs(b) > 1e-10]
         infinite = [1 for b in res.beta if abs(b) <= 1e-10]
         assert len(finite) == 1 and abs(finite[0] - 1.0) < 1e-12
         assert len(infinite) == 1
+        # B is exactly singular: the LU reports it and QZ takes the pencil.
+        assert lu_infos == [2] and len(qz_calls) == 1
+
+    def test_well_conditioned_b_takes_standard_path(self, qz_calls):
+        rng = np.random.default_rng(11)
+        a, b = crandn(rng, 6, 6), crandn(rng, 6, 6)
+        res = gep(a, b)
+        assert qz_calls == []
+        assert np.all(res.beta == 1.0) and not res.singular.any()
+        assert max(pencil_backward_errors(a, b, res)) <= GEP_BACKWARD_RTOL
+
+    def test_ill_conditioned_b_takes_qz(self, qz_calls):
+        # Three singular values at 1e-8: B^{-1} A loses about eight digits,
+        # which the backward-error check sees although B is invertible.
+        rng = np.random.default_rng(12)
+        u, _ = np.linalg.qr(crandn(rng, 40, 40))
+        v, _ = np.linalg.qr(crandn(rng, 40, 40))
+        s = np.ones(40)
+        s[-3:] = 1e-8
+        a, b = crandn(rng, 40, 40), (u * s) @ v.conj().T
+        assert 1e-10 < rcond_1norm(b) < 1e-8
+        res = gep(a, b)
+        assert len(qz_calls) == 1
+        assert max(pencil_backward_errors(a, b, res)) <= GEP_BACKWARD_RTOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_standard_path_matches_qz(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = crandn(rng, n, n)
+        b = np.eye(n) + 0.25 * crandn(rng, n, n) / np.sqrt(2 * n)  # cond(B) <= ~3
+        scale_a, scale_b = np.linalg.norm(a), np.linalg.norm(b)
+        std = linalg._standard(a, b, scale_a, scale_b)
+        qz = linalg._qz(a, b, scale_a, scale_b)
+        assert std is not None
+        assert match_multisets(std.alpha, qz.alpha / qz.beta) <= 1e-10 * scale_a
+        assert max(pencil_backward_errors(a, b, std)) <= 20 * n * EPS
+        assert max(pencil_backward_errors(a, b, qz)) <= 20 * n * EPS
 
     def test_residual_random_pair(self):
         rng = np.random.default_rng(5)
