@@ -9,7 +9,11 @@ v = (gamma, alpha_1, ..., alpha_k) with gamma >= 0.  Both half-steps are
 exact block minimizers:
 
   * for fixed v, the optimal x_i is the right singular vector of the pencil
-    R_i(v) = gamma A_i - sum_s alpha_s B_is for its smallest singular value;
+    R_i(v) = gamma A_i - sum_s alpha_s B_is for its smallest singular value.
+    It is computed by inverse iteration on R^H R, with R the triangular
+    factor of the pencil's QR, warm-started from the previous sweep's x_i
+    and run until successive iterates agree to 1e-14, so it equals the SVD's
+    vector to rounding, up to a unit phase (`linalg.smallest_singular_vector`);
   * for fixed x, theta is the Rayleigh quotient of the (k+1) x (k+1)
     positive semidefinite Gram matrix H = sum_i S_i^H S_i with
     S_i = [A_i x_i, -B_i1 x_i, ..., -B_ik x_i], so the optimal v is the
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import eig_hermitian, svd
+from .linalg import eig_hermitian, smallest_singular_vector
 from .model import (
     EigenTuple,
     EquationBlock,
@@ -94,25 +98,21 @@ class AlternatingTrace:
     iterations: int = 0
     status: str = STATUS_BUDGET
     likely_infimum: bool = False
-    degenerate_blocks: tuple[int, ...] = ()
 
 
-def _vector_step(problem: RmepProblem, value: HomogeneousEigenvalue):
-    """Optimal unit vectors for fixed value, plus the smallest-sigma gaps.
+def _vector_step(problem: RmepProblem, value: HomogeneousEigenvalue, xs=None):
+    """Optimal unit vectors for fixed value.
 
     Each x_i is the right singular vector of R_i(v) = gamma A_i - sum_s
-    alpha_s B_is for its smallest singular value; ties are broken
-    deterministically by the last-column convention of the descending SVD.
+    alpha_s B_is for its smallest singular value, found by inverse iteration
+    from xs[i] (the previous sweep's vector), or from n^-1/2 (1, ..., 1) when
+    `xs` is None.  The iteration runs to convergence, so x_i is exact to
+    rounding up to a unit phase, and up to rounding it never raises
+    ||R_i x_i|| above ||R_i xs[i]||.  The result depends only on the pencil
+    and the start, so runs repeat bitwise.
     """
-    xs = []
-    gaps = []
-    for blk in problem.blocks:
-        res = svd(blk.pencil(value.coefficients))
-        s = res.singular_values
-        xs.append(res.v[:, -1].copy())
-        scale = s[0] if s[0] > 0 else 1.0
-        gaps.append((s[-2] - s[-1]) / scale if s.size >= 2 else np.inf)
-    return xs, gaps
+    starts = [None] * problem.k if xs is None else xs
+    return [smallest_singular_vector(blk.pencil(value.coefficients), x) for blk, x in zip(problem.blocks, starts)]
 
 
 def build_gram(problem: RmepProblem, xs) -> np.ndarray:
@@ -142,8 +142,11 @@ def kkt_residual(problem: RmepProblem, t: EigenTuple) -> float:
 
     with w_i = ||R_i x_i||^2, w = v^H H v and xi_i = ||A_i||_2^2 + sum_s ||B_is||_2^2.
     """
-    v = t.value
-    xs = t.vectors
+    return _kkt_residual(problem, t.value, t.vectors, build_gram(problem, t.vectors))
+
+
+def _kkt_residual(problem, v, xs, h) -> float:
+    """`kkt_residual` with the Gram matrix H(xs) already built."""
     total = 0.0
     xis = []
     for i in range(problem.k):
@@ -154,7 +157,6 @@ def kkt_residual(problem: RmepProblem, t: EigenTuple) -> float:
         rx = r @ xs[i]
         omega = float(np.linalg.norm(rx) ** 2)
         total += np.linalg.norm(r.conj().T @ rx - xs[i] * omega) / xi
-    h = build_gram(problem, xs)
     vv = np.concatenate(([v.gamma], v.alphas))
     omega = float((vv.conj() @ (h @ vv)).real)
     total += np.linalg.norm(h @ vv - vv * omega) / sum(xis)
@@ -190,12 +192,12 @@ def _run(problem, value, cfg):
     trace = AlternatingTrace()
     xs = None
     for _ in range(cfg.max_iters):
-        xs, gaps = _vector_step(problem, value)
+        xs = _vector_step(problem, value, xs)
         h = build_gram(problem, xs)
         theta, value = best_value(h)
         trace.objectives.append(theta)
         trace.iterations += 1
-        trace.kkt.append(kkt_residual(problem, EigenTuple(value=value, vectors=tuple(xs))))
+        trace.kkt.append(_kkt_residual(problem, value, xs, h))
         n = len(trace.objectives)
         if n >= 2 and abs(trace.objectives[-1] - trace.objectives[-2]) <= (trace.objectives[-1] + 1.0) * cfg.rel_tol:
             trace.status = STATUS_TOL
@@ -207,8 +209,6 @@ def _run(problem, value, cfg):
         # The cheap objective-change rule can fire long before first-order
         # optimality holds; report that instead of claiming convergence.
         trace.status = STATUS_STAGNATED
-    _, gaps = _vector_step(problem, value)
-    trace.degenerate_blocks = tuple(i for i, g in enumerate(gaps) if g < 1e-8)
     return value, xs, trace
 
 

@@ -59,35 +59,35 @@ class TestBestVectors:
         a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         p = RmepProblem(blocks=(EquationBlock(a=a, b=(np.zeros((3, 2)),)),))
         v = HomogeneousEigenvalue(gamma=1.0, alphas=[0.0])
-        (x,) = _vector_step(p, v)[0]
+        (x,) = _vector_step(p, v)
         assert abs(abs(x[1]) - 1.0) < 1e-13
 
     def test_achieves_smallest_singular_value(self):
         rng = np.random.default_rng(2)
         p = random_problem(rng, 5, 3, 2)
         v = homogenize(crandn(rng, 2))
-        xs = _vector_step(p, v)[0]
+        xs = _vector_step(p, v)
         for i, x in enumerate(xs):
             r = p.blocks[i].pencil(v.coefficients)
             smin = svd(r).singular_values[-1]
             assert abs(np.linalg.norm(r @ x) - smin) <= 1e-12 * max(1.0, smin)
 
     def test_identity_pencil_tie_break(self):
-        # R = I makes every unit vector optimal; the fixed last-column SVD
-        # convention must return the same choice every time
+        # R = I makes every unit vector optimal; the fixed start vector of the
+        # first sweep must return the same choice every time
         p = RmepProblem(blocks=(EquationBlock(a=np.eye(3), b=(np.zeros((3, 3)),)),))
         v = HomogeneousEigenvalue(gamma=1.0, alphas=[0.0])
-        (x1,) = _vector_step(p, v)[0]
-        (x2,) = _vector_step(p, v)[0]
+        (x1,) = _vector_step(p, v)
+        (x2,) = _vector_step(p, v)
         assert np.array_equal(x1, x2)
         assert abs(np.linalg.norm(np.eye(3) @ x1) - 1.0) < 1e-14
 
     def test_half_step_exactness(self):
-        # no competitor set of unit vectors beats the SVD choice
+        # no competitor set of unit vectors beats the half-step's choice
         rng = np.random.default_rng(3)
         p = random_problem(rng, 6, 3, 2)
         v = homogenize(crandn(rng, 2))
-        xs = _vector_step(p, v)[0]
+        xs = _vector_step(p, v)
         base = sum(np.linalg.norm(p.blocks[i].pencil(v.coefficients) @ x) ** 2 for i, x in enumerate(xs))
         for _ in range(200):
             ys = [crandn(rng, 3) for _ in range(2)]
@@ -213,6 +213,15 @@ class TestSolveOne:
         assert tr1.objectives == tr2.objectives
         assert np.array_equal(t1.vectors[0], t2.vectors[0])
 
+    def test_repeat_runs_bitwise_equal(self):
+        p = random_problem(np.random.default_rng(13), 40, 32, 2)
+        (t1, pset1, tr1), (t2, pset2, tr2) = solve_one(p), solve_one(p)
+        assert tr1.objectives == tr2.objectives and tr1.kkt == tr2.kkt
+        assert tr1.status == tr2.status and tr1.iterations == tr2.iterations
+        assert all(np.array_equal(x1, x2) for x1, x2 in zip(t1.vectors, t2.vectors))
+        assert np.array_equal(t1.value.alphas, t2.value.alphas) and t1.value.gamma == t2.value.gamma
+        assert pset1.cost == pset2.cost
+
     def test_trace_csv(self):
         p = scalar_problem()
         _, _, trace = solve_one(p)
@@ -261,7 +270,7 @@ class TestReconstructPerturbation:
         p = random_problem(rng, 6, 4, 2)
         lam = crandn(rng, 2)
         value = homogenize(lam)
-        xs = _vector_step(p, value)[0]
+        xs = _vector_step(p, value)
         pset = reconstruct_perturbation(p, value, xs)
         for blk, x in zip(pset.blocks, xs):
             r = blk.a @ x - sum(l * (bi @ x) for l, bi in zip(lam, blk.b))
@@ -304,6 +313,36 @@ class TestRgepSpecialization:
             phase = vec[0] / abs(vec[0]) if abs(vec[0]) > 1e-14 else 1.0
             vec = vec * np.conj(phase)
             gamma, alpha = abs(vec[0].real), vec[1]
+            thetas.append(float(w[0]))
+
+        cfg = AlternatingConfig(max_iters=25, rel_tol=1e-300)
+        _, _, trace = solve_one(p, cfg)
+        assert len(trace.objectives) == 25
+        for ours, ref in zip(trace.objectives, thetas):
+            assert abs(ours - ref) <= 1e-12 * (1.0 + abs(ref))
+
+    def test_k2_matches_independent_svd_loop(self):
+        """For k = 2 the sweep must match a separately coded alternation that
+        takes each x_i from a full SVD, iterate for iterate."""
+        p = random_problem(np.random.default_rng(14), 40, 32, 2)
+
+        coeffs = np.array([1.0, 0.0, 0.0], dtype=np.complex128)  # (gamma, alpha_1, alpha_2)
+        thetas = []
+        for _ in range(25):
+            h = np.zeros((3, 3), dtype=np.complex128)
+            for blk in p.blocks:
+                a, (b1, b2) = blk.a, blk.b
+                pencil = coeffs[0] * a - coeffs[1] * b1 - coeffs[2] * b2
+                _, _, vh = np.linalg.svd(pencil)
+                x = vh[-1, :].conj()
+                s = np.column_stack([a @ x, -(b1 @ x), -(b2 @ x)])
+                h += s.conj().T @ s
+            h = (h + h.conj().T) / 2
+            w, v = np.linalg.eigh(h)
+            vec = v[:, 0]
+            phase = vec[0] / abs(vec[0]) if abs(vec[0]) > 1e-14 else 1.0
+            vec = vec * np.conj(phase)
+            coeffs = np.array([abs(vec[0].real), vec[1], vec[2]])
             thetas.append(float(w[0]))
 
         cfg = AlternatingConfig(max_iters=25, rel_tol=1e-300)

@@ -9,11 +9,13 @@ from rmep import linalg
 from rmep.errors import ValidationError
 from rmep.linalg import (
     GEP_BACKWARD_RTOL,
+    INVERSE_ITERATION_STEPS,
     as_matrix,
     eig_hermitian,
     gep,
     rank_revealing_qr,
     rcond_1norm,
+    smallest_singular_vector,
     svd,
 )
 
@@ -73,6 +75,90 @@ class TestSvd:
         x = svd(a).v[:, -1]
         assert abs(np.linalg.norm(x) - 1) < 1e-13
         assert abs(np.linalg.norm(a @ x) - svd(a).singular_values[-1]) < 1e-12
+
+
+def with_singular_values(rng, m, s):
+    """Random complex m x len(s) matrix with singular values s."""
+    n = len(s)
+    u, _ = np.linalg.qr(crandn(rng, m, n))
+    v, _ = np.linalg.qr(crandn(rng, n, n))
+    return (u * s) @ v.conj().T
+
+
+class TestSmallestSingularVector:
+    def test_matches_svd(self):
+        rng = np.random.default_rng(13)
+        a = crandn(rng, 9, 6)
+        x = smallest_singular_vector(a)
+        res = svd(a)
+        assert abs(np.linalg.norm(x) - 1) < 1e-14
+        assert abs(np.linalg.norm(a @ x) - res.singular_values[-1]) <= 1e-12 * res.singular_values[0]
+        assert abs(abs(np.vdot(res.v[:, -1], x)) - 1) < 1e-12
+
+    def test_step_cap_fires_on_close_singular_values(self, monkeypatch):
+        # sigma_{n-1} / sigma_n = 1 + 1e-9: each step turns x by about 1e-9
+        # within the pair's span, so the step tolerance is never met.
+        rng = np.random.default_rng(14)
+        s = np.concatenate((np.geomspace(10.0, 2.0, 6), [1.0 + 1e-9, 1.0]))
+        a = with_singular_values(rng, 12, s)
+        x_prev = crandn(rng, 8)
+        x_prev /= np.linalg.norm(x_prev)
+        calls = []
+        zpotrs = linalg.sla.lapack.zpotrs
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return zpotrs(*args, **kwargs)
+
+        monkeypatch.setattr(linalg.sla.lapack, "zpotrs", spy)
+        x = smallest_singular_vector(a, x_prev)
+        assert len(calls) == INVERSE_ITERATION_STEPS
+        assert abs(np.linalg.norm(x) - 1) < 1e-14
+        assert np.linalg.norm(a @ x) <= np.linalg.norm(a @ x_prev)
+        assert abs(np.linalg.norm(a @ x) - s[-1]) <= s[-2] - s[-1]
+
+    def test_zero_matrix_returns_start(self):
+        start = np.array([3.0, 4.0j])
+        x = smallest_singular_vector(np.zeros((3, 2)), start)
+        assert np.array_equal(x, start / 5.0)
+
+    def test_overflowing_solves_fall_back_to_svd(self, monkeypatch):
+        # R = N, the nilpotent shift: every pivot sits at the floor and the
+        # coupled triangular solves grow like eps^-30 and overflow.
+        n = 30
+        a = np.triu(np.ones((n, n)), 1)
+        calls = []
+        np_svd = np.linalg.svd
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return np_svd(*args, **kwargs)
+
+        monkeypatch.setattr(linalg.np.linalg, "svd", spy)
+        x = smallest_singular_vector(a)
+        assert len(calls) == 1
+        assert abs(abs(x[0]) - 1) < 1e-12
+        assert np.linalg.norm(a @ x) <= 1e-12 * np.linalg.norm(a, 2)
+
+    @pytest.mark.parametrize("a, start", [(np.ones((2, 3)), None), (np.eye(2), np.zeros(2)), (np.eye(2), np.ones(3))])
+    def test_rejects_bad_input(self, a, start):
+        with pytest.raises(ValidationError):
+            smallest_singular_vector(a, start)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m_extra=st.integers(0, 6), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_warm_start_property(self, m_extra, n, seed):
+        rng = np.random.default_rng(seed)
+        a = crandn(rng, n + m_extra, n)
+        x0 = crandn(rng, n)
+        x0 /= np.linalg.norm(x0)
+        s = svd(a).singular_values
+        x = smallest_singular_vector(a, x0)
+        assert abs(np.linalg.norm(x) - 1) < 1e-14
+        # Inverse iteration never raises the Rayleigh quotient (up to rounding).
+        assert np.linalg.norm(a @ x) <= np.linalg.norm(a @ x0) + 10 * n * EPS * s[0]
+        if n >= 2 and s[-1] <= 0.9 * s[-2]:
+            assert abs(np.linalg.norm(a @ x) - s[-1]) <= 1e-12 * s[0]
 
 
 def _cubic_roots(c2, c1, c0):
