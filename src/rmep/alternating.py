@@ -11,9 +11,11 @@ exact block minimizers:
   * for fixed v, the optimal x_i is the right singular vector of the pencil
     R_i(v) = gamma A_i - sum_s alpha_s B_is for its smallest singular value.
     It is computed by inverse iteration on R^H R, with R the triangular
-    factor of the pencil's QR, warm-started from the previous sweep's x_i
-    and run until successive iterates agree to 1e-14, so it equals the SVD's
-    vector to rounding, up to a unit phase (`linalg.smallest_singular_vector`);
+    factor of the pencil's QR, warm-started from the previous sweep's x_i.
+    A Cholesky of R^H R shifted to just below ||R x_i||^2 confirms that no
+    singular value lies lower, and one inverse-iteration step with that
+    factor finishes x_i; the SVD of R answers when the check fails.  So
+    x_i is the minimizer to rounding (`linalg.smallest_singular_vector`);
   * for fixed x, theta is the Rayleigh quotient of the (k+1) x (k+1)
     positive semidefinite Gram matrix H = sum_i S_i^H S_i with
     S_i = [A_i x_i, -B_i1 x_i, ..., -B_ik x_i], so the optimal v is the
@@ -106,10 +108,13 @@ def _vector_step(problem: RmepProblem, value: HomogeneousEigenvalue, xs=None):
     Each x_i is the right singular vector of R_i(v) = gamma A_i - sum_s
     alpha_s B_is for its smallest singular value, found by inverse iteration
     from xs[i] (the previous sweep's vector), or from n^-1/2 (1, ..., 1) when
-    `xs` is None.  The iteration runs to convergence, so x_i is exact to
-    rounding up to a unit phase, and up to rounding it never raises
-    ||R_i x_i|| above ||R_i xs[i]||.  The result depends only on the pencil
-    and the start, so runs repeat bitwise.
+    `xs` is None.  An iterate that fails the kernel's minimality check (a
+    start with no component along the minimizer, or one the step cap left
+    unconverged) is replaced by the SVD's vector.  So ||R_i x_i||^2 is the
+    minimum to rounding, and x_i is the SVD's vector up to a unit phase
+    unless the two smallest singular values tie to rounding; the objective
+    never rises.  The result depends only on the pencil and the start, so
+    runs repeat bitwise.
     """
     starts = [None] * problem.k if xs is None else xs
     return [smallest_singular_vector(blk.pencil(value.coefficients), x) for blk, x in zip(problem.blocks, starts)]

@@ -5,7 +5,8 @@ conventions the solvers rely on: descending singular values with a thin U
 and a full V factor, ascending Hermitian eigenvalues, homogeneous (alpha,
 beta) pencil eigenvalues with right and left eigenvectors, and
 column-pivoted QR.  `smallest_singular_vector` finds one singular vector by
-warm-started inverse iteration instead of a full SVD.
+warm-started inverse iteration instead of a full SVD, and checks by a
+Cholesky that the result is the minimizer.
 
 `gep` first solves the pencil (A, B) as the standard problem B^{-1} A: one
 LU of B, `zgeev` on B^{-1} A for right and left vectors, and left pencil
@@ -50,12 +51,16 @@ SINGULAR_PAIR_RTOL = 1e3 * EPS
 # at which a standard-form pair is accepted; QZ's own pairs stay within a few eps.
 GEP_BACKWARD_RTOL = 1e3 * EPS
 # Inverse iteration for a smallest singular vector stops once successive unit
-# iterates differ by at most the tolerance, or after the step cap.  The error
-# left in x is about the last step times q / (1 - q), q the convergence rate:
-# at 1e-12 alternating objectives drift from an SVD-based loop by up to 1.5e-12
-# relative, at 1e-14 by 2e-14, near the loop's own rounding.
-INVERSE_ITERATION_TOL = 1e-14
+# iterates differ by at most the tolerance, or after the step cap.  x is then
+# off by about the tolerance and ||R x||^2 by about its square, within the
+# slack below; the last, shifted step does the rest.
+INVERSE_ITERATION_TOL = 1e-8
 INVERSE_ITERATION_STEPS = 200
+# x is kept only if R^H R - s I, s = ||R x||^2 - slack with slack =
+# MINIMIZER_SLACK * eps * ||R||_F^2, has a Cholesky factor: then no squared
+# singular value of R lies below s.  Exact minimizers of random, graded and
+# rank-deficient R up to n = 200 pass with a slack of 0.25.
+MINIMIZER_SLACK = 4.0
 
 
 def as_matrix(a, name="matrix") -> np.ndarray:
@@ -124,10 +129,21 @@ def smallest_singular_vector(a, start=None) -> np.ndarray:
     started from `start` (default n^-1/2 (1, ..., 1)).  Each step is one
     `zpotrs` (both triangular solves), a normalization and a phase alignment
     to the previous iterate; it stops when successive iterates differ by at
-    most INVERSE_ITERATION_TOL or after INVERSE_ITERATION_STEPS steps.  Run to
-    convergence, the result matches the SVD's vector to rounding, up to a
-    unit phase; a start near the answer takes few steps.  Up to rounding,
-    ||A x|| never exceeds ||A start|| for a unit `start`.
+    most INVERSE_ITERATION_TOL or after INVERSE_ITERATION_STEPS steps.  A
+    start near the answer takes few steps.
+
+    That iterate need not be the minimizer: a start with no component along
+    the smallest singular vector (the default start on a reflection-
+    symmetric A, say) stops at once at another singular vector.  So x is
+    kept only if R^H R - s I has a Cholesky factor, with s a rounding slack
+    below ||R x||^2; then no singular value lies below sqrt(s), and one
+    inverse-iteration step with that factor, its shift within the slack of
+    sigma_min^2, brings x to rounding.  Otherwise, or when the solves
+    overflow, the SVD of R gives x.  So ||A x||^2 exceeds sigma_min^2 by at
+    most MINIMIZER_SLACK * eps * ||A||_F^2, and x is the SVD's vector to
+    rounding, up to a unit phase, unless the two smallest singular values
+    tie within that slack.  For a unit `start`, ||A x|| never exceeds
+    ||A start|| beyond rounding.
     """
     a = as_matrix(a)
     n = a.shape[1]
@@ -142,31 +158,58 @@ def smallest_singular_vector(a, start=None) -> np.ndarray:
     # each with its own thread pool, and BLAS-3 calls alternating between
     # them at millisecond intervals make the pools compete for the cores (a
     # 90x80 solve_one took 3.9 s with scipy's QR against 0.42 s, 2 threads on
-    # 2 vCPUs).  Only the BLAS-2 triangular solves of zpotrs go through scipy.
+    # 2 vCPUs).  Only the BLAS-2 triangular solves of zpotrs go through scipy;
+    # the product and Cholesky of the minimality check stay in numpy too.
     r = np.asfortranarray(np.linalg.qr(a, mode="r"))
-    # Raise tiny pivots to a floor so that a singular R does not divide by
-    # zero.  R = 0 (an exact solution) makes every unit vector optimal.
-    floor = EPS * np.abs(r).max()
-    if floor == 0.0:
+    # R = 0 (an exact solution) makes every unit vector optimal.
+    rmax = np.abs(r).max()
+    if rmax == 0.0:
         return x
+    # An exact power-of-two scaling to max |R_ij| in [1/2, 1) keeps R^H R and
+    # the solves clear of underflow and overflow.  Tiny pivots are raised to
+    # a floor so that a singular R does not divide by zero.
+    r *= 2.0 ** -math.frexp(rmax)[1]
     diag = np.einsum("ii->i", r)
-    diag[np.abs(diag) < floor] = floor
-    zpotrs = sla.lapack.zpotrs
+    diag[np.abs(diag) < EPS] = EPS
     for _ in range(INVERSE_ITERATION_STEPS):
-        y, info = zpotrs(r, x)
-        norm = math.sqrt(np.vdot(y, y).real)
-        if info != 0 or not math.isfinite(norm):
+        y = _inverse_step(r, x)
+        if y is None:
             # The solves overflow when several pivots sit at the floor and
-            # couple through R's off-diagonal entries; take R's own SVD.
-            return np.linalg.svd(r)[2][-1].conj()
-        # Normalize and turn y to the phase of x in one scaling.
-        overlap = np.vdot(x, y)
-        y *= (overlap.conjugate() / abs(overlap) if overlap != 0 else 1.0) / norm
+            # couple through R's off-diagonal entries.
+            break
         step = y - x
         x = y
         if np.vdot(step, step).real <= INVERSE_ITERATION_TOL**2:
             break
-    return x
+    factor = None if y is None else _shifted_factor(r, x)
+    x = None if factor is None else _inverse_step(factor, x, lower=1)
+    return np.linalg.svd(r)[2][-1].conj() if x is None else x
+
+
+def _inverse_step(factor, x, lower=0):
+    """Solve with the Cholesky factor of a positive definite matrix, then
+    normalize and turn to the phase of x; None on overflow or underflow."""
+    y, _ = sla.lapack.zpotrs(factor, x, lower=lower)
+    norm = math.sqrt(np.vdot(y, y).real)
+    if not 0.0 < norm < math.inf:
+        return None
+    overlap = np.vdot(x, y)
+    y *= (overlap.conjugate() / abs(overlap) if overlap != 0 else 1.0) / norm
+    return y
+
+
+def _shifted_factor(r, x):
+    """Lower Cholesky factor of R^H R - s I, s = ||R x||^2 - slack, or None
+    when that matrix is not positive definite."""
+    g = r.conj().T @ r
+    diag = np.einsum("ii->i", g)
+    rx = r @ x
+    slack = MINIMIZER_SLACK * EPS * diag.real.sum()
+    diag -= np.vdot(rx, rx).real - slack
+    try:
+        return np.asfortranarray(np.linalg.cholesky(g))
+    except np.linalg.LinAlgError:
+        return None
 
 
 def eig_hermitian(h):

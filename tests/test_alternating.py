@@ -62,6 +62,15 @@ class TestBestVectors:
         (x,) = _vector_step(p, v)
         assert abs(abs(x[1]) - 1.0) < 1e-13
 
+    def test_symmetric_pencil_first_sweep(self):
+        # The first sweep's start n^-1/2 (1, 1) is the sigma = 3 singular
+        # vector of this pencil; the step must still find sigma_min = 1.
+        a = np.array([[2.0, 1.0], [1.0, 2.0], [0.0, 0.0]])
+        p = RmepProblem(blocks=(EquationBlock(a=a, b=(np.zeros((3, 2)),)),))
+        v = HomogeneousEigenvalue(gamma=1.0, alphas=[0.0])
+        (x,) = _vector_step(p, v)
+        assert abs(np.linalg.norm(a @ x) - 1.0) < 1e-14
+
     def test_achieves_smallest_singular_value(self):
         rng = np.random.default_rng(2)
         p = random_problem(rng, 5, 3, 2)

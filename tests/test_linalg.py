@@ -10,6 +10,7 @@ from rmep.errors import ValidationError
 from rmep.linalg import (
     GEP_BACKWARD_RTOL,
     INVERSE_ITERATION_STEPS,
+    MINIMIZER_SLACK,
     as_matrix,
     eig_hermitian,
     gep,
@@ -85,21 +86,38 @@ def with_singular_values(rng, m, s):
     return (u * s) @ v.conj().T
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Record each np.linalg.svd call made through the linalg module."""
+    calls = []
+    np_svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return np_svd(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.np.linalg, "svd", spy)
+    return calls
+
+
 class TestSmallestSingularVector:
-    def test_matches_svd(self):
+    def test_matches_svd(self, svd_calls):
         rng = np.random.default_rng(13)
         a = crandn(rng, 9, 6)
         x = smallest_singular_vector(a)
+        assert not svd_calls  # the iterate passed the minimizer check
         res = svd(a)
         assert abs(np.linalg.norm(x) - 1) < 1e-14
         assert abs(np.linalg.norm(a @ x) - res.singular_values[-1]) <= 1e-12 * res.singular_values[0]
         assert abs(abs(np.vdot(res.v[:, -1], x)) - 1) < 1e-12
 
-    def test_step_cap_fires_on_close_singular_values(self, monkeypatch):
-        # sigma_{n-1} / sigma_n = 1 + 1e-9: each step turns x by about 1e-9
-        # within the pair's span, so the step tolerance is never met.
+    def test_step_cap_fires_on_close_singular_values(self, monkeypatch, svd_calls):
+        # sigma_{n-1} / sigma_n = 1 + 1e-5: each step turns x by about 1e-5
+        # within the pair's span, so the step tolerance is never met.  The
+        # capped iterate is still a mixture of the pair, about 1e-5 above
+        # sigma_n^2, so it fails the minimizer check and the SVD answers.
         rng = np.random.default_rng(14)
-        s = np.concatenate((np.geomspace(10.0, 2.0, 6), [1.0 + 1e-9, 1.0]))
+        s = np.concatenate((np.geomspace(10.0, 2.0, 6), [1.0 + 1e-5, 1.0]))
         a = with_singular_values(rng, 12, s)
         x_prev = crandn(rng, 8)
         x_prev /= np.linalg.norm(x_prev)
@@ -116,27 +134,52 @@ class TestSmallestSingularVector:
         assert abs(np.linalg.norm(x) - 1) < 1e-14
         assert np.linalg.norm(a @ x) <= np.linalg.norm(a @ x_prev)
         assert abs(np.linalg.norm(a @ x) - s[-1]) <= s[-2] - s[-1]
+        assert len(svd_calls) == 1
+        assert abs(np.linalg.norm(a @ x) - s[-1]) <= 1e-12 * s[0]
+
+    def test_symmetric_block_default_start(self, svd_calls):
+        # The default start is the sigma = 3 vector of this reflection-
+        # symmetric block, so inverse iteration stops on it at once.
+        a = np.array([[2.0, 1.0], [1.0, 2.0], [0.0, 0.0]])
+        x = smallest_singular_vector(a)
+        assert len(svd_calls) == 1
+        assert abs(np.linalg.norm(a @ x) - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("j", [0, -2])
+    def test_warm_start_at_another_singular_vector(self, j):
+        # A start that is another singular vector has (to rounding) no
+        # component along the smallest one, as when two modes cross between
+        # sweeps.
+        rng = np.random.default_rng(15)
+        a = crandn(rng, 9, 6)
+        res = svd(a)
+        x = smallest_singular_vector(a, res.v[:, j])
+        assert abs(np.linalg.norm(a @ x) - res.singular_values[-1]) <= 1e-12 * res.singular_values[0]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_scales(self, scale, svd_calls):
+        # R^H R of the unscaled factor would underflow or overflow, and the
+        # minimality check would fail for want of range, not of accuracy.
+        rng = np.random.default_rng(16)
+        a = crandn(rng, 9, 6)
+        s = svd(a).singular_values
+        svd_calls.clear()
+        x = smallest_singular_vector(scale * a)
+        assert not svd_calls
+        assert abs(np.linalg.norm(a @ x) - s[-1]) <= 1e-12 * s[0]
 
     def test_zero_matrix_returns_start(self):
         start = np.array([3.0, 4.0j])
         x = smallest_singular_vector(np.zeros((3, 2)), start)
         assert np.array_equal(x, start / 5.0)
 
-    def test_overflowing_solves_fall_back_to_svd(self, monkeypatch):
+    def test_overflowing_solves_fall_back_to_svd(self, svd_calls):
         # R = N, the nilpotent shift: every pivot sits at the floor and the
         # coupled triangular solves grow like eps^-30 and overflow.
         n = 30
         a = np.triu(np.ones((n, n)), 1)
-        calls = []
-        np_svd = np.linalg.svd
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return np_svd(*args, **kwargs)
-
-        monkeypatch.setattr(linalg.np.linalg, "svd", spy)
         x = smallest_singular_vector(a)
-        assert len(calls) == 1
+        assert len(svd_calls) == 1
         assert abs(abs(x[0]) - 1) < 1e-12
         assert np.linalg.norm(a @ x) <= 1e-12 * np.linalg.norm(a, 2)
 
@@ -159,6 +202,8 @@ class TestSmallestSingularVector:
         assert np.linalg.norm(a @ x) <= np.linalg.norm(a @ x0) + 10 * n * EPS * s[0]
         if n >= 2 and s[-1] <= 0.9 * s[-2]:
             assert abs(np.linalg.norm(a @ x) - s[-1]) <= 1e-12 * s[0]
+        # Whatever the gap, x minimizes ||A x||^2 within the check's slack.
+        assert np.linalg.norm(a @ x) ** 2 <= s[-1] ** 2 + 2 * MINIMIZER_SLACK * EPS * np.sum(s**2)
 
 
 def _cubic_roots(c2, c1, c0):
