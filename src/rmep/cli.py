@@ -244,20 +244,16 @@ def _greedy_match(ref, computed):
 def _bench_trial(m: int, n: int, k: int, sigma: float, child_seed) -> dict:
     import numpy as np
 
-    from .model import dehomogenize, random_planted_problem
-    from .mep import solve_mep
+    from . import mep
+    from .model import HomogeneousEigenvalue, dehomogenize, random_planted_problem
     from .tsvd import solve_complete
 
     problem, reference = random_planted_problem([m] * k, [n] * k, sigma, child_seed)
     solver_seed = int(child_seed.generate_state(1)[0])
-    ref_vals = []
-    for sol in solve_mep(reference, seed=solver_seed):
-        if sol.value.is_finite():
-            ref_vals.append(dehomogenize(sol.value))
-    comp_vals = []
-    for tup in solve_complete(problem, seed=solver_seed):
-        if tup.value.is_finite():
-            comp_vals.append(dehomogenize(tup.value))
+    # The reference needs only values, so its eigenvectors are not factored.
+    coords, _ = mep.solve_from_determinants(mep.operator_determinants(reference), seed=solver_seed)
+    ref_vals = [dehomogenize(v) for v in map(HomogeneousEigenvalue.from_vector, coords) if v.is_finite()]
+    comp_vals = [dehomogenize(t.value) for t in solve_complete(problem, seed=solver_seed) if t.value.is_finite()]
     ref_vals = np.array(ref_vals).reshape(-1, k)
     comp_vals = np.array(comp_vals).reshape(-1, k)
     pairs = _greedy_match(ref_vals, comp_vals)
@@ -324,6 +320,7 @@ def _write_function_grid(path: Path, stamp: bool, t, u):
 def _cmd_ode(opt: dict, mathieu: bool) -> int:
     import numpy as np
 
+    from .errors import ValidationError
     from .model import dehomogenize, normalized_residual
     from .spectral import (
         builtin_mathieu,
@@ -340,6 +337,8 @@ def _cmd_ode(opt: dict, mathieu: bool) -> int:
     n2 = _option(opt, "n2", int, 30)
     oversampling = _option(opt, "oversampling", int, 4)
     top = _option(opt, "top", int, 8 if mathieu else 10)
+    if top < 1:
+        raise ValidationError(f"ode-{'mathieu' if mathieu else 'sl'} needs --top >= 1, got {top}")
     if mathieu:
         alpha = _option(opt, "alpha", float, 4.0)
         beta = _option(opt, "beta", float, 1.0)

@@ -68,9 +68,9 @@ def as_matrix(a, name="matrix") -> np.ndarray:
     return _checked(np.array(a, dtype=np.complex128, order="C"), name)
 
 
-def _checked(arr, name):
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValidationError(f"{name} must be 2-D with positive shape, got {arr.shape}")
+def _checked(arr, name, ndim=2):
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ValidationError(f"{name} must be {ndim}-D with positive shape, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
@@ -82,7 +82,8 @@ class SvdResult:
 
     U is thin (m x min(m, n)) and V is full (n x n), so V[:, -1] is a right
     singular vector for the smallest singular value even when m < n.
-    Singular values are nonincreasing.
+    Singular values are nonincreasing.  The SVD of a (T, m, n) stack holds
+    the T factorizations along a leading axis of each field.
     """
 
     u: np.ndarray
@@ -90,7 +91,8 @@ class SvdResult:
     v: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.v[:, : self.singular_values.size].conj().T
+        r = self.singular_values.shape[-1]
+        return (self.u * self.singular_values[..., None, :]) @ self.v[..., :r].conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -112,14 +114,16 @@ class GepResult:
 
 
 def svd(a) -> SvdResult:
-    """Singular value decomposition with descending singular values."""
-    a = as_matrix(a)
+    """Singular value decomposition with descending singular values, of one
+    matrix or of each matrix in a (T, m, n) stack."""
+    a = np.asarray(a, dtype=np.complex128)
+    _checked(a, "matrix", ndim=3 if a.ndim == 3 else 2)
     try:
         # Only a wide matrix needs full_matrices for V to be square.
-        u, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+        u, s, vh = np.linalg.svd(a, full_matrices=a.shape[-2] < a.shape[-1])
     except np.linalg.LinAlgError as exc:
         raise BackendError(f"SVD did not converge for shape {a.shape}", shape=a.shape) from exc
-    return SvdResult(u=u, singular_values=s, v=vh.conj().T)
+    return SvdResult(u=u, singular_values=s, v=vh.conj().swapaxes(-1, -2))
 
 
 def smallest_singular_vector(a, start=None) -> np.ndarray:

@@ -27,6 +27,12 @@ the eigenvector error and needs no pairing across the k pencils.
 that solve only if every right and left pair has a backward error on the
 pencil of at most `linalg.GEP_BACKWARD_RTOL`; otherwise it uses QZ.  The
 quotients of all N tuples are formed together, one product D_j Z per j.
+
+The tuples stay arrays: `solve_from_determinants` returns the homogeneous
+coordinates as rows and the eigenvectors as the columns of Z, and
+`extract_factors` factors any set of columns together.  `solve_mep` builds
+one `EigenTuple` per tuple from them; `tsvd.solve_complete` uses the arrays
+directly and factors only the infinite tuples.
 """
 
 from __future__ import annotations
@@ -39,11 +45,10 @@ import numpy as np
 
 from .errors import CapacityError, IrregularMepError, ValidationError
 from .linalg import EPS, gep, rcond_1norm, svd
-from .model import HomogeneousEigenvalue, MepProblem
+from .model import EigenTuple, HomogeneousEigenvalue, MepProblem
 
 __all__ = [
     "OperatorDeterminants",
-    "MepSolution",
     "operator_determinants",
     "extract_factors",
     "solve_mep",
@@ -73,16 +78,6 @@ class OperatorDeterminants:
     @property
     def size(self) -> int:
         return self.matrices[0].shape[0]
-
-
-@dataclass(frozen=True)
-class MepSolution:
-    """One recovered tuple: homogeneous value, unit vectors factored from its
-    Kronecker eigenvector, and how decomposable that eigenvector was."""
-
-    value: HomogeneousEigenvalue
-    vectors: tuple[np.ndarray, ...]
-    separability: float
 
 
 def _operator_determinant(columns) -> np.ndarray:
@@ -140,47 +135,44 @@ def operator_determinants(problem: MepProblem) -> OperatorDeterminants:
 
 
 def extract_factors(z, dims):
-    """Factor a unit N-vector into k unit vectors by successive rank-1 SVDs.
+    """Factor unit N-vectors into k unit vectors by successive rank-1 SVDs.
 
-    Reshape to n_1 x (N/n_1), take the top left singular vector as the first
-    factor and carry sigma_1 * conj(top right singular vector) forward.  The
-    returned factors are phase-aligned so their Kronecker product matches z
-    (not merely up to phase).  The separability score is the 2-norm distance
-    of z from the nearest scaled Kronecker product of the factors; anything
-    above ~1e-6 signals a defective or clustered eigenvalue whose invariant
-    subspace is not decomposable.
+    `z` is one vector or an N x T matrix whose columns are factored together,
+    one batched SVD per step.  Step s reshapes the carried vector to
+    n_s x (rest), keeps the top left singular vector as factor s and carries
+    the conjugated top right singular vector.  The factors are phase-aligned
+    so their Kronecker product matches z (not merely up to phase).  The
+    separability score is the 2-norm distance of z from the nearest scaled
+    Kronecker product of the factors; anything above ~1e-6 signals a
+    defective or clustered eigenvalue whose invariant subspace is not
+    decomposable.  Returns (factors, score): k vectors and a float for a
+    vector, k arrays of shape n_s x T and a length-T array for a matrix.
     """
-    z = np.array(z, dtype=np.complex128).reshape(-1)
+    z = np.array(z, dtype=np.complex128)
+    single = z.ndim == 1
     dims = tuple(int(d) for d in dims)
-    if z.size != int(np.prod(dims)):
-        raise ValidationError(f"vector of length {z.size} does not factor into dims {dims}")
-    nrm = np.linalg.norm(z)
-    if abs(nrm - 1.0) > 1e-12:
-        raise ValidationError("extract_factors expects a unit vector")
+    rows = z.reshape(1, -1) if single else z.T
+    if z.ndim > 2 or rows.shape[1] != int(np.prod(dims)):
+        raise ValidationError(f"vectors of shape {z.shape} do not factor into dims {dims}")
+    if np.any(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > 1e-12):
+        raise ValidationError("extract_factors expects unit vectors")
+    t = rows.shape[0]
     factors = []
-    current = z
+    current = rows
     for d in dims[:-1]:
-        mat = current.reshape(d, -1)
-        res = svd(mat)
-        factors.append(res.u[:, 0].copy())
-        current = res.singular_values[0] * res.v[:, 0].conj()
-        cn = np.linalg.norm(current)
-        if cn == 0:
-            current = np.zeros_like(current)
-            current[0] = 1.0
-        else:
-            current = current / cn
+        res = svd(current.reshape(t, d, -1))
+        factors.append(res.u[:, :, 0])
+        current = res.v[:, :, 0].conj()
     factors.append(current)
     product = factors[0]
     for f in factors[1:]:
-        product = np.kron(product, f)
-    coeff = np.vdot(product, z)
-    if abs(coeff) > 0:
-        factors[0] = factors[0] * (coeff / abs(coeff))
-        product = product * (coeff / abs(coeff))
-        coeff = abs(coeff)
-    score = float(np.linalg.norm(z - coeff * product))
-    return factors, score
+        product = (product[:, :, None] * f[:, None, :]).reshape(t, -1)
+    coeff = np.einsum("ij,ij->i", product.conj(), rows)
+    factors[0] = factors[0] * np.exp(1j * np.angle(coeff))[:, None]
+    score = np.linalg.norm(rows - coeff[:, None] * product, axis=1)
+    if single:
+        return [f[0] for f in factors], float(score[0])
+    return [f.T for f in factors], score
 
 
 def _random_combination(matrices, rng):
@@ -209,14 +201,19 @@ def _pick_mass(deltas: OperatorDeterminants, rng):
     return mass, rc
 
 
-def solve_mep(problem: MepProblem, seed: int = 0) -> list[MepSolution]:
-    """All N = n_1*...*n_k tuples of a square problem, multiplicities kept.
+def solve_mep(problem: MepProblem, seed: int = 0) -> list[EigenTuple]:
+    """All N = n_1*...*n_k tuples of a square problem, multiplicities kept,
+    with the vectors factored from each Kronecker eigenvector (residual None).
 
     Deterministic for a fixed seed (which drives the random mass-matrix
     weights and the tuple-splitting combination).
     """
-    deltas = operator_determinants(problem)
-    return solve_from_determinants(deltas, seed=seed)
+    values, z = solve_from_determinants(operator_determinants(problem), seed=seed)
+    factors, _ = extract_factors(z, problem.dims)
+    return [
+        EigenTuple(value=HomogeneousEigenvalue.from_vector(v), vectors=tuple(f[:, j] for f in factors))
+        for j, v in enumerate(values)
+    ]
 
 
 def _least_squares_quotients(matrices, mz, z) -> np.ndarray:
@@ -233,7 +230,10 @@ def _column_vdots(w, x, out):
     return out.sum(axis=0).conj()
 
 
-def solve_from_determinants(deltas: OperatorDeterminants, seed: int = 0) -> list[MepSolution]:
+def solve_from_determinants(deltas: OperatorDeterminants, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(values, Z): the N tuples as the rows of an N x (k+1) array of
+    homogeneous coordinates (gamma, alpha_1, ..., alpha_k), not normalized,
+    and their Kronecker eigenvectors as the unit columns of Z (N x N)."""
     rng = np.random.default_rng(seed)
     mass, _ = _pick_mass(deltas, rng)
     pencil = gep(_random_combination(deltas.matrices, rng), mass)
@@ -243,22 +243,15 @@ def solve_from_determinants(deltas: OperatorDeterminants, seed: int = 0) -> list
     buf = np.empty_like(mz_all)
     wmz = _column_vdots(w_all, mz_all, buf)
     mz_norms = np.sqrt(_column_vdots(mz_all, mz_all, buf).real)
-    quotients = np.empty((deltas.size, len(deltas.matrices)), dtype=np.complex128)
+    values = np.empty((deltas.size, len(deltas.matrices)), dtype=np.complex128)
     for j, dj in enumerate(deltas.matrices):
         np.matmul(dj, z_all, out=buf)
-        quotients[:, j] = _column_vdots(w_all, buf, buf)
-    solutions = []
-    for j in range(deltas.size):
-        z = z_all[:, j]
-        raw = quotients[j]
-        left_unusable = (
-            abs(wmz[j]) <= 1e3 * EPS * mz_norms[j]
-            or np.linalg.norm(raw) == 0.0
-            or not np.all(np.isfinite(raw.view(np.float64)))
-        )
-        if left_unusable:
-            raw = _least_squares_quotients(deltas.matrices, mz_all[:, j], z)
-        value = HomogeneousEigenvalue.from_vector(raw)
-        factors, score = extract_factors(z, deltas.dims)
-        solutions.append(MepSolution(value=value, vectors=tuple(factors), separability=score))
-    return solutions
+        values[:, j] = _column_vdots(w_all, buf, buf)
+    left_unusable = (
+        (np.abs(wmz) <= 1e3 * EPS * mz_norms)
+        | (np.linalg.norm(values, axis=1) == 0.0)
+        | ~np.all(np.isfinite(values), axis=1)
+    )
+    for j in np.flatnonzero(left_unusable):
+        values[j] = _least_squares_quotients(deltas.matrices, mz_all[:, j], z_all[:, j])
+    return values, z_all

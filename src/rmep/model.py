@@ -88,13 +88,14 @@ class EquationBlock:
 
         With c = (gamma, -alpha_1, ..., -alpha_k) this is gamma A - sum_s
         alpha_s B_s, and with c = (1, -lambda_1, ..., -lambda_k) the finite
-        form A - sum_s lambda_s B_s.  A 2-D `c` gives one pencil per row.
+        form A - sum_s lambda_s B_s.  A 2-D `c` gives one pencil per row,
+        bitwise the pencil of that row alone.
         """
         c = np.asarray(c, dtype=np.complex128)
         if x is not None:
             return c @ (self.coeffs @ x)
         k1 = self.coeffs.shape[0]
-        return (c @ self.coeffs.reshape(k1, -1)).reshape(c.shape[:-1] + self.shape)
+        return (c[..., None, :] @ self.coeffs.reshape(k1, -1)).reshape(c.shape[:-1] + self.shape)
 
 
 @dataclass(frozen=True)

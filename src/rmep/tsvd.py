@@ -10,7 +10,9 @@ perturbed problem into the square multiparameter problem
     V_11^H x = lambda_1 V_21^H x + ... + lambda_k V_{k+1,1}^H x,
 
 whose N = n_1*...*n_k tuples are the complete set of approximate
-eigen-tuples for the rectangular problem.  When additionally
+eigen-tuples for the rectangular problem.  `solve_complete` takes their
+values from it and refits each finite tuple's vectors against the original
+blocks, one batched SVD per block.  When additionally
 ||V_11||_2 < 1, the minimal cost is attained and explicit coupling matrices
 X_is with A^_i = sum_s B^_is X_is exist; they are built from a column-pivoted
 QR of V_12.
@@ -23,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import mep
 from .linalg import rank_revealing_qr, svd
-from .mep import solve_mep
 from .model import (
     EigenTuple,
     EquationBlock,
+    HomogeneousEigenvalue,
     MepProblem,
     PerturbationSet,
     RmepProblem,
@@ -75,11 +78,9 @@ def truncate_blocks(problem: RmepProblem) -> list[BlockTruncation]:
     """Per-block SVD partitions; deterministic descending order."""
     out = []
     for blk in problem.blocks:
-        m, n = blk.shape
-        stacked = blk.stacked()
-        res = svd(stacked)
-        v = res.v
-        s = res.singular_values
+        n = blk.shape[1]
+        res = svd(blk.stacked())
+        v, s = res.v, res.singular_values
         vblocks = tuple(v[j * n : (j + 1) * n, :n].copy() for j in range(problem.k + 1))
         out.append(
             BlockTruncation(
@@ -151,18 +152,15 @@ def reduced_mep(truncations: list[BlockTruncation]) -> MepProblem:
     """Square problem (V_11^H, V_21^H, ..., V_{k+1,1}^H) per block."""
     blocks = []
     for t in truncations:
-        blocks.append(
-            EquationBlock(
-                a=t.vblocks[0].conj().T,
-                b=tuple(vb.conj().T for vb in t.vblocks[1:]),
-            )
-        )
+        a, *b = (vb.conj().T for vb in t.vblocks)
+        blocks.append(EquationBlock(a=a, b=tuple(b)))
     return MepProblem(blocks=tuple(blocks))
 
 
-def _best_vector_for(blk: EquationBlock, lambdas) -> np.ndarray:
-    """Smallest right singular vector of A - sum_s lambda_s B_s."""
-    return svd(blk.pencil(np.concatenate(([1.0], -np.asarray(lambdas))))).v[:, -1].copy()
+def _best_vector_for(blk: EquationBlock, c) -> np.ndarray:
+    """Smallest right singular vectors of the pencils sum_j c_tj S_j, one
+    row per row of the T x (k+1) coefficients `c`, from one batched SVD."""
+    return svd(blk.pencil(c)).v[:, :, -1].copy()
 
 
 def solve_complete(problem: RmepProblem, seed: int = 0) -> list[EigenTuple]:
@@ -173,24 +171,27 @@ def solve_complete(problem: RmepProblem, seed: int = 0) -> list[EigenTuple]:
     the smallest right singular vectors of A_i - sum_s lambda_s B_is: given
     the eigenvalue, these are the unit vectors minimizing the residual being
     reported, and they stay accurate when the lifted pencil is so ill
-    conditioned that the raw Kronecker eigenvectors lose most digits.
-    Tuples with gamma at/below the infinite-eigenvalue threshold keep their
-    factored Kronecker vectors and sort last with residual = inf.
+    conditioned that the raw Kronecker eigenvectors lose most digits.  The
+    refit is one batched SVD per block over all finite tuples.  Tuples with
+    gamma at/below the infinite-eigenvalue threshold sort last with residual
+    None; only their Kronecker eigenvectors are factored into vectors.
     """
-    truncations = truncate_blocks(problem)
-    reduced = reduced_mep(truncations)
-    solutions = solve_mep(reduced, seed=seed)
+    reduced = reduced_mep(truncate_blocks(problem))
+    coords, z = mep.solve_from_determinants(mep.operator_determinants(reduced), seed=seed)
+    values = [HomogeneousEigenvalue.from_vector(v) for v in coords]
+    finite = [j for j, v in enumerate(values) if v.is_finite()]
+    infinite = [j for j, v in enumerate(values) if not v.is_finite()]
     tuples = []
-    for sol in solutions:
-        if sol.value.is_finite():
-            lambdas = dehomogenize(sol.value)
-            xs = tuple(_best_vector_for(blk, lambdas) for blk in problem.blocks)
-            tup = EigenTuple(value=sol.value, vectors=xs)
-            _, rho = normalized_residual(problem, tup)
-            tuples.append(EigenTuple(value=sol.value, vectors=xs, residual=rho))
-        else:
-            tuples.append(EigenTuple(value=sol.value, vectors=sol.vectors, residual=None))
-    tuples.sort(key=lambda t: t.residual if t.residual is not None else np.inf)
+    if finite:
+        c = np.array([np.concatenate(([1.0], -dehomogenize(values[j]))) for j in finite])
+        refit = [_best_vector_for(blk, c) for blk in problem.blocks]
+        for t, j in enumerate(finite):
+            tup = EigenTuple(value=values[j], vectors=tuple(x[t] for x in refit))
+            tuples.append(EigenTuple(tup.value, tup.vectors, residual=normalized_residual(problem, tup)[1]))
+        tuples.sort(key=lambda t: t.residual)
+    if infinite:
+        factors, _ = mep.extract_factors(z[:, infinite], reduced.dims)
+        tuples += [EigenTuple(values[j], tuple(f[:, t] for f in factors)) for t, j in enumerate(infinite)]
     return tuples
 
 

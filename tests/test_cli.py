@@ -195,6 +195,14 @@ def test_ode_mathieu_small(tmp_path):
     assert h == ["x", "y", "psi_re", "psi_im"]
 
 
+@pytest.mark.parametrize("command, top", [("ode-sl", "-1"), ("ode-sl", "0"), ("ode-mathieu", "-2")])
+def test_ode_rejects_top_below_one(tmp_path, capsys, command, top):
+    rc = main([command, "--n1", "8", "--n2", "8", "--top", top, "--out", str(tmp_path), "--no-timestamp"])
+    assert rc == 2
+    assert f"--top >= 1, got {top}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.slow
 def test_ode_sl_table_values_at_n30(tmp_path):
     # the full-size run reproduces the two leading eigenvalues at display

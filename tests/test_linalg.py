@@ -77,6 +77,22 @@ class TestSvd:
         assert abs(np.linalg.norm(x) - 1) < 1e-13
         assert abs(np.linalg.norm(a @ x) - svd(a).singular_values[-1]) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(4, 7, 3), (2, 3, 5)])
+    def test_stack_is_each_matrix_svd(self, shape):
+        rng = np.random.default_rng(4)
+        a = crandn(rng, *shape)
+        res = svd(a)
+        assert np.linalg.norm(res.reconstruct() - a) <= 1e-12 * np.linalg.norm(a)
+        for t in range(shape[0]):
+            single = svd(a[t])
+            assert np.array_equal(res.singular_values[t], single.singular_values)
+            assert np.array_equal(res.v[t], single.v) and np.array_equal(res.u[t], single.u)
+
+    @pytest.mark.parametrize("a", [np.ones((0, 2, 2)), np.ones((1, 2, 2, 2)), np.full((2, 2, 2), np.inf)])
+    def test_rejects_bad_stacks(self, a):
+        with pytest.raises(ValidationError):
+            svd(a)
+
 
 def with_singular_values(rng, m, s):
     """Random complex m x len(s) matrix with singular values s."""

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 
+from rmep import mep
 from rmep.linalg import gep, svd
 from rmep.model import (
     EquationBlock,
@@ -9,6 +10,7 @@ from rmep.model import (
     PerturbationSet,
     RmepProblem,
     dehomogenize,
+    normalized_residual,
     perturbation_cost,
     random_planted_problem,
 )
@@ -179,6 +181,34 @@ class TestSolveComplete:
         finite = [a / b for a, b in zip(ref.alpha, ref.beta) if abs(b) > 1e-12]
         assert len(ours) == len(finite)
         assert match_multisets(ours, finite) < 1e-8
+
+    def test_factors_only_infinite_tuples(self, monkeypatch):
+        calls = []
+        original = mep.extract_factors
+        def spy(z, dims):
+            calls.append(np.shape(z))
+            return original(z, dims)
+        monkeypatch.setattr(mep, "extract_factors", spy)
+        # blocks sharing (B_1, B_2): two finite and two infinite tuples
+        rng = np.random.default_rng(0)
+        b1, b2 = crandn(rng, 2, 2), crandn(rng, 2, 2)
+        p = MepProblem(blocks=tuple(EquationBlock(a=crandn(rng, 2, 2), b=(b1, b2)) for _ in range(2)))
+        tuples = solve_complete(p, seed=0)
+        assert calls == [(4, 2)]
+        assert [t.residual is None for t in tuples] == [False, False, True, True]
+        calls.clear()
+        p, _ = random_planted_problem([12, 12], [3, 3], 0.01, seed=16)
+        tuples = solve_complete(p, seed=0)
+        assert all(t.residual is not None for t in tuples) and calls == []
+
+    def test_finite_vectors_are_smallest_singular_vectors(self):
+        p, _ = random_planted_problem([14, 12], [4, 3], 0.05, seed=17)
+        for t in solve_complete(p, seed=0):
+            lam = dehomogenize(t.value)
+            for blk, x in zip(p.blocks, t.vectors):
+                v = np.linalg.svd(blk.a - sum(l * b for l, b in zip(lam, blk.b)))[2][-1].conj()
+                assert np.linalg.norm(x - v * np.vdot(v, x) / abs(np.vdot(v, x))) <= 1e-12
+            assert t.residual == normalized_residual(p, t)[1]
 
     def test_csv_export(self):
         p, _ = random_planted_problem([10, 10], [2, 2], 0.0, seed=15)
