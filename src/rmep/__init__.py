@@ -20,7 +20,7 @@ from .errors import (
     RmepError,
     ValidationError,
 )
-from .mep import extract_factors, operator_determinants, solve_mep
+from .mep import operator_determinants, solve_mep
 from .model import (
     EigenTuple,
     EquationBlock,
@@ -79,7 +79,6 @@ __all__ = [
     "continuous_residual",
     "dehomogenize",
     "discretize",
-    "extract_factors",
     "homogeneous_residual",
     "homogenize",
     "normalized_residual",

@@ -13,9 +13,11 @@ ode-sl         built-in coupled Sturm-Liouville system; writes an eigenvalue
 ode-mathieu    built-in elliptic-membrane (Mathieu) system; additionally
                writes eigenfrequencies and (x, y, psi) mode grids.
 
-A JSON file passed with --config supplies defaults for any option; explicit
-flags win.  With --no-timestamp, artifacts are byte-identical across runs
-for a fixed seed.  RMEP_BACKEND_THREADS caps the linear-algebra backend's
+A JSON file passed with --config supplies defaults for any option of the
+subcommand, each key spelled as its flag (max-iters) or with underscores
+(max_iters); an unknown key is a configuration error.  Explicit flags win.
+With --no-timestamp, artifacts are byte-identical across runs for a fixed
+seed.  RMEP_BACKEND_THREADS caps the linear-algebra backend's
 thread count (it must be set before the backend is first loaded, which this
 module guarantees by importing the numerical stack lazily).
 
@@ -104,15 +106,19 @@ def _merge_options(args: argparse.Namespace) -> dict:
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: invalid JSON or UTF-8
             raise ValidationError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ValidationError("config file must hold a JSON object")
-        options.update(loaded)
+        known = set(vars(args)) - {"command", "config"}
+        for key, value in loaded.items():
+            name = key.replace("-", "_")
+            if name not in known:
+                raise ValidationError(f"config file key {key!r} is not an option of {args.command}")
+            options[name] = value
     for key, value in vars(args).items():
-        if key in ("config",) or value is None or value is False:
-            continue
-        options[key.replace("-", "_")] = value
+        if key != "config" and value is not None and value is not False:
+            options[key] = value
     options.setdefault("out", Path("."))
     options["out"] = Path(options["out"])
     return options
@@ -250,8 +256,8 @@ def _bench_trial(m: int, n: int, k: int, sigma: float, child_seed) -> dict:
 
     problem, reference = random_planted_problem([m] * k, [n] * k, sigma, child_seed)
     solver_seed = int(child_seed.generate_state(1)[0])
-    # The reference needs only values, so its eigenvectors are not factored.
-    coords, _ = mep.solve_from_determinants(mep.operator_determinants(reference), seed=solver_seed)
+    # The reference needs only values, so no vectors are computed for it.
+    coords = mep.solve_from_determinants(mep.operator_determinants(reference), seed=solver_seed)
     ref_vals = [dehomogenize(v) for v in map(HomogeneousEigenvalue.from_vector, coords) if v.is_finite()]
     comp_vals = [dehomogenize(t.value) for t in solve_complete(problem, seed=solver_seed) if t.value.is_finite()]
     ref_vals = np.array(ref_vals).reshape(-1, k)

@@ -28,11 +28,15 @@ that solve only if every right and left pair has a backward error on the
 pencil of at most `linalg.GEP_BACKWARD_RTOL`; otherwise it uses QZ.  The
 quotients of all N tuples are formed together, one product D_j Z per j.
 
-The tuples stay arrays: `solve_from_determinants` returns the homogeneous
-coordinates as rows and the eigenvectors as the columns of Z, and
-`extract_factors` factors any set of columns together.  `solve_mep` builds
-one `EigenTuple` per tuple from them; `tsvd.solve_complete` uses the arrays
-directly and factors only the infinite tuples.
+The lifted pencil supplies only the values: `solve_from_determinants`
+returns the homogeneous tuples as the rows of an array.  Each tuple's
+vectors come from its own pencils instead: `tuples_from_pencils` takes x_i
+as the smallest right singular vector of sum_j c_j S_ij for the tuple's
+coefficients c, one batched SVD per block over all tuples.  `solve_mep`
+uses c = (gamma, -alpha_1, ..., -alpha_k), so a square problem gets the
+null vectors of gamma A_i - sum_s alpha_s B_is, which need no factoring of
+z and exist also where z is not a Kronecker product (multiple
+eigenvalues); `tsvd.solve_complete` calls it on the rectangular blocks.
 """
 
 from __future__ import annotations
@@ -45,12 +49,11 @@ import numpy as np
 
 from .errors import CapacityError, IrregularMepError, ValidationError
 from .linalg import EPS, gep, rcond_1norm, svd
-from .model import EigenTuple, HomogeneousEigenvalue, MepProblem
+from .model import EigenTuple, HomogeneousEigenvalue, MepProblem, RmepProblem
 
 __all__ = [
     "OperatorDeterminants",
     "operator_determinants",
-    "extract_factors",
     "solve_mep",
 ]
 
@@ -134,47 +137,6 @@ def operator_determinants(problem: MepProblem) -> OperatorDeterminants:
     return OperatorDeterminants(matrices=tuple(mats), dims=problem.dims, rcond=rcond_1norm(mats[0]))
 
 
-def extract_factors(z, dims):
-    """Factor unit N-vectors into k unit vectors by successive rank-1 SVDs.
-
-    `z` is one vector or an N x T matrix whose columns are factored together,
-    one batched SVD per step.  Step s reshapes the carried vector to
-    n_s x (rest), keeps the top left singular vector as factor s and carries
-    the conjugated top right singular vector.  The factors are phase-aligned
-    so their Kronecker product matches z (not merely up to phase).  The
-    separability score is the 2-norm distance of z from the nearest scaled
-    Kronecker product of the factors; anything above ~1e-6 signals a
-    defective or clustered eigenvalue whose invariant subspace is not
-    decomposable.  Returns (factors, score): k vectors and a float for a
-    vector, k arrays of shape n_s x T and a length-T array for a matrix.
-    """
-    z = np.array(z, dtype=np.complex128)
-    single = z.ndim == 1
-    dims = tuple(int(d) for d in dims)
-    rows = z.reshape(1, -1) if single else z.T
-    if z.ndim > 2 or rows.shape[1] != int(np.prod(dims)):
-        raise ValidationError(f"vectors of shape {z.shape} do not factor into dims {dims}")
-    if np.any(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > 1e-12):
-        raise ValidationError("extract_factors expects unit vectors")
-    t = rows.shape[0]
-    factors = []
-    current = rows
-    for d in dims[:-1]:
-        res = svd(current.reshape(t, d, -1))
-        factors.append(res.u[:, :, 0])
-        current = res.v[:, :, 0].conj()
-    factors.append(current)
-    product = factors[0]
-    for f in factors[1:]:
-        product = (product[:, :, None] * f[:, None, :]).reshape(t, -1)
-    coeff = np.einsum("ij,ij->i", product.conj(), rows)
-    factors[0] = factors[0] * np.exp(1j * np.angle(coeff))[:, None]
-    score = np.linalg.norm(rows - coeff[:, None] * product, axis=1)
-    if single:
-        return [f[0] for f in factors], float(score[0])
-    return [f.T for f in factors], score
-
-
 def _random_combination(matrices, rng):
     """sum_j w_j D_j for random unit complex weights w."""
     w = rng.standard_normal(len(matrices)) + 1j * rng.standard_normal(len(matrices))
@@ -203,17 +165,23 @@ def _pick_mass(deltas: OperatorDeterminants, rng):
 
 def solve_mep(problem: MepProblem, seed: int = 0) -> list[EigenTuple]:
     """All N = n_1*...*n_k tuples of a square problem, multiplicities kept,
-    with the vectors factored from each Kronecker eigenvector (residual None).
+    each with the null vectors of its own pencils (residual None).
 
     Deterministic for a fixed seed (which drives the random mass-matrix
     weights and the tuple-splitting combination).
     """
-    values, z = solve_from_determinants(operator_determinants(problem), seed=seed)
-    factors, _ = extract_factors(z, problem.dims)
-    return [
-        EigenTuple(value=HomogeneousEigenvalue.from_vector(v), vectors=tuple(f[:, j] for f in factors))
-        for j, v in enumerate(values)
-    ]
+    coords = solve_from_determinants(operator_determinants(problem), seed=seed)
+    values = [HomogeneousEigenvalue.from_vector(v) for v in coords]
+    return tuples_from_pencils(problem, values, [v.coefficients for v in values])
+
+
+def tuples_from_pencils(problem: RmepProblem, values, c) -> list[EigenTuple]:
+    """One EigenTuple per value (residual None) whose vector x_i is the
+    smallest right singular vector of the pencil sum_j c_tj S_ij, with row t
+    of the T x (k+1) coefficients `c` belonging to values[t].  One batched
+    SVD per block serves all T tuples."""
+    vectors = [svd(blk.pencil(c)).v[:, :, -1] for blk in problem.blocks]
+    return [EigenTuple(value, tuple(x[t] for x in vectors)) for t, value in enumerate(values)]
 
 
 def _least_squares_quotients(matrices, mz, z) -> np.ndarray:
@@ -230,10 +198,9 @@ def _column_vdots(w, x, out):
     return out.sum(axis=0).conj()
 
 
-def solve_from_determinants(deltas: OperatorDeterminants, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(values, Z): the N tuples as the rows of an N x (k+1) array of
-    homogeneous coordinates (gamma, alpha_1, ..., alpha_k), not normalized,
-    and their Kronecker eigenvectors as the unit columns of Z (N x N)."""
+def solve_from_determinants(deltas: OperatorDeterminants, seed: int = 0) -> np.ndarray:
+    """The N tuples as the rows of an N x (k+1) array of homogeneous
+    coordinates (gamma, alpha_1, ..., alpha_k), not normalized."""
     rng = np.random.default_rng(seed)
     mass, _ = _pick_mass(deltas, rng)
     pencil = gep(_random_combination(deltas.matrices, rng), mass)
@@ -254,4 +221,4 @@ def solve_from_determinants(deltas: OperatorDeterminants, seed: int = 0) -> tupl
     )
     for j in np.flatnonzero(left_unusable):
         values[j] = _least_squares_quotients(deltas.matrices, mz_all[:, j], z_all[:, j])
-    return values, z_all
+    return values

@@ -175,10 +175,6 @@ class HomogeneousEigenvalue:
         object.__setattr__(self, "alphas", alphas)
 
     @property
-    def k(self) -> int:
-        return self.alphas.size
-
-    @property
     def coefficients(self) -> np.ndarray:
         """(gamma, -alpha_1, ..., -alpha_k), the pencil coefficients of this value."""
         return np.concatenate(([self.gamma], -self.alphas))

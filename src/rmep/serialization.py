@@ -69,19 +69,24 @@ def to_json_dict(problem: RmepProblem) -> dict:
 
 
 def from_json_dict(doc: dict) -> RmepProblem:
-    if doc.get("format") != FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValidationError(f"not a {FORMAT_NAME} document")
     if doc.get("version") != FORMAT_VERSION:
         raise ValidationError(f"unsupported version {doc.get('version')}")
-    k = int(doc["k"])
-    blocks = []
-    for entry in doc["blocks"]:
-        m, n = int(entry["rows"]), int(entry["cols"])
-        a = _decode_matrix(entry["a"], m, n)
-        bs = [_decode_matrix(bi, m, n) for bi in entry["b"]]
-        if len(bs) != k:
-            raise ValidationError(f"block has {len(bs)} parameter matrices, expected {k}")
-        blocks.append(EquationBlock(a=a, b=tuple(bs)))
+    try:
+        k = int(doc["k"])
+        blocks = []
+        for entry in doc["blocks"]:
+            m, n = int(entry["rows"]), int(entry["cols"])
+            a = _decode_matrix(entry["a"], m, n)
+            bs = [_decode_matrix(bi, m, n) for bi in entry["b"]]
+            if len(bs) != k:
+                raise ValidationError(f"block has {len(bs)} parameter matrices, expected {k}")
+            blocks.append(EquationBlock(a=a, b=tuple(bs)))
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed {FORMAT_NAME} document: {type(exc).__name__}: {exc}") from exc
     cls = MepProblem if doc.get("kind") == "mep" else RmepProblem
     return cls(blocks=tuple(blocks))
 
@@ -91,7 +96,11 @@ def save_json(problem: RmepProblem, path) -> None:
 
 
 def load_json(path) -> RmepProblem:
-    return from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise ValidationError(f"{path} is not a JSON file: {exc}") from exc
+    return from_json_dict(doc)
 
 
 def save_binary(problem: RmepProblem, path) -> None:
@@ -105,17 +114,22 @@ def save_binary(problem: RmepProblem, path) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
+def _unpack(fmt: str, data: bytes, off: int):
+    """(fields, offset after them) of `fmt` read at `off`."""
+    end = off + struct.calcsize(fmt)
+    if end > len(data):
+        raise ValidationError("truncated binary problem file")
+    return struct.unpack_from(fmt, data, off), end
+
+
 def load_binary(path) -> RmepProblem:
     data = Path(path).read_bytes()
     if len(data) < 16 or data[:16] != BINARY_MAGIC:
         raise ValidationError("bad magic header; not a binary problem file")
-    off = 16
-    kind, k = struct.unpack_from("<BI", data, off)
-    off += struct.calcsize("<BI")
+    (kind, k), off = _unpack("<BI", data, 16)
     blocks = []
     for _ in range(k):
-        m, n = struct.unpack_from("<II", data, off)
-        off += struct.calcsize("<II")
+        (m, n), off = _unpack("<II", data, off)
         mats = []
         nbytes = 16 * m * n
         for _ in range(k + 1):

@@ -11,8 +11,8 @@ perturbed problem into the square multiparameter problem
 
 whose N = n_1*...*n_k tuples are the complete set of approximate
 eigen-tuples for the rectangular problem.  `solve_complete` takes their
-values from it and refits each finite tuple's vectors against the original
-blocks, one batched SVD per block.  When additionally
+values from it and each tuple's vectors from its own pencils on the
+original blocks, one batched SVD per block.  When additionally
 ||V_11||_2 < 1, the minimal cost is attained and explicit coupling matrices
 X_is with A^_i = sum_s B^_is X_is exist; they are built from a column-pivoted
 QR of V_12.
@@ -157,42 +157,27 @@ def reduced_mep(truncations: list[BlockTruncation]) -> MepProblem:
     return MepProblem(blocks=tuple(blocks))
 
 
-def _best_vector_for(blk: EquationBlock, c) -> np.ndarray:
-    """Smallest right singular vectors of the pencils sum_j c_tj S_j, one
-    row per row of the T x (k+1) coefficients `c`, from one batched SVD."""
-    return svd(blk.pencil(c)).v[:, :, -1].copy()
-
-
 def solve_complete(problem: RmepProblem, seed: int = 0) -> list[EigenTuple]:
     """All N approximate eigen-tuples, ordered by ascending total residual.
 
-    The reduced square problem supplies the eigenvalues.  Each finite tuple's
-    vectors are then re-derived against the original rectangular blocks as
-    the smallest right singular vectors of A_i - sum_s lambda_s B_is: given
-    the eigenvalue, these are the unit vectors minimizing the residual being
-    reported, and they stay accurate when the lifted pencil is so ill
-    conditioned that the raw Kronecker eigenvectors lose most digits.  The
-    refit is one batched SVD per block over all finite tuples.  Tuples with
-    gamma at/below the infinite-eigenvalue threshold sort last with residual
-    None; only their Kronecker eigenvectors are factored into vectors.
+    The reduced square problem supplies the eigenvalues.  Each tuple's
+    vectors are then derived against the original rectangular blocks as the
+    smallest right singular vectors of its pencils, one batched SVD per block
+    over all tuples (`mep.tuples_from_pencils`): for a finite tuple the
+    pencils are A_i - sum_s lambda_s B_is, whose singular vectors are the
+    unit vectors minimizing the residual being reported, and they stay
+    accurate when the lifted pencil is so ill conditioned that its
+    eigenvectors lose most digits.  Tuples with gamma at/below the
+    infinite-eigenvalue threshold use gamma A_i - sum_s alpha_s B_is and sort
+    last with residual None.
     """
     reduced = reduced_mep(truncate_blocks(problem))
-    coords, z = mep.solve_from_determinants(mep.operator_determinants(reduced), seed=seed)
+    coords = mep.solve_from_determinants(mep.operator_determinants(reduced), seed=seed)
     values = [HomogeneousEigenvalue.from_vector(v) for v in coords]
-    finite = [j for j, v in enumerate(values) if v.is_finite()]
-    infinite = [j for j, v in enumerate(values) if not v.is_finite()]
-    tuples = []
-    if finite:
-        c = np.array([np.concatenate(([1.0], -dehomogenize(values[j]))) for j in finite])
-        refit = [_best_vector_for(blk, c) for blk in problem.blocks]
-        for t, j in enumerate(finite):
-            tup = EigenTuple(value=values[j], vectors=tuple(x[t] for x in refit))
-            tuples.append(EigenTuple(tup.value, tup.vectors, residual=normalized_residual(problem, tup)[1]))
-        tuples.sort(key=lambda t: t.residual)
-    if infinite:
-        factors, _ = mep.extract_factors(z[:, infinite], reduced.dims)
-        tuples += [EigenTuple(values[j], tuple(f[:, t] for f in factors)) for t, j in enumerate(infinite)]
-    return tuples
+    c = [np.concatenate(([1.0], -dehomogenize(v))) if v.is_finite() else v.coefficients for v in values]
+    tuples = mep.tuples_from_pencils(problem, values, c)
+    finite = [EigenTuple(t.value, t.vectors, normalized_residual(problem, t)[1]) for t in tuples if t.value.is_finite()]
+    return sorted(finite, key=lambda t: t.residual) + [t for t in tuples if not t.value.is_finite()]
 
 
 def write_complete_csv(problem: RmepProblem, tuples, fileobj) -> None:

@@ -21,6 +21,26 @@ def random_problem(rng, m, n, k, square=False):
     return cls(blocks=tuple(blocks))
 
 
+def shared_b_problem():
+    """Square k = 2 problem whose blocks share (B_1, B_2), so D_0 is singular:
+    two finite and two infinite tuples."""
+    rng = np.random.default_rng(0)
+    b1, b2 = crandn(rng, 2, 2), crandn(rng, 2, 2)
+    return MepProblem(blocks=tuple(EquationBlock(a=crandn(rng, 2, 2), b=(b1, b2)) for _ in range(2)))
+
+
+def pencil_vector_error(problem, t):
+    """Largest distance, up to phase, of t's vectors from numpy's smallest
+    right singular vectors of gamma A_i - sum_s alpha_s B_is."""
+    worst = 0.0
+    for blk, x in zip(problem.blocks, t.vectors):
+        pencil = t.value.gamma * blk.a - sum(a * b for a, b in zip(t.value.alphas, blk.b))
+        v = np.linalg.svd(pencil)[2][-1].conj()
+        overlap = np.vdot(v, x)
+        worst = max(worst, float(np.linalg.norm(x - v * overlap / abs(overlap))))
+    return worst
+
+
 def match_multisets(left, right):
     """Greedy-pair two equal-length complex point sets; returns max pair distance.
 

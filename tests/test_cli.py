@@ -8,7 +8,7 @@ import pytest
 
 from rmep.cli import main
 from rmep.model import random_planted_problem
-from rmep.serialization import save_binary, save_json
+from rmep.serialization import save_binary, save_json, to_json_dict
 
 
 def read_csv(path):
@@ -150,6 +150,49 @@ def test_config_values_of_wrong_type_are_config_errors(tmp_path, capsys, command
     cfg.write_text(json.dumps(config))
     assert main(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("key", ["max-iters", "max_iters"])
+def test_config_keys_match_flag_or_dest_spelling(tmp_path, key):
+    p, _ = random_planted_problem([8, 8], [3, 3], 0.05, seed=1)
+    inp = tmp_path / "problem.json"
+    save_json(p, inp)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    assert main(["solve-one", str(inp), "--config", str(cfg), "--out", str(tmp_path), "--no-timestamp"]) == 0
+    assert json.loads((tmp_path / "eigen_tuple.json").read_text())["iterations"] == 1
+
+
+def test_unknown_config_key_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1, "max-iter": 1}))
+    assert main(["bench-random", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "'max-iter' is not an option of bench-random" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _valid_json_doc():
+    p, _ = random_planted_problem([6, 6], [2, 2], 0.0, seed=3)
+    return to_json_dict(p)
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("p.json", b"{not json"),
+        ("p.json", b"[1, 2, 3]"),
+        ("p.json", json.dumps({k: v for k, v in _valid_json_doc().items() if k != "blocks"}).encode()),
+        ("p.json", json.dumps({**_valid_json_doc(), "k": "x"}).encode()),
+        ("p.bin", b"RMEP-PROBLEM-v1\x00"),
+    ],
+    ids=["invalid-json", "top-level-list", "missing-blocks", "k-not-integer", "binary-cut-after-magic"],
+)
+def test_malformed_problem_file_is_config_error(tmp_path, capsys, name, content):
+    inp = tmp_path / name
+    inp.write_bytes(content)
+    assert main(["solve-complete", str(inp), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from rmep.errors import CapacityError, IrregularMepError, ValidationError
+from rmep.errors import CapacityError, IrregularMepError
 from rmep import mep
-from rmep.mep import (
-    extract_factors,
-    operator_determinants,
-    solve_mep,
-)
+from rmep.mep import operator_determinants, solve_mep
 from rmep.model import EquationBlock, MepProblem, dehomogenize
 
-from conftest import crandn, match_multisets, random_problem
+from conftest import crandn, match_multisets, pencil_vector_error, random_problem, shared_b_problem
 
 
 def mep_from(blocks):
@@ -274,6 +268,17 @@ class TestSolveMep:
         bounded = [r for r in resultant_oracle(p) if max(abs(r[0]), abs(r[1])) < 1e3]
         assert match_multisets(finite, bounded) < 1e-8
 
+    def test_vectors_are_smallest_singular_vectors_of_own_pencils(self):
+        # includes the infinite tuples of the shared-(B_1, B_2) problem and k = 3
+        problems = [shared_b_problem(), random_problem(np.random.default_rng(70), 2, 2, 3, square=True)]
+        problems += [random_problem(np.random.default_rng(60 + trial), 3, 3, 2, square=True) for trial in range(3)]
+        for p in problems:
+            sols = solve_mep(p, seed=0)
+            assert len(sols) == p.total_dim
+            for sol in sols:
+                assert sol.residual is None
+                assert pencil_vector_error(p, sol) <= 1e-12
+
     def test_irregular_raises(self):
         zero = np.zeros((2, 2))
         p = mep_from([(zero, zero, zero), (zero, zero, zero)])
@@ -286,70 +291,3 @@ class TestSolveMep:
         a = [dehomogenize(s.value) for s in solve_mep(p, seed=3)]
         b = [dehomogenize(s.value) for s in solve_mep(p, seed=3)]
         assert np.array_equal(np.array(a), np.array(b))
-
-
-class TestExtractFactors:
-    def test_elementary_product(self):
-        e1 = np.zeros(2)
-        e1[0] = 1.0
-        e2 = np.zeros(3)
-        e2[1] = 1.0
-        factors, score = extract_factors(np.kron(e1, e2), (2, 3))
-        assert score <= 10 * np.finfo(float).eps
-        assert abs(abs(factors[0][0]) - 1.0) < 1e-14
-        assert abs(abs(factors[1][1]) - 1.0) < 1e-14
-
-    def test_maximally_entangled(self):
-        z = np.zeros(4)
-        z[0] = z[3] = 1 / np.sqrt(2)
-        _, score = extract_factors(z, (2, 2))
-        assert abs(score - 1 / np.sqrt(2)) < 1e-12
-
-    def test_random_product_recovery(self):
-        rng = np.random.default_rng(11)
-        for dims in [(3, 4), (2, 3, 2)]:
-            xs = [crandn(rng, d) for d in dims]
-            xs = [x / np.linalg.norm(x) for x in xs]
-            z = xs[0]
-            for x in xs[1:]:
-                z = np.kron(z, x)
-            factors, score = extract_factors(z, dims)
-            assert score <= 1e-12
-            rebuilt = factors[0]
-            for f in factors[1:]:
-                rebuilt = np.kron(rebuilt, f)
-            # phase-aligned reconstruction, not merely up to phase
-            assert np.linalg.norm(rebuilt - z) <= 1e-12
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValidationError):
-            extract_factors(np.ones(4), (2, 2))
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
-        t=st.integers(1, 6),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_batched_matches_single_columns(self, dims, t, seed):
-        rng = np.random.default_rng(seed)
-        columns = []
-        for _ in range(t):
-            z = np.ones(1)
-            for d in dims:
-                x = crandn(rng, d)
-                z = np.kron(z, x / np.linalg.norm(x))
-            columns.append(z)
-        z = np.stack(columns, axis=1)
-        factors, scores = extract_factors(z, dims)
-        assert [f.shape for f in factors] == [(d, t) for d in dims] and scores.shape == (t,)
-        for j in range(t):
-            single, score = extract_factors(z[:, j], dims)
-            for f, g in zip(factors, single):
-                assert np.linalg.norm(f[:, j] - g) <= 1e-14
-            assert abs(scores[j] - score) <= 1e-14 and score <= 1e-12
-            rebuilt = np.ones(1)
-            for g in single:
-                rebuilt = np.kron(rebuilt, g)
-            # phase-aligned reconstruction, not merely up to phase
-            assert np.linalg.norm(rebuilt - z[:, j]) <= 1e-12

@@ -68,6 +68,17 @@ class TestBuildBasis:
             expected = (3.0 / 2.0) * (1.0 - 1.0 / (4.0 * j * j - 1.0))
             assert abs(val - expected) <= 1e-10 * abs(expected)
 
+    def test_odd_node_count_rule_is_exact(self):
+        # oversampling 3 at n = 5 gives 15 nodes, the even-degree branch of
+        # the Clenshaw-Curtis weights; 15 nodes integrate t^j exactly to j = 14
+        a, b = 0.5, 2.0
+        basis = build_basis((a, b), 5, oversampling=3)
+        assert basis.nodes.size == 15
+        assert abs(basis.weights.sum() - (b - a)) <= 1e-14
+        for j in range(15):
+            exact = (b ** (j + 1) - a ** (j + 1)) / (j + 1)
+            assert abs(basis.weights @ basis.nodes**j - exact) <= 1e-13 * exact
+
     def test_rejects_tiny_n(self):
         with pytest.raises(ValidationError):
             build_basis((0.0, 1.0), 3)

@@ -1,8 +1,8 @@
+import csv
 import io
 
 import numpy as np
 
-from rmep import mep
 from rmep.linalg import gep, svd
 from rmep.model import (
     EquationBlock,
@@ -23,7 +23,7 @@ from rmep.tsvd import (
     write_complete_csv,
 )
 
-from conftest import EPS, crandn, match_multisets, random_problem
+from conftest import EPS, crandn, match_multisets, pencil_vector_error, random_problem, shared_b_problem
 
 
 class TestTruncateBlocks:
@@ -182,24 +182,13 @@ class TestSolveComplete:
         assert len(ours) == len(finite)
         assert match_multisets(ours, finite) < 1e-8
 
-    def test_factors_only_infinite_tuples(self, monkeypatch):
-        calls = []
-        original = mep.extract_factors
-        def spy(z, dims):
-            calls.append(np.shape(z))
-            return original(z, dims)
-        monkeypatch.setattr(mep, "extract_factors", spy)
-        # blocks sharing (B_1, B_2): two finite and two infinite tuples
-        rng = np.random.default_rng(0)
-        b1, b2 = crandn(rng, 2, 2), crandn(rng, 2, 2)
-        p = MepProblem(blocks=tuple(EquationBlock(a=crandn(rng, 2, 2), b=(b1, b2)) for _ in range(2)))
+    def test_infinite_tuples_last_with_own_pencil_vectors(self):
+        p = shared_b_problem()
         tuples = solve_complete(p, seed=0)
-        assert calls == [(4, 2)]
         assert [t.residual is None for t in tuples] == [False, False, True, True]
-        calls.clear()
-        p, _ = random_planted_problem([12, 12], [3, 3], 0.01, seed=16)
-        tuples = solve_complete(p, seed=0)
-        assert all(t.residual is not None for t in tuples) and calls == []
+        assert all(not t.value.is_finite() for t in tuples[2:])
+        for t in tuples:
+            assert pencil_vector_error(p, t) <= 1e-12
 
     def test_finite_vectors_are_smallest_singular_vectors(self):
         p, _ = random_planted_problem([14, 12], [4, 3], 0.05, seed=17)
@@ -218,3 +207,18 @@ class TestSolveComplete:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "j,re_lambda1,im_lambda1,re_lambda2,im_lambda2,gamma,rho,rho_1,rho_2"
         assert len(lines) == 1 + 4
+
+    def test_csv_infinite_rows_carry_raw_alphas(self):
+        p = shared_b_problem()
+        tuples = solve_complete(p, seed=0)
+        buf = io.StringIO()
+        write_complete_csv(p, tuples, buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
+        assert [r[0] for r in rows] == ["1", "2", "3", "4"]
+        for row, t in zip(rows[2:], tuples[2:]):
+            alphas = [complex(float(row[1 + 2 * s]), float(row[2 + 2 * s])) for s in range(2)]
+            assert alphas == list(t.value.alphas)
+            assert float(row[5]) == t.value.gamma
+            assert row[6:] == ["inf", "inf", "inf"]
+        for row in rows[:2]:
+            assert all(np.isfinite(float(v)) for v in row[5:])
