@@ -21,10 +21,17 @@ exact block minimizers:
     S_i = [A_i x_i, -B_i1 x_i, ..., -B_ik x_i], so the optimal v is the
     eigenvector of its smallest eigenvalue.
 
-Consequently the objective is non-increasing across sweeps, which the trace
-records and the tests check.  The minimizing state also yields the smallest
-perturbation of the problem data that makes the tuple an exact solution; its
-squared Frobenius cost equals the objective value.
+Every sweep after the first then tries one extrapolation of the vectors,
+x_e,i = normalize(x_i + beta (x_i - phi_i x'_i)), with x' the state the
+previous sweep kept and phi_i the unit phase of <x'_i, x_i>, and takes the
+optimal v for x_e from H(x_e).  The move is kept only when it lowers theta;
+beta grows after a kept move and shrinks after a rejected one (Rajih, Comon
+& Harshman, SIMAX 2008).  Each sweep starts from the state the previous one
+kept, whose theta is its objective, and neither exact half-step can raise
+it.  Consequently the objective is non-increasing across sweeps, which the
+trace records and the tests check.  The minimizing state also yields the
+smallest perturbation of the problem data that makes the tuple an exact
+solution; its squared Frobenius cost equals the objective value.
 """
 
 from __future__ import annotations
@@ -63,6 +70,9 @@ STATUS_STAGNATED = "stagnated"
 # Normalized KKT residual above which a run that met the objective-change
 # rule is reported as stagnated rather than converged.
 STAGNATION_KKT = 1e-4
+# Extrapolation step: starts at BETA_START, grows by BETA_GROW after a kept
+# move up to BETA_MAX, and halves after a rejected one down to BETA_MIN.
+BETA_START, BETA_GROW, BETA_MAX, BETA_MIN = 1.0, 1.5, 8.0, 0.5
 
 
 @dataclass(frozen=True)
@@ -92,12 +102,14 @@ class AlternatingConfig:
 
 @dataclass
 class AlternatingTrace:
-    """Per-sweep objective values and KKT residuals, and convergence diagnostics."""
+    """Per-sweep objective values and KKT residuals, convergence diagnostics
+    and the number of sweeps that kept their extrapolated state."""
 
     objectives: list[float] = field(default_factory=list)
     kkt: list[float] = field(default_factory=list)
     final_kkt: float | None = None
     iterations: int = 0
+    extrapolations: int = 0
     status: str = STATUS_BUDGET
     likely_infimum: bool = False
 
@@ -195,11 +207,25 @@ def reconstruct_perturbation(problem: RmepProblem, value: HomogeneousEigenvalue,
 
 def _run(problem, value, cfg):
     trace = AlternatingTrace()
-    xs = None
+    xs = kept = None
+    beta = BETA_START
     for _ in range(cfg.max_iters):
         xs = _vector_step(problem, value, xs)
         h = build_gram(problem, xs)
         theta, value = best_value(h)
+        if kept is not None:
+            # ||y|| >= 1 for unit x and x_old, since beta > 0.
+            ys = [x + beta * (x - x_old * np.exp(1j * np.angle(np.vdot(x_old, x)))) for x, x_old in zip(xs, kept)]
+            xe = [y / np.linalg.norm(y) for y in ys]
+            he = build_gram(problem, xe)
+            theta_e, value_e = best_value(he)
+            if theta_e < theta:
+                xs, h, theta, value = xe, he, theta_e, value_e
+                trace.extrapolations += 1
+                beta = min(beta * BETA_GROW, BETA_MAX)
+            else:
+                beta = max(beta / 2.0, BETA_MIN)
+        kept = xs
         trace.objectives.append(theta)
         trace.iterations += 1
         trace.kkt.append(_kkt_residual(problem, value, xs, h))
@@ -222,11 +248,14 @@ def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None):
 
         |theta_{j+1} - theta_j| <= (theta_{j+1} + 1) * rel_tol
 
-    fires or the sweep budget runs out.  Returns (tuple, perturbation, trace);
-    the returned EigenTuple carries the finite residual when gamma clears the
-    infinite-eigenvalue threshold, and `trace.likely_infimum` is set when it
-    does not (the optimum is then approached but not attained by any finite
-    eigenvalue tuple).
+    fires or the sweep budget runs out.  From the second sweep on, each
+    sweep also tries one extrapolation of the vectors past the previous
+    sweep's state and keeps it only when it lowers theta, so the objective
+    still never rises (see the module docstring).  Returns (tuple,
+    perturbation, trace); the returned EigenTuple carries the finite
+    residual when gamma clears the infinite-eigenvalue threshold, and
+    `trace.likely_infimum` is set when it does not (the optimum is then
+    approached but not attained by any finite eigenvalue tuple).
     """
     cfg = cfg or AlternatingConfig()
     if cfg.initial_lambdas is None:

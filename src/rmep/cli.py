@@ -119,8 +119,7 @@ def _merge_options(args: argparse.Namespace) -> dict:
     for key, value in vars(args).items():
         if key != "config" and value is not None and value is not False:
             options[key] = value
-    options.setdefault("out", Path("."))
-    options["out"] = Path(options["out"])
+    options["out"] = _convert(options.get("out", "."), Path, "out")
     return options
 
 
@@ -155,7 +154,7 @@ def _convert(value, kind, option: str):
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        expected = "an integer" if kind is int else "a number"
+        expected = {int: "an integer", float: "a number"}.get(kind, "a path")
         raise ValidationError(f"--{option} expects {expected}, got {value!r}") from exc
 
 
@@ -189,6 +188,7 @@ def _cmd_solve_one(opt: dict) -> int:
         "status": trace.status,
         "likely_infimum": trace.likely_infimum,
         "iterations": trace.iterations,
+        "extrapolations": trace.extrapolations,
         "perturbation_cost": pset.cost,
         "vectors": [[[z.real, z.imag] for z in x] for x in tup.vectors],
     }

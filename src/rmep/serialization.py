@@ -68,16 +68,25 @@ def to_json_dict(problem: RmepProblem) -> dict:
     }
 
 
+def _integer(entry: dict, key: str) -> int:
+    """entry[key], which must be a JSON integer (not a bool or a float)."""
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def from_json_dict(doc: dict) -> RmepProblem:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValidationError(f"not a {FORMAT_NAME} document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValidationError(f"unsupported version {doc.get('version')}")
+    version = doc.get("version")
+    if isinstance(version, bool) or version != FORMAT_VERSION:
+        raise ValidationError(f"unsupported version {version!r}")
     try:
-        k = int(doc["k"])
+        k = _integer(doc, "k")
         blocks = []
         for entry in doc["blocks"]:
-            m, n = int(entry["rows"]), int(entry["cols"])
+            m, n = _integer(entry, "rows"), _integer(entry, "cols")
             a = _decode_matrix(entry["a"], m, n)
             bs = [_decode_matrix(bi, m, n) for bi in entry["b"]]
             if len(bs) != k:
@@ -98,6 +107,8 @@ def save_json(problem: RmepProblem, path) -> None:
 def load_json(path) -> RmepProblem:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:  # a directory, a file without read permission
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise ValidationError(f"{path} is not a JSON file: {exc}") from exc
     return from_json_dict(doc)
@@ -123,7 +134,10 @@ def _unpack(fmt: str, data: bytes, off: int):
 
 
 def load_binary(path) -> RmepProblem:
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     if len(data) < 16 or data[:16] != BINARY_MAGIC:
         raise ValidationError("bad magic header; not a binary problem file")
     (kind, k), off = _unpack("<BI", data, 16)

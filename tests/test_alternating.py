@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmep.alternating import (
     AlternatingConfig,
@@ -231,6 +233,32 @@ class TestSolveOne:
         assert np.array_equal(t1.value.alphas, t2.value.alphas) and t1.value.gamma == t2.value.gamma
         assert pset1.cost == pset2.cost
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(1, 2),
+        n=st.integers(1, 8),
+        extra=st.integers(1, 4),
+        max_iters=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_descent_and_certificate_property(self, k, n, extra, max_iters, seed):
+        # Blocks are strictly tall (m > n), so theta stays clear of the
+        # rounding floor of eigh and a relative comparison is meaningful.
+        p = random_problem(np.random.default_rng(seed), n + extra, n, k)
+        tup, pset, trace = solve_one(p, AlternatingConfig(max_iters=max_iters))
+        th = trace.objectives
+        for a, b in zip(th, th[1:]):
+            assert b <= a + 1e2 * EPS * (1.0 + a)
+        objective = homogeneous_residual(p, tup)
+        for other in (th[-1], objective):
+            assert abs(pset.cost - other) <= 1e-10 * other
+        if tup.value.is_finite():
+            lam = dehomogenize(tup.value)
+            for blk, x in zip(pset.blocks, tup.vectors):
+                r = blk.a @ x - sum(l * (bi @ x) for l, bi in zip(lam, blk.b))
+                scale = np.linalg.norm(blk.a) + sum(abs(l) * np.linalg.norm(bi) for l, bi in zip(lam, blk.b))
+                assert np.linalg.norm(r) <= 1e-12 * scale
+
     def test_trace_csv(self):
         p = scalar_problem()
         _, _, trace = solve_one(p)
@@ -300,62 +328,85 @@ class TestReconstructPerturbation:
             assert abs(perturbation_cost(p, pset) - pset.cost) <= 1e-12 * max(pset.cost, 1e-300)
 
 
+def _reference_value(columns):
+    """theta and (gamma, alpha_1, ..., alpha_k) from the stacked columns
+    S_i = [A_i x_i, -B_i1 x_i, ...] of every block, with eigh."""
+    h = sum(s.conj().T @ s for s in columns)
+    h = (h + h.conj().T) / 2
+    w, v = np.linalg.eigh(h)
+    vec = v[:, 0]
+    phase = vec[0] / abs(vec[0]) if abs(vec[0]) > 1e-14 else 1.0
+    vec = vec * np.conj(phase)
+    return float(w[0]), np.concatenate(([abs(vec[0].real)], vec[1:]))
+
+
+def _reference_loop(blocks, sweeps):
+    """Plain alternation over (A_i, (B_i1, ..., B_ik)) blocks plus the
+    extrapolation rule of `solve_one`, coded apart from rmep: each x_i is
+    numpy's full-SVD smallest right singular vector, the value comes from
+    eigh, and one extrapolation per sweep after the first is kept only
+    when it lowers theta, its step growing x1.5 (up to 8) after a kept
+    move and halving (down to 0.5) after a rejected one.  Returns the
+    per-sweep thetas and the counts of kept and rejected moves."""
+    k = len(blocks)
+    coeffs = np.zeros(k + 1, dtype=np.complex128)
+    coeffs[0] = 1.0
+
+    def columns(xs):
+        return [np.column_stack([a @ x] + [-(b @ x) for b in bs]) for (a, bs), x in zip(blocks, xs)]
+
+    thetas, kept, beta, accepted, rejected = [], None, 1.0, 0, 0
+    for _ in range(sweeps):
+        xs = []
+        for a, bs in blocks:
+            pencil = coeffs[0] * a - sum(c * b for c, b in zip(coeffs[1:], bs))
+            xs.append(np.linalg.svd(pencil)[2][-1, :].conj())
+        theta, coeffs = _reference_value(columns(xs))
+        if kept is not None:
+            xe = []
+            for x, x_old in zip(xs, kept):
+                overlap = np.vdot(x_old, x)
+                y = x + beta * (x - x_old * overlap / abs(overlap))
+                xe.append(y / np.linalg.norm(y))
+            theta_e, coeffs_e = _reference_value(columns(xe))
+            if theta_e < theta:
+                xs, theta, coeffs = xe, theta_e, coeffs_e
+                beta, accepted = min(1.5 * beta, 8.0), accepted + 1
+            else:
+                beta, rejected = max(beta / 2, 0.5), rejected + 1
+        kept = xs
+        thetas.append(theta)
+    return thetas, accepted, rejected
+
+
 class TestRgepSpecialization:
     def test_matches_independent_rgep_loop(self):
         """For k = 1 the sweep must match a separately coded rectangular-pencil
-        alternation, iterate for iterate."""
+        alternation with the same extrapolation rule, iterate for iterate."""
         rng = np.random.default_rng(12)
         a, b = crandn(rng, 7, 4), crandn(rng, 7, 4)
         p = RmepProblem(blocks=(EquationBlock(a=a, b=(b,)),))
-
-        gamma, alpha = 1.0, 0.0 + 0.0j
-        thetas = []
-        for _ in range(25):
-            pencil = gamma * a - alpha * b
-            _, _, vh = np.linalg.svd(pencil)
-            x = vh[-1, :].conj()
-            s = np.column_stack([a @ x, -(b @ x)])
-            h = s.conj().T @ s
-            h = (h + h.conj().T) / 2
-            w, v = np.linalg.eigh(h)
-            vec = v[:, 0]
-            phase = vec[0] / abs(vec[0]) if abs(vec[0]) > 1e-14 else 1.0
-            vec = vec * np.conj(phase)
-            gamma, alpha = abs(vec[0].real), vec[1]
-            thetas.append(float(w[0]))
+        thetas, accepted, rejected = _reference_loop([(a, (b,))], 25)
+        assert accepted >= 1 and rejected >= 1
 
         cfg = AlternatingConfig(max_iters=25, rel_tol=1e-300)
         _, _, trace = solve_one(p, cfg)
         assert len(trace.objectives) == 25
+        assert trace.extrapolations == accepted
         for ours, ref in zip(trace.objectives, thetas):
             assert abs(ours - ref) <= 1e-12 * (1.0 + abs(ref))
 
     def test_k2_matches_independent_svd_loop(self):
         """For k = 2 the sweep must match a separately coded alternation that
-        takes each x_i from a full SVD, iterate for iterate."""
+        takes each x_i from a full SVD, with the same extrapolation rule,
+        iterate for iterate."""
         p = random_problem(np.random.default_rng(14), 40, 32, 2)
-
-        coeffs = np.array([1.0, 0.0, 0.0], dtype=np.complex128)  # (gamma, alpha_1, alpha_2)
-        thetas = []
-        for _ in range(25):
-            h = np.zeros((3, 3), dtype=np.complex128)
-            for blk in p.blocks:
-                a, (b1, b2) = blk.a, blk.b
-                pencil = coeffs[0] * a - coeffs[1] * b1 - coeffs[2] * b2
-                _, _, vh = np.linalg.svd(pencil)
-                x = vh[-1, :].conj()
-                s = np.column_stack([a @ x, -(b1 @ x), -(b2 @ x)])
-                h += s.conj().T @ s
-            h = (h + h.conj().T) / 2
-            w, v = np.linalg.eigh(h)
-            vec = v[:, 0]
-            phase = vec[0] / abs(vec[0]) if abs(vec[0]) > 1e-14 else 1.0
-            vec = vec * np.conj(phase)
-            coeffs = np.array([abs(vec[0].real), vec[1], vec[2]])
-            thetas.append(float(w[0]))
+        thetas, accepted, rejected = _reference_loop([(blk.a, blk.b) for blk in p.blocks], 25)
+        assert accepted >= 1 and rejected >= 1
 
         cfg = AlternatingConfig(max_iters=25, rel_tol=1e-300)
         _, _, trace = solve_one(p, cfg)
         assert len(trace.objectives) == 25
+        assert trace.extrapolations == accepted
         for ours, ref in zip(trace.objectives, thetas):
             assert abs(ours - ref) <= 1e-12 * (1.0 + abs(ref))

@@ -161,7 +161,8 @@ def test_config_keys_match_flag_or_dest_spelling(tmp_path, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: 1}))
     assert main(["solve-one", str(inp), "--config", str(cfg), "--out", str(tmp_path), "--no-timestamp"]) == 0
-    assert json.loads((tmp_path / "eigen_tuple.json").read_text())["iterations"] == 1
+    doc = json.loads((tmp_path / "eigen_tuple.json").read_text())
+    assert doc["iterations"] == 1 and doc["extrapolations"] == 0
 
 
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
@@ -177,6 +178,14 @@ def _valid_json_doc():
     return to_json_dict(p)
 
 
+def _scalar_json_doc_with_bool_rows():
+    from rmep.model import EquationBlock, RmepProblem
+
+    doc = to_json_dict(RmepProblem(blocks=(EquationBlock(a=[[2.0]], b=([[1.0]],)),)))
+    doc["blocks"][0]["rows"] = True
+    return doc
+
+
 @pytest.mark.parametrize(
     "name, content",
     [
@@ -184,9 +193,13 @@ def _valid_json_doc():
         ("p.json", b"[1, 2, 3]"),
         ("p.json", json.dumps({k: v for k, v in _valid_json_doc().items() if k != "blocks"}).encode()),
         ("p.json", json.dumps({**_valid_json_doc(), "k": "x"}).encode()),
+        ("p.json", json.dumps({**_valid_json_doc(), "k": 2.7}).encode()),
+        ("p.json", json.dumps(_scalar_json_doc_with_bool_rows()).encode()),
+        ("p.json", json.dumps({**_valid_json_doc(), "version": True}).encode()),
         ("p.bin", b"RMEP-PROBLEM-v1\x00"),
     ],
-    ids=["invalid-json", "top-level-list", "missing-blocks", "k-not-integer", "binary-cut-after-magic"],
+    ids=["invalid-json", "top-level-list", "missing-blocks", "k-not-integer", "k-non-integral", "rows-bool",
+         "version-bool", "binary-cut-after-magic"],
 )
 def test_malformed_problem_file_is_config_error(tmp_path, capsys, name, content):
     inp = tmp_path / name
@@ -194,6 +207,27 @@ def test_malformed_problem_file_is_config_error(tmp_path, capsys, name, content)
     assert main(["solve-complete", str(inp), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["solve-one", "solve-complete"])
+@pytest.mark.parametrize("name", ["d.json", "d.bin"])
+def test_unreadable_input_is_config_error(tmp_path, capsys, command, name):
+    inp = tmp_path / name
+    inp.mkdir()
+    assert main([command, str(inp), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {inp}")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["solve-one", "solve-complete"])
+def test_config_out_of_wrong_type_is_config_error(tmp_path, capsys, command):
+    p, _ = random_planted_problem([8, 8], [2, 2], 0.0, seed=3)
+    inp = tmp_path / "p.json"
+    save_json(p, inp)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": 5}))
+    assert main([command, str(inp), "--config", str(cfg)]) == 2
+    assert "--out expects a path, got 5" in capsys.readouterr().err
 
 
 def test_flags_override_config(tmp_path):
