@@ -28,7 +28,6 @@ from .model import (
     MepProblem,
     PerturbationSet,
     RmepProblem,
-    apply_perturbation,
     dehomogenize,
     homogeneous_residual,
     homogenize,
@@ -72,7 +71,6 @@ __all__ = [
     "RmepError",
     "RmepProblem",
     "ValidationError",
-    "apply_perturbation",
     "build_basis",
     "builtin_mathieu",
     "builtin_sturm_liouville",

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import eig_hermitian, smallest_singular_vector
+from .linalg import smallest_singular_vector
 from .model import (
     EigenTuple,
     EquationBlock,
@@ -94,8 +94,8 @@ class AlternatingConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValidationError("rel_tol must be positive")
+        if not 0 < self.rel_tol < np.inf:
+            raise ValidationError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.restarts < 0:
             raise ValidationError("restarts must be >= 0")
 
@@ -147,7 +147,7 @@ def build_gram(problem: RmepProblem, xs) -> np.ndarray:
 
 def best_value(h: np.ndarray):
     """Smallest eigenpair of the Gram matrix as (theta, homogeneous value)."""
-    w, v = eig_hermitian(h)
+    w, v = np.linalg.eigh(h)
     theta = float(max(w[0], 0.0))
     return theta, HomogeneousEigenvalue.from_vector(v[:, 0])
 

@@ -17,9 +17,9 @@ A JSON file passed with --config supplies defaults for any option of the
 subcommand, each key spelled as its flag (max-iters) or with underscores
 (max_iters); an unknown key is a configuration error.  Explicit flags win.
 With --no-timestamp, artifacts are byte-identical across runs for a fixed
-seed.  RMEP_BACKEND_THREADS caps the linear-algebra backend's
-thread count (it must be set before the backend is first loaded, which this
-module guarantees by importing the numerical stack lazily).
+seed.  The solvers are called through their modules (`tsvd.solve_complete`,
+not a name bound at import), so a tracer that swaps module attributes sees
+every call.
 
 Exit codes: 0 success, 2 configuration error, 3 capacity exceeded,
 4 irregular multiparameter problem.
@@ -30,27 +30,21 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
+from . import alternating, mep, serialization, spectral, tsvd
+from .errors import CapacityError, DomainError, IrregularMepError, ValidationError
+from .model import HomogeneousEigenvalue, dehomogenize, normalized_residual, random_planted_problem
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_IRREGULAR = 4
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("RMEP_BACKEND_THREADS")
-    if not cap:
-        return
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, cap)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rmep", description="Rectangular multiparameter eigenvalue solvers")
@@ -100,8 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    from .errors import ValidationError
-
     options = {}
     if args.config is not None:
         try:
@@ -133,9 +125,6 @@ def _artifact(path: Path, no_timestamp: bool):
 
 
 def _load_problem(path: Path):
-    from . import serialization
-    from .errors import ValidationError
-
     if not path.exists():
         raise ValidationError(f"input file {path} does not exist")
     if path.suffix.lower() == ".json":
@@ -149,8 +138,6 @@ def _fmt(x: float) -> str:
 
 def _convert(value, kind, option: str):
     """kind(value), or a ValidationError naming the option it came from."""
-    from .errors import ValidationError
-
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -164,21 +151,18 @@ def _option(opt: dict, key: str, kind, default):
 
 
 def _cmd_solve_one(opt: dict) -> int:
-    from .alternating import AlternatingConfig, solve_one, write_trace_csv
-    from .model import dehomogenize
-
     problem = _load_problem(Path(opt["input"]))
-    cfg = AlternatingConfig(
+    cfg = alternating.AlternatingConfig(
         max_iters=_option(opt, "max_iters", int, 1000),
         rel_tol=_option(opt, "rel_tol", float, 1e-6),
         restarts=_option(opt, "restarts", int, 0),
         seed=_option(opt, "seed", int, 0),
     )
-    tup, pset, trace = solve_one(problem, cfg)
+    tup, pset, trace = alternating.solve_one(problem, cfg)
     out = opt["out"]
     stamp = bool(opt.get("no_timestamp"))
     with _artifact(out / "trace.csv", stamp) as f:
-        write_trace_csv(trace, f)
+        alternating.write_trace_csv(trace, f)
     doc = {
         "gamma": tup.value.gamma,
         "alphas": [[a.real, a.imag] for a in tup.value.alphas],
@@ -203,12 +187,10 @@ def _cmd_solve_one(opt: dict) -> int:
 
 
 def _cmd_solve_complete(opt: dict) -> int:
-    from .tsvd import solve_complete, write_complete_csv
-
     problem = _load_problem(Path(opt["input"]))
-    tuples = solve_complete(problem, seed=_option(opt, "seed", int, 0))
+    tuples = tsvd.solve_complete(problem, seed=_option(opt, "seed", int, 0))
     with _artifact(opt["out"] / "complete_set.csv", bool(opt.get("no_timestamp"))) as f:
-        write_complete_csv(problem, tuples, f)
+        tsvd.write_complete_csv(problem, tuples, f)
     finite = sum(1 for t in tuples if t.residual is not None)
     best = next((t.residual for t in tuples if t.residual is not None), float("nan"))
     print(f"solve-complete: {len(tuples)} tuples ({finite} finite), best rho = {best:.3e}")
@@ -222,8 +204,6 @@ def _relative_error(a: complex, b: complex) -> float:
 
 def _greedy_match(ref, computed):
     """Pairs minimizing the summed per-component relative error, greedily."""
-    import numpy as np
-
     nref, ncomp = len(ref), len(computed)
     k = ref.shape[1]
     cost = np.zeros((nref, ncomp))
@@ -248,18 +228,12 @@ def _greedy_match(ref, computed):
 
 
 def _bench_trial(m: int, n: int, k: int, sigma: float, child_seed) -> dict:
-    import numpy as np
-
-    from . import mep
-    from .model import HomogeneousEigenvalue, dehomogenize, random_planted_problem
-    from .tsvd import solve_complete
-
     problem, reference = random_planted_problem([m] * k, [n] * k, sigma, child_seed)
     solver_seed = int(child_seed.generate_state(1)[0])
     # The reference needs only values, so no vectors are computed for it.
     coords = mep.solve_from_determinants(mep.operator_determinants(reference), seed=solver_seed)
     ref_vals = [dehomogenize(v) for v in map(HomogeneousEigenvalue.from_vector, coords) if v.is_finite()]
-    comp_vals = [dehomogenize(t.value) for t in solve_complete(problem, seed=solver_seed) if t.value.is_finite()]
+    comp_vals = [dehomogenize(t.value) for t in tsvd.solve_complete(problem, seed=solver_seed) if t.value.is_finite()]
     ref_vals = np.array(ref_vals).reshape(-1, k)
     comp_vals = np.array(comp_vals).reshape(-1, k)
     pairs = _greedy_match(ref_vals, comp_vals)
@@ -274,10 +248,6 @@ def _bench_trial(m: int, n: int, k: int, sigma: float, child_seed) -> dict:
 
 
 def _cmd_bench_random(opt: dict) -> int:
-    import numpy as np
-
-    from .errors import ValidationError
-
     if "seed" not in opt:
         raise ValidationError("bench-random requires a seed (--seed or config)")
     m = _option(opt, "m", int, 20)
@@ -324,21 +294,6 @@ def _write_function_grid(path: Path, stamp: bool, t, u):
 
 
 def _cmd_ode(opt: dict, mathieu: bool) -> int:
-    import numpy as np
-
-    from .errors import ValidationError
-    from .model import dehomogenize, normalized_residual
-    from .spectral import (
-        builtin_mathieu,
-        builtin_sturm_liouville,
-        continuous_residual,
-        discretize,
-        elliptic_mode_grid,
-        mathieu_geometry,
-        sample_eigenfunction,
-    )
-    from .tsvd import solve_complete
-
     n1 = _option(opt, "n1", int, 30)
     n2 = _option(opt, "n2", int, 30)
     oversampling = _option(opt, "oversampling", int, 4)
@@ -348,12 +303,15 @@ def _cmd_ode(opt: dict, mathieu: bool) -> int:
     if mathieu:
         alpha = _option(opt, "alpha", float, 4.0)
         beta = _option(opt, "beta", float, 1.0)
-        spec = builtin_mathieu(alpha, beta, n1=n1, n2=n2, oversampling=oversampling)
-        h, _ = mathieu_geometry(alpha, beta)
+        try:
+            h, _ = spectral.mathieu_geometry(alpha, beta)
+        except DomainError as exc:  # a bad geometry is a bad option, not a solver fault
+            raise ValidationError(str(exc)) from exc
+        spec = spectral.builtin_mathieu(alpha, beta, n1=n1, n2=n2, oversampling=oversampling)
     else:
-        spec = builtin_sturm_liouville(n1=n1, n2=n2, oversampling=oversampling)
-    disc = discretize(spec)
-    tuples = solve_complete(disc.problem, seed=_option(opt, "seed", int, 0))
+        spec = spectral.builtin_sturm_liouville(n1=n1, n2=n2, oversampling=oversampling)
+    disc = spectral.discretize(spec)
+    tuples = tsvd.solve_complete(disc.problem, seed=_option(opt, "seed", int, 0))
     finite = [t for t in tuples if t.residual is not None][:top]
     out = opt["out"]
     stamp = bool(opt.get("no_timestamp"))
@@ -368,7 +326,7 @@ def _cmd_ode(opt: dict, mathieu: bool) -> int:
         for j, tup in enumerate(finite, start=1):
             lam, mu = dehomogenize(tup.value)
             per_block, rho = normalized_residual(disc.problem, tup)
-            s1, s2, s_total = continuous_residual(spec, disc.bases, tup)
+            s1, s2, s_total = spectral.continuous_residual(spec, disc.bases, tup)
             row = [j, _fmt(lam.real), _fmt(lam.imag), _fmt(mu.real), _fmt(mu.imag),
                    _fmt(tup.value.gamma), _fmt(rho), _fmt(per_block[0]), _fmt(per_block[1]),
                    _fmt(s1), _fmt(s2), _fmt(s_total)]
@@ -377,12 +335,12 @@ def _cmd_ode(opt: dict, mathieu: bool) -> int:
                 row += [_fmt(omega.real), _fmt(omega.imag)]
             writer.writerow(row)
     for j, tup in enumerate(finite, start=1):
-        t1, u1 = sample_eigenfunction(disc.bases[0], tup.vectors[0])
-        t2, u2 = sample_eigenfunction(disc.bases[1], tup.vectors[1])
+        t1, u1 = spectral.sample_eigenfunction(disc.bases[0], tup.vectors[0])
+        t2, u2 = spectral.sample_eigenfunction(disc.bases[1], tup.vectors[1])
         _write_function_grid(out / f"{name}_u1_{j:02d}.csv", stamp, t1, u1)
         _write_function_grid(out / f"{name}_u2_{j:02d}.csv", stamp, t2, u2)
         if mathieu:
-            x, y, psi = elliptic_mode_grid(alpha, beta, disc.bases, tup)
+            x, y, psi = spectral.elliptic_mode_grid(alpha, beta, disc.bases, tup)
             with _artifact(out / f"{name}_mode_{j:02d}.csv", stamp) as f:
                 writer = csv.writer(f)
                 writer.writerow(["x", "y", "psi_re", "psi_im"])
@@ -412,11 +370,8 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = _build_parser()
     args = parser.parse_args(argv)
-    from .errors import CapacityError, IrregularMepError, ValidationError
-
     try:
         return run(args)
     except ValidationError as exc:

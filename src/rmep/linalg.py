@@ -2,21 +2,19 @@
 
 Thin, validated wrappers around LAPACK (via numpy/scipy) that fix the
 conventions the solvers rely on: descending singular values with a thin U
-and a full V factor, ascending Hermitian eigenvalues, homogeneous (alpha,
-beta) pencil eigenvalues with right and left eigenvectors, and
-column-pivoted QR.  `smallest_singular_vector` finds one singular vector by
-warm-started inverse iteration instead of a full SVD, and checks by a
-Cholesky that the result is the minimizer.
+and a full V factor, and homogeneous (alpha, beta) pencil eigenvalues with
+right and left eigenvectors.  `smallest_singular_vector` finds one singular
+vector by warm-started inverse iteration instead of a full SVD, and checks
+by a Cholesky that the result is the minimizer.
 
 `gep` first solves the pencil (A, B) as the standard problem B^{-1} A: one
 LU of B, `zgeev` on B^{-1} A for right and left vectors, and left pencil
 vectors B^{-H} y.  That result is kept only when every pair, right and
 left, has a normwise backward error on the original pencil of at most
 GEP_BACKWARD_RTOL; otherwise (or when B is exactly singular) the pencil
-goes through QZ.  The standard path returns beta = 1 and never sets
-`singular`.  The path is chosen by the backward error, not by a condition
-estimate of B: a mass matrix with rcond 6e-14 can still give backward
-errors at the QZ level.
+goes through QZ.  The standard path returns beta = 1.  The path is chosen
+by the backward error, not by a condition estimate of B: a mass matrix
+with rcond 6e-14 can still give backward errors at the QZ level.
 All functions are pure; returned arrays are freshly allocated.
 """
 
@@ -36,17 +34,10 @@ __all__ = [
     "as_matrix",
     "svd",
     "smallest_singular_vector",
-    "eig_hermitian",
     "gep",
-    "rank_revealing_qr",
 ]
 
 EPS = float(np.finfo(np.float64).eps)
-# Allowed relative asymmetry before a matrix is rejected as non-Hermitian.
-HERMITIAN_RTOL = 1e-10
-# Multiple of the data norm under which both homogeneous coordinates of a
-# pencil eigenvalue are flagged as a singular-pencil artifact.
-SINGULAR_PAIR_RTOL = 1e3 * EPS
 # Largest normwise backward error ||A z - mu B z|| / ((||A|| + |mu| ||B||) ||z||)
 # at which a standard-form pair is accepted; QZ's own pairs stay within a few eps.
 GEP_BACKWARD_RTOL = 1e3 * EPS
@@ -90,27 +81,20 @@ class SvdResult:
     singular_values: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        r = self.singular_values.shape[-1]
-        return (self.u * self.singular_values[..., None, :]) @ self.v[..., :r].conj().swapaxes(-1, -2)
-
 
 @dataclass(frozen=True)
 class GepResult:
     """Homogeneous eigenvalues of the pencil (A, B): lambda_j = alpha[j]/beta[j].
 
-    beta[j] == 0 encodes an infinite eigenvalue.  `singular[j]` is set when
-    both coordinates are negligible relative to the data norms, which signals
-    a (numerically) singular pencil rather than a meaningful eigenvalue.
-    A pencil solved in standard form has beta = 1 everywhere and no
-    `singular` flag set.  Right and left eigenvectors are unit 2-norm columns.
+    beta[j] == 0 encodes an infinite eigenvalue.  A pencil solved in standard
+    form has beta = 1 everywhere.  Right and left eigenvectors are unit
+    2-norm columns.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    singular: np.ndarray
 
 
 def svd(a) -> SvdResult:
@@ -216,26 +200,6 @@ def _shifted_factor(r, x):
         return None
 
 
-def eig_hermitian(h):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    The input is checked for Hermitian symmetry relative to its Frobenius
-    norm and symmetrized as (H + H^H)/2 before factorization.
-    """
-    h = as_matrix(h, "hermitian matrix")
-    if h.shape[0] != h.shape[1]:
-        raise ValidationError(f"expected square matrix, got {h.shape}")
-    scale = np.linalg.norm(h, "fro")
-    if scale > 0 and np.linalg.norm(h - h.conj().T, "fro") > HERMITIAN_RTOL * scale:
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    h = (h + h.conj().T) / 2.0
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise BackendError(f"Hermitian eigensolve failed for shape {h.shape}", shape=h.shape) from exc
-    return w, v
-
-
 def gep(a, b) -> GepResult:
     """Eigenpairs of the pencil A z = lambda B z, with right and left
     eigenvectors: standard form B^{-1} A when its backward error passes,
@@ -247,7 +211,7 @@ def gep(a, b) -> GepResult:
     scale_a, scale_b = np.linalg.norm(a, "fro"), np.linalg.norm(b, "fro")
     with np.errstate(all="ignore"):  # overflow from a near-singular B fails the check below
         result = _standard(a, b, scale_a, scale_b)
-    return result if result is not None else _qz(a, b, scale_a, scale_b)
+    return result if result is not None else _qz(a, b)
 
 
 def _standard(a, b, scale_a, scale_b):
@@ -277,7 +241,7 @@ def _standard(a, b, scale_a, scale_b):
         if not np.all(_backward_errors(pa, pb, mu, vectors, scale_a, scale_b) <= GEP_BACKWARD_RTOL):
             return None
     left = np.conjugate(left_conj, out=left_conj)
-    return GepResult(alpha=mu, beta=np.ones_like(mu), right=right, left=left, singular=np.zeros(mu.shape, bool))
+    return GepResult(alpha=mu, beta=np.ones_like(mu), right=right, left=left)
 
 
 def _column_norms(x):
@@ -294,7 +258,7 @@ def _backward_errors(a, b, mu, z, scale_a, scale_b):
     return _column_norms(res) / np.maximum(scale_a + np.abs(mu) * scale_b, np.finfo(np.float64).tiny)
 
 
-def _qz(a, b, scale_a, scale_b):
+def _qz(a, b):
     """QZ solve of the pencil, for when the standard form is not accurate."""
     try:
         ab, vl, vr = sla.eig(a, b, left=True, right=True, homogeneous_eigvals=True)
@@ -303,19 +267,7 @@ def _qz(a, b, scale_a, scale_b):
     alpha, beta = np.asarray(ab[0]), np.asarray(ab[1])
     vr = vr / np.linalg.norm(vr, axis=0, keepdims=True)
     vl = vl / np.linalg.norm(vl, axis=0, keepdims=True)
-    tol = SINGULAR_PAIR_RTOL * max(scale_a, scale_b)
-    singular = (np.abs(alpha) <= tol) & (np.abs(beta) <= tol)
-    return GepResult(alpha=alpha, beta=beta, right=vr, left=vl, singular=singular)
-
-
-def rank_revealing_qr(a):
-    """Column-pivoted QR: A[:, perm] = Q @ R with |R[0,0]| >= |R[1,1]| >= ...
-
-    Returns (Q, R, perm) with Q economic (m x min(m, n)).
-    """
-    a = as_matrix(a)
-    q, r, perm = sla.qr(a, mode="economic", pivoting=True)
-    return q, r, perm
+    return GepResult(alpha=alpha, beta=beta, right=vr, left=vl)
 
 
 def rcond_1norm(a) -> float:

@@ -71,11 +71,10 @@ IRREGULAR_RCOND = EPS
 
 @dataclass(frozen=True)
 class OperatorDeterminants:
-    """The k+1 lifted matrices D_0..D_k, the block sizes (n_1, ..., n_k) and
-    the reciprocal 1-norm condition estimate `rcond` of D_0."""
+    """The k+1 lifted matrices D_0..D_k and the reciprocal 1-norm condition
+    estimate `rcond` of D_0."""
 
     matrices: tuple[np.ndarray, ...]
-    dims: tuple[int, ...]
     rcond: float
 
     @property
@@ -134,7 +133,7 @@ def operator_determinants(problem: MepProblem) -> OperatorDeterminants:
         cols = list(b_columns)
         cols[j] = a_column
         mats.append(_operator_determinant(cols))
-    return OperatorDeterminants(matrices=tuple(mats), dims=problem.dims, rcond=rcond_1norm(mats[0]))
+    return OperatorDeterminants(matrices=tuple(mats), rcond=rcond_1norm(mats[0]))
 
 
 def _random_combination(matrices, rng):

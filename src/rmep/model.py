@@ -37,7 +37,6 @@ __all__ = [
     "dehomogenize",
     "normalized_residual",
     "homogeneous_residual",
-    "apply_perturbation",
     "perturbation_cost",
     "random_planted_problem",
 ]
@@ -299,12 +298,6 @@ def homogeneous_residual(problem: RmepProblem, t: EigenTuple) -> float:
     """sum_i ||gamma A_i x_i - sum_s alpha_s B_is x_i||_2^2 (finite for any gamma)."""
     c = t.value.coefficients
     return sum(float(np.linalg.norm(blk.pencil(c, x)) ** 2) for blk, x in zip(problem.blocks, t.vectors))
-
-
-def apply_perturbation(problem: RmepProblem, pset: PerturbationSet) -> RmepProblem:
-    """The perturbed problem as a standalone RmepProblem (shapes validated)."""
-    _frobenius_cost(problem, pset.blocks)
-    return RmepProblem(blocks=pset.blocks)
 
 
 def perturbation_cost(problem: RmepProblem, pset: PerturbationSet) -> float:

@@ -230,10 +230,10 @@ def discretize(spec: OdeSpec) -> DiscretizedOde:
 
 
 def reconstruct(basis: ChebyshevBasis, coeffs):
-    """Callables u(t) and u''(t) for a coefficient vector on the basis.
+    """The callable u(t) for a coefficient vector on the basis.
 
     Evaluation outside [a, b] (beyond a relative slack of 1e-12) raises
-    DomainError.  Both callables accept scalars or arrays.
+    DomainError.  u accepts scalars or arrays.
     """
     c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     if c.size != basis.n:
@@ -241,24 +241,16 @@ def reconstruct(basis: ChebyshevBasis, coeffs):
     a, b = basis.interval
     slack = 1e-12 * (b - a)
 
-    def _tables(t):
+    def u(t):
         t = np.asarray(t, dtype=np.float64)
         if np.any(t < a - slack) or np.any(t > b + slack):
             raise DomainError(f"evaluation point outside [{a}, {b}]")
         ref = 2.0 * (t - a) / (b - a) - 1.0
-        return _chebyshev_tables(np.atleast_1d(np.clip(ref, -1.0, 1.0)), basis.n), np.isscalar(t) or t.ndim == 0
-
-    def u(t):
-        (vals, _), scalar = _tables(t)
+        vals, _ = _chebyshev_tables(np.atleast_1d(np.clip(ref, -1.0, 1.0)), basis.n)
         out = vals @ c
-        return complex(out[0]) if scalar else out
+        return complex(out[0]) if t.ndim == 0 else out
 
-    def u_second(t):
-        (_, second), scalar = _tables(t)
-        out = (second * (2.0 / (b - a)) ** 2) @ c
-        return complex(out[0]) if scalar else out
-
-    return u, u_second
+    return u
 
 
 def continuous_residual(spec: OdeSpec, bases, t: EigenTuple):
@@ -360,7 +352,7 @@ def sample_eigenfunction(basis: ChebyshevBasis, coeffs, num: int = 201):
     """(t, u(t)) on a uniform grid over the basis interval."""
     a, b = basis.interval
     t = np.linspace(a, b, num)
-    u, _ = reconstruct(basis, coeffs)
+    u = reconstruct(basis, coeffs)
     return t, u(t)
 
 
@@ -373,8 +365,8 @@ def elliptic_mode_grid(alpha: float, beta: float, bases, tup: EigenTuple, num_an
     h, xi0 = mathieu_geometry(alpha, beta)
     s = np.linspace(0.0, math.pi / 2.0, num_angular)
     t = np.linspace(0.0, xi0, num_radial)
-    u1, _ = reconstruct(bases[0], tup.vectors[0])
-    u2, _ = reconstruct(bases[1], tup.vectors[1])
+    u1 = reconstruct(bases[0], tup.vectors[0])
+    u2 = reconstruct(bases[1], tup.vectors[1])
     u1v = u1(s)
     u2v = u2(t)
     ss, tt = np.meshgrid(s, t, indexing="ij")

@@ -24,9 +24,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import mep
-from .linalg import rank_revealing_qr, svd
+from .linalg import svd
 from .model import (
     EigenTuple,
     EquationBlock,
@@ -133,7 +134,7 @@ def truncation_certificate(
             n = t.n
             k = len(t.vblocks) - 1
             v12 = t.v_trailing[:n, :]
-            _, _, perm = rank_revealing_qr(v12)
+            _, _, perm = sla.qr(v12, mode="economic", pivoting=True)
             cols = perm[:n]
             v12_sel = v12[:, cols]
             stack = np.vstack([t.v_trailing[(s + 1) * n : (s + 2) * n, :][:, cols] for s in range(k)])

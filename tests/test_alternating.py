@@ -15,6 +15,7 @@ from rmep.alternating import (
     solve_one,
     write_trace_csv,
 )
+from rmep.errors import ValidationError
 from rmep.linalg import svd
 from rmep.mep import solve_mep
 from rmep.model import (
@@ -201,6 +202,12 @@ class TestSolveOne:
         th = trace.objectives
         for a, b in zip(th, th[1:]):
             assert b <= a + 1e2 * EPS * (1.0 + a)
+
+    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 0.0, -1e-6])
+    def test_rel_tol_must_be_positive_and_finite(self, rel_tol):
+        # NaN would never meet the stop rule and inf would meet it at once
+        with pytest.raises(ValidationError, match="rel_tol"):
+            AlternatingConfig(rel_tol=rel_tol)
 
     def test_infimum_at_infinite_eigenvalue(self):
         # B's zero second column lets gamma -> 0 drive the defect to zero, so

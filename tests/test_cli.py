@@ -6,6 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+import rmep.alternating
+import rmep.spectral
+import rmep.tsvd
 from rmep.cli import main
 from rmep.model import random_planted_problem
 from rmep.serialization import save_binary, save_json, to_json_dict
@@ -84,6 +87,44 @@ def test_bench_random_rejects_bad_input(tmp_path, capsys, flags, message):
 def test_missing_input_is_config_error(tmp_path):
     rc = main(["solve-complete", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("rel_tol", ["nan", "inf"])
+def test_solve_one_rejects_non_finite_rel_tol(tmp_path, capsys, rel_tol):
+    p, _ = random_planted_problem([8, 8], [2, 2], 0.0, seed=4)
+    inp = tmp_path / "p.json"
+    save_json(p, inp)
+    out = tmp_path / "out"
+    assert main(["solve-one", str(inp), "--rel-tol", rel_tol, "--out", str(out)]) == 2
+    assert "rel_tol must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solvers_are_looked_up_through_their_modules(tmp_path, monkeypatch):
+    # A tracer that swaps these module attributes must see the CLI's calls,
+    # so the CLI must not bind the functions at import time.
+    calls = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(rmep.tsvd, "solve_complete")
+    spy(rmep.spectral, "discretize")
+    spy(rmep.alternating, "solve_one")
+    p, _ = random_planted_problem([8, 8], [2, 2], 0.0, seed=4)
+    inp = tmp_path / "p.json"
+    save_json(p, inp)
+    out = str(tmp_path / "out")
+    assert main(["solve-complete", str(inp), "--out", out]) == 0
+    assert main(["ode-sl", "--n1", "6", "--n2", "6", "--top", "1", "--out", out]) == 0
+    assert main(["solve-one", str(inp), "--max-iters", "5", "--out", out]) == 0
+    assert calls == ["solve_complete", "discretize", "solve_complete", "solve_one"]
 
 
 def test_capacity_error_exit_code(tmp_path):
@@ -292,20 +333,23 @@ def test_ode_sl_table_values_at_n30(tmp_path):
     assert any(abs(l - 24.6740) <= 1e-4 for l in lams)
 
 
+@pytest.mark.parametrize("alpha, beta", [("1", "4"), ("2", "2"), ("4", "0")])
+def test_ode_mathieu_rejects_bad_geometry(tmp_path, capsys, alpha, beta):
+    rc = main(["ode-mathieu", "--alpha", alpha, "--beta", beta, "--n1", "8", "--n2", "8",
+               "--out", str(tmp_path), "--no-timestamp"])
+    assert rc == 2
+    assert "error: need alpha > beta > 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_console_entry_point_subprocess(tmp_path):
-    # exercises the module entry plus the env thread cap path
     p, _ = random_planted_problem([8, 8], [2, 2], 0.0, seed=4)
     inp = tmp_path / "p.json"
     save_json(p, inp)
-    env = {"RMEP_BACKEND_THREADS": "1", "PATH": "/usr/bin:/bin"}
-    import os
-
-    env.update({k: v for k, v in os.environ.items() if k not in env})
     proc = subprocess.run(
         [sys.executable, "-m", "rmep.cli", "solve-complete", str(inp), "--out", str(tmp_path), "--no-timestamp"],
         capture_output=True,
         text=True,
-        env=env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

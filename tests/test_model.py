@@ -10,7 +10,6 @@ from rmep.model import (
     MepProblem,
     PerturbationSet,
     RmepProblem,
-    apply_perturbation,
     dehomogenize,
     homogeneous_residual,
     homogenize,
@@ -222,14 +221,6 @@ class TestPerturbations:
             blocks.append(EquationBlock(a=blk.a + da, b=tuple(bi + d for bi, d in zip(blk.b, dbs))))
         pset = PerturbationSet.from_blocks(p, blocks)
         assert abs(pset.cost - expected) <= 1e-12 * expected
-
-    def test_apply_perturbation_roundtrip(self):
-        rng = np.random.default_rng(7)
-        p = random_problem(rng, 4, 2, 1)
-        pset = PerturbationSet.from_blocks(p, p.blocks)
-        q = apply_perturbation(p, pset)
-        assert isinstance(q, RmepProblem)
-        assert np.allclose(q.blocks[0].a, p.blocks[0].a)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(8)
