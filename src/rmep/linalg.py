@@ -1,20 +1,23 @@
-"""Dense complex linear-algebra primitives.
+"""Dense real and complex linear-algebra primitives.
 
 Thin, validated wrappers around LAPACK (via numpy/scipy) that fix the
 conventions the solvers rely on: descending singular values with a thin U
 and a full V factor, and homogeneous (alpha, beta) pencil eigenvalues with
-right and left eigenvectors.  `smallest_singular_vector` finds one singular
-vector by warm-started inverse iteration instead of a full SVD, and checks
-by a Cholesky that the result is the minimizer.
+right and left eigenvectors.  Real input stays float64 and runs the
+d-prefixed LAPACK routines; complex input runs the z-prefixed ones.
+`smallest_singular_vector` finds one singular vector by warm-started
+inverse iteration instead of a full SVD, and checks by a Cholesky that the
+result is the minimizer.
 
 `gep` first solves the pencil (A, B) as the standard problem B^{-1} A: one
-LU of B, `zgeev` on B^{-1} A for right and left vectors, and left pencil
-vectors B^{-H} y.  That result is kept only when every pair, right and
-left, has a normwise backward error on the original pencil of at most
-GEP_BACKWARD_RTOL; otherwise (or when B is exactly singular) the pencil
-goes through QZ.  The standard path returns beta = 1.  The path is chosen
-by the backward error, not by a condition estimate of B: a mass matrix
-with rcond 6e-14 can still give backward errors at the QZ level.
+LU of B, `scipy.linalg.eig` (`dgeev` or `zgeev`) on B^{-1} A for right and
+left vectors, and left pencil vectors B^{-H} y.  That result is kept only
+when every pair, right and left, has a normwise backward error on the
+original pencil of at most GEP_BACKWARD_RTOL; otherwise (or when B is
+exactly singular) the pencil goes through QZ.  The standard path returns
+beta = 1.  The path is chosen by the backward error, not by a condition
+estimate of B: a mass matrix with rcond 6e-14 can still give backward
+errors at the QZ level.
 All functions are pure; returned arrays are freshly allocated.
 """
 
@@ -55,8 +58,20 @@ MINIMIZER_SLACK = 4.0
 
 
 def as_matrix(a, name="matrix") -> np.ndarray:
-    """Validate and return a 2-D finite complex128 copy of `a`."""
-    return _checked(np.array(a, dtype=np.complex128, order="C"), name)
+    """Validate and return a 2-D finite copy of `a`: complex128 when `a` is
+    complex, float64 otherwise."""
+    return _checked(np.array(a, dtype=_working_dtype(a), order="C"), name)
+
+
+def _working_dtype(*arrays):
+    """complex128 when any input is complex, else float64."""
+    return np.complex128 if any(np.iscomplexobj(a) for a in arrays) else np.float64
+
+
+def _lapack(name, a):
+    """The LAPACK routine `name` for a's dtype: d-prefixed for float64,
+    z-prefixed for complex128."""
+    return getattr(sla.lapack, ("z" if np.iscomplexobj(a) else "d") + name)
 
 
 def _checked(arr, name, ndim=2):
@@ -99,8 +114,9 @@ class GepResult:
 
 def svd(a) -> SvdResult:
     """Singular value decomposition with descending singular values, of one
-    matrix or of each matrix in a (T, m, n) stack."""
-    a = np.asarray(a, dtype=np.complex128)
+    matrix or of each matrix in a (T, m, n) stack; real input gives real
+    factors."""
+    a = np.asarray(a, dtype=_working_dtype(a))
     _checked(a, "matrix", ndim=3 if a.ndim == 3 else 2)
     try:
         # Only a wide matrix needs full_matrices for V to be square.
@@ -131,9 +147,10 @@ def smallest_singular_vector(a, start=None) -> np.ndarray:
     most MINIMIZER_SLACK * eps * ||A||_F^2, and x is the SVD's vector to
     rounding, up to a unit phase, unless the two smallest singular values
     tie within that slack.  For a unit `start`, ||A x|| never exceeds
-    ||A start|| beyond rounding.
+    ||A start|| beyond rounding.  It works in complex arithmetic, also on
+    real A.
     """
-    a = as_matrix(a)
+    a = as_matrix(a).astype(np.complex128, copy=False)
     n = a.shape[1]
     if a.shape[0] < n:
         raise ValidationError(f"expected a tall matrix, got {a.shape}")
@@ -203,9 +220,13 @@ def _shifted_factor(r, x):
 def gep(a, b) -> GepResult:
     """Eigenpairs of the pencil A z = lambda B z, with right and left
     eigenvectors: standard form B^{-1} A when its backward error passes,
-    else QZ.  A and B are read, never written."""
-    a = _checked(np.asarray(a, dtype=np.complex128), "A")
-    b = _checked(np.asarray(b, dtype=np.complex128), "B")
+    else QZ.  A real pencil (both A and B real) is solved in real arithmetic:
+    its eigenvalues come as a complex array, and its eigenvectors are real
+    when every eigenvalue is real, else complex with conjugate pairs of
+    columns.  A and B are read, never written."""
+    dtype = _working_dtype(a, b)
+    a = _checked(np.asarray(a, dtype=dtype), "A")
+    b = _checked(np.asarray(b, dtype=dtype), "B")
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValidationError(f"pencil matrices must be square and equal-shaped, got {a.shape}, {b.shape}")
     scale_a, scale_b = np.linalg.norm(a, "fro"), np.linalg.norm(b, "fro")
@@ -215,25 +236,31 @@ def gep(a, b) -> GepResult:
 
 
 def _standard(a, b, scale_a, scale_b):
-    """zgeev on B^{-1} A; None when B is singular or a pair fails the
+    """eig on B^{-1} A; None when B is singular or a pair fails the
     backward-error check.  Temporaries are overwritten in place."""
-    lapack = sla.lapack
-    lu, piv, info = lapack.zgetrf(b)
+    lu, piv, info = _lapack("getrf", b)(b)
     if info != 0:
         return None
-    c, info = lapack.zgetrs(lu, piv, a)
+    getrs = _lapack("getrs", b)
+    c, info = getrs(lu, piv, a)
     if info != 0 or not np.all(np.isfinite(c)):
         return None
-    work, _ = lapack.zgeev_lwork(a.shape[0])
-    mu, u, right, info = lapack.zgeev(c, lwork=int(work.real), overwrite_a=True)
-    del c
-    if info != 0:
+    try:
+        mu, u, right = sla.eig(c, left=True, right=True, overwrite_a=True, check_finite=False)
+    except sla.LinAlgError:
         return None
+    del c
     # The left pencil vectors B^{-H} u, held conjugated as B^{-T} conj(u): the
     # left residual y^H (A - mu B) is then the right residual of the
     # transposed pencil, up to conjugation.
     np.conjugate(u, out=u)
-    left_conj, _ = lapack.zgetrs(lu, piv, u, trans=1, overwrite_b=True)
+    if u.dtype == lu.dtype:
+        left_conj, _ = getrs(lu, piv, u, trans=1, overwrite_b=True)
+    else:
+        # Complex vectors of a real pencil: in the float64 view of u the real
+        # and imaginary parts are independent columns for the real LU.
+        parts, _ = getrs(lu, piv, np.ascontiguousarray(u).view(np.float64), trans=1, overwrite_b=True)
+        left_conj = np.ascontiguousarray(parts).view(np.complex128)
     del lu, u
     right /= _column_norms(right)
     left_conj /= _column_norms(left_conj)
@@ -245,15 +272,18 @@ def _standard(a, b, scale_a, scale_b):
 
 
 def _column_norms(x):
-    """2-norms of the columns of a complex matrix, with no full-size temporary."""
-    return np.sqrt(np.einsum("ij,ij->j", x.real, x.real) + np.einsum("ij,ij->j", x.imag, x.imag))
+    """2-norms of the columns of a real or complex matrix, with no full-size
+    temporary."""
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    return np.sqrt(sum(np.einsum("ij,ij->j", p, p) for p in parts))
 
 
 def _backward_errors(a, b, mu, z, scale_a, scale_b):
     """||A z_j - mu_j B z_j|| / (||A|| + |mu_j| ||B||) for unit columns z_j."""
     res = a @ z
     bz = b @ z
-    bz *= mu
+    # Real vectors come only with real eigenvalues.
+    bz *= mu if np.iscomplexobj(bz) else mu.real
     res -= bz
     return _column_norms(res) / np.maximum(scale_a + np.abs(mu) * scale_b, np.finfo(np.float64).tiny)
 
@@ -271,15 +301,16 @@ def _qz(a, b):
 
 
 def rcond_1norm(a) -> float:
-    """Cheap reciprocal 1-norm condition estimate via LU (0.0 if singular)."""
-    a = np.ascontiguousarray(a, dtype=np.complex128)
+    """Cheap reciprocal 1-norm condition estimate via LU (0.0 if singular),
+    in real arithmetic for real input."""
+    a = np.ascontiguousarray(a, dtype=_working_dtype(a))
     if a.shape[0] != a.shape[1]:
         raise ValidationError("rcond estimate requires a square matrix")
     anorm = np.linalg.norm(a, 1)
     if anorm == 0.0:
         return 0.0
-    lu, _, info = sla.lapack.zgetrf(a)
+    lu, _, info = _lapack("getrf", a)(a)
     if info != 0:
         return 0.0
-    rc, info = sla.lapack.zgecon(lu, anorm, norm="1")
+    rc, info = _lapack("gecon", a)(lu, anorm, norm="1")
     return float(rc) if info == 0 else 0.0

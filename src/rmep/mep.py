@@ -27,6 +27,8 @@ the eigenvector error and needs no pairing across the k pencils.
 that solve only if every right and left pair has a backward error on the
 pencil of at most `linalg.GEP_BACKWARD_RTOL`; otherwise it uses QZ.  The
 quotients of all N tuples are formed together, one product D_j Z per j.
+The weights w and c are real when every D_j is real, so a real problem is
+solved in real arithmetic, and complex otherwise.
 
 The lifted pencil supplies only the values: `solve_from_determinants`
 returns the homogeneous tuples as the rows of an array.  Each tuple's
@@ -137,8 +139,11 @@ def operator_determinants(problem: MepProblem) -> OperatorDeterminants:
 
 
 def _random_combination(matrices, rng):
-    """sum_j w_j D_j for random unit complex weights w."""
-    w = rng.standard_normal(len(matrices)) + 1j * rng.standard_normal(len(matrices))
+    """sum_j w_j D_j for random unit weights w: real when every D_j is real,
+    else complex."""
+    w = rng.standard_normal(len(matrices))
+    if any(np.iscomplexobj(dj) for dj in matrices):
+        w = w + 1j * rng.standard_normal(len(matrices))
     w /= np.linalg.norm(w)
     return sum(wj * dj for wj, dj in zip(w, matrices))
 
@@ -178,7 +183,11 @@ def tuples_from_pencils(problem: RmepProblem, values, c) -> list[EigenTuple]:
     """One EigenTuple per value (residual None) whose vector x_i is the
     smallest right singular vector of the pencil sum_j c_tj S_ij, with row t
     of the T x (k+1) coefficients `c` belonging to values[t].  One batched
-    SVD per block serves all T tuples."""
+    SVD per block serves all T tuples; it runs in real arithmetic when the
+    blocks and every row of `c` are real."""
+    c = np.asarray(c)
+    if not np.any(c.imag):
+        c = c.real
     vectors = [svd(blk.pencil(c)).v[:, :, -1] for blk in problem.blocks]
     return [EigenTuple(value, tuple(x[t] for x in vectors)) for t, value in enumerate(values)]
 

@@ -56,8 +56,9 @@ class EquationBlock:
     """One equation's coefficients: `a` plus the k parameter matrices `b`.
 
     The block holds them as one read-only (k+1, m, n) array
-    `coeffs` = S = (A, B_1, ..., B_k); `a` and `b` are views of it, and every
-    pencil sum_j c_j S_j is formed by `pencil`.
+    `coeffs` = S = (A, B_1, ..., B_k), float64 when every matrix is real and
+    complex128 otherwise; `a` and `b` are views of it, and every pencil
+    sum_j c_j S_j is formed by `pencil`.
     """
 
     a: np.ndarray
@@ -88,9 +89,11 @@ class EquationBlock:
         With c = (gamma, -alpha_1, ..., -alpha_k) this is gamma A - sum_s
         alpha_s B_s, and with c = (1, -lambda_1, ..., -lambda_k) the finite
         form A - sum_s lambda_s B_s.  A 2-D `c` gives one pencil per row,
-        bitwise the pencil of that row alone.
+        bitwise the pencil of that row alone.  The result is real when `c`
+        and the block are real, else complex.
         """
-        c = np.asarray(c, dtype=np.complex128)
+        c = np.asarray(c)
+        c = c.astype(np.result_type(c, self.coeffs), copy=False)
         if x is not None:
             return c @ (self.coeffs @ x)
         k1 = self.coeffs.shape[0]

@@ -10,7 +10,7 @@ import rmep.alternating
 import rmep.spectral
 import rmep.tsvd
 from rmep.cli import main
-from rmep.model import random_planted_problem
+from rmep.model import dehomogenize, random_planted_problem
 from rmep.serialization import save_binary, save_json, to_json_dict
 
 
@@ -321,14 +321,34 @@ def test_ode_rejects_top_below_one(tmp_path, capsys, command, top):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def sl_closed_form_error(lam, mu):
+    """Nearest (i, j) with lambda = (i^2 + j^2) pi^2 / 2 and
+    mu = (j^2 - i^2) pi^2 / 2, and the larger absolute error of the two."""
+    pi2 = np.pi**2
+    i = max(1, round(np.sqrt(max((lam.real - mu.real) / pi2, 0.0))))
+    j = max(1, round(np.sqrt(max((lam.real + mu.real) / pi2, 0.0))))
+    return (i, j), max(abs(lam - (i * i + j * j) * pi2 / 2), abs(mu - (j * j - i * i) * pi2 / 2))
+
+
 @pytest.mark.slow
-def test_ode_sl_table_values_at_n30(tmp_path):
-    # the full-size run reproduces the two leading eigenvalues at display
-    # precision: 9.8696 and 24.6740
+def test_ode_sl_table_values_at_n30(tmp_path, sl_solution_n30):
+    # At n = 30 the 36 tuples with i, j <= 6 all have rho near 1e-15, so which
+    # ten of them are written is rounding noise.  Every written row must be a
+    # distinct closed-form tuple, and the two leading eigenvalues 9.8696 and
+    # 24.6740 must be among the resolved tuples of the same seed-0 solve.
     rc = main(["ode-sl", "--n1", "30", "--n2", "30", "--top", "10", "--out", str(tmp_path), "--no-timestamp"])
     assert rc == 0
     header, data = read_csv(tmp_path / "sl_eigenvalues.csv")
-    lams = sorted(float(r[header.index("re_lambda")]) for r in data)
+    assert len(data) == 10
+    forms = set()
+    for r in data:
+        lam, mu = (complex(float(r[header.index(f"re_{x}")]), float(r[header.index(f"im_{x}")])) for x in ("lambda", "mu"))
+        form, err = sl_closed_form_error(lam, mu)
+        assert err <= 1e-8, (r, form, err)
+        forms.add(form)
+    assert len(forms) == len(data)
+    _, _, tuples = sl_solution_n30
+    lams = [dehomogenize(t.value)[0].real for t in tuples if t.residual is not None and t.residual <= 1e-13]
     assert any(abs(l - 9.8696) <= 1e-4 for l in lams)
     assert any(abs(l - 24.6740) <= 1e-4 for l in lams)
 

@@ -256,22 +256,27 @@ class TestGep:
         assert np.allclose(lam, [1.0, 2.0], atol=1e-13)
 
     def test_infinite_eigenvalue(self, qz_calls, monkeypatch):
-        lu_infos = []
-        zgetrf = linalg.sla.lapack.zgetrf
+        # The real pencil and its complex cast each factor B with the LU of
+        # their own dtype.
+        for dtype, getrf_name in ((np.float64, "dgetrf"), (np.complex128, "zgetrf")):
+            lu_infos = []
+            qz_calls.clear()
+            getrf = getattr(linalg.sla.lapack, getrf_name)
 
-        def spy(*args, **kwargs):
-            out = zgetrf(*args, **kwargs)
-            lu_infos.append(out[-1])
-            return out
+            def spy(*args, getrf=getrf, lu_infos=lu_infos, **kwargs):
+                out = getrf(*args, **kwargs)
+                lu_infos.append(out[-1])
+                return out
 
-        monkeypatch.setattr(linalg.sla.lapack, "zgetrf", spy)
-        res = gep(np.eye(2), np.diag([1.0, 0.0]))
-        finite = [a / b for a, b in zip(res.alpha, res.beta) if abs(b) > 1e-10]
-        infinite = [1 for b in res.beta if abs(b) <= 1e-10]
-        assert len(finite) == 1 and abs(finite[0] - 1.0) < 1e-12
-        assert len(infinite) == 1
-        # B is exactly singular: the LU reports it and QZ takes the pencil.
-        assert lu_infos == [2] and len(qz_calls) == 1
+            monkeypatch.setattr(linalg.sla.lapack, getrf_name, spy)
+            res = gep(np.eye(2, dtype=dtype), np.diag([1.0, 0.0]).astype(dtype))
+            finite = [a / b for a, b in zip(res.alpha, res.beta) if abs(b) > 1e-10]
+            infinite = [1 for b in res.beta if abs(b) <= 1e-10]
+            assert len(finite) == 1 and abs(finite[0] - 1.0) < 1e-12
+            assert len(infinite) == 1
+            # B is exactly singular: the LU reports it and QZ takes the pencil.
+            assert lu_infos == [2] and len(qz_calls) == 1
+            assert qz_calls[0][1].dtype == dtype
 
     def test_well_conditioned_b_takes_standard_path(self, qz_calls):
         rng = np.random.default_rng(11)
@@ -293,6 +298,41 @@ class TestGep:
         assert 1e-10 < rcond_1norm(b) < 1e-8
         res = gep(a, b)
         assert len(qz_calls) == 1
+        assert max(pencil_backward_errors(a, b, res)) <= GEP_BACKWARD_RTOL
+
+    def test_real_pencil_with_conjugate_pairs_takes_standard_path(self, qz_calls):
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((12, 12))
+        b = np.eye(12) + 0.1 * rng.standard_normal((12, 12))
+        res = gep(a, b)
+        assert qz_calls == []
+        assert np.count_nonzero(res.alpha.imag) >= 2 and res.right.dtype == res.left.dtype == np.complex128
+        # Pairs come out exactly conjugate, vectors too.
+        assert np.array_equal(np.sort_complex(res.alpha), np.sort_complex(res.alpha.conj()))
+        assert max(pencil_backward_errors(a, b, res)) <= GEP_BACKWARD_RTOL
+        cast = gep(a.astype(np.complex128), b.astype(np.complex128))
+        assert match_multisets(res.alpha, cast.alpha) <= 1e-12
+
+    def test_real_pencil_with_real_spectrum_has_real_vectors(self, qz_calls):
+        rng = np.random.default_rng(18)
+        s = rng.standard_normal((10, 10))
+        a, b = s + s.T, np.eye(10) + 0.01 * rng.standard_normal((10, 10))
+        res = gep(a, b)
+        assert qz_calls == []
+        assert not np.any(res.alpha.imag)
+        assert res.right.dtype == res.left.dtype == np.float64
+        assert max(pencil_backward_errors(a, b, res)) <= GEP_BACKWARD_RTOL
+
+    def test_ill_conditioned_real_b_takes_qz(self, qz_calls):
+        rng = np.random.default_rng(12)
+        u, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        v, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        s = np.ones(40)
+        s[-3:] = 1e-8
+        a, b = rng.standard_normal((40, 40)), (u * s) @ v.T
+        assert 1e-10 < rcond_1norm(b) < 1e-8
+        res = gep(a, b)
+        assert len(qz_calls) == 1 and qz_calls[0][1].dtype == np.float64
         assert max(pencil_backward_errors(a, b, res)) <= GEP_BACKWARD_RTOL
 
     @settings(max_examples=40, deadline=None)
@@ -343,3 +383,19 @@ class TestGep:
 def test_as_matrix_rejects_vectors():
     with pytest.raises(ValidationError):
         as_matrix(np.ones(3))
+
+
+def test_rcond_runs_in_the_input_dtype(monkeypatch):
+    calls = []
+    for name in ("dgecon", "zgecon"):
+        original = getattr(linalg.sla.lapack, name)
+
+        def spy(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg.sla.lapack, name, spy)
+    b = np.diag([2.0, 0.5, 1.0])  # ||B||_1 = ||B^{-1}||_1 = 2, and the estimate is exact
+    estimates = [rcond_1norm(b), rcond_1norm(b.astype(np.complex128))]
+    assert calls == ["dgecon", "zgecon"]
+    assert estimates == [0.25, 0.25]

@@ -2,7 +2,10 @@ import csv
 import io
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rmep import mep
 from rmep.linalg import gep, svd
 from rmep.model import (
     EquationBlock,
@@ -15,6 +18,7 @@ from rmep.model import (
     random_planted_problem,
 )
 from rmep.mep import solve_mep
+from rmep.spectral import builtin_sturm_liouville, discretize
 from rmep.tsvd import (
     reduced_mep,
     solve_complete,
@@ -222,3 +226,51 @@ class TestSolveComplete:
             assert row[6:] == ["inf", "inf", "inf"]
         for row in rows[:2]:
             assert all(np.isfinite(float(v)) for v in row[5:])
+
+
+def complex_cast(problem):
+    """The same problem with every block stored as complex128."""
+    blocks = (EquationBlock(a=blk.a.astype(np.complex128), b=tuple(b.astype(np.complex128) for b in blk.b))
+              for blk in problem.blocks)
+    return RmepProblem(blocks=tuple(blocks))
+
+
+def homogeneous_rows(tuples):
+    return np.array([np.concatenate(([t.value.gamma], t.value.alphas)) for t in tuples])
+
+
+class TestRealArithmetic:
+    def test_real_problem_stays_real(self, monkeypatch):
+        p = discretize(builtin_sturm_liouville(n1=6, n2=6)).problem
+        assert all(blk.coeffs.dtype == np.float64 for blk in p.blocks)
+        truncations = truncate_blocks(p)
+        assert all(m.dtype == np.float64 for t in truncations for m in (t.u1, t.v_trailing, *t.vblocks))
+        deltas = mep.operator_determinants(reduced_mep(truncations))
+        assert all(d.dtype == np.float64 for d in deltas.matrices)
+        dtypes = []
+        for name in ("gep", "svd"):
+            original = getattr(mep, name)
+
+            def spy(*args, original=original):
+                dtypes.extend(np.asarray(a).dtype for a in args)
+                return original(*args)
+
+            monkeypatch.setattr(mep, name, spy)
+        tuples = solve_complete(p, seed=0)
+        # The combination, the mass matrix and the refit pencils are all real.
+        assert dtypes == [np.float64] * 4
+        assert len(tuples) == 36 and not np.any(homogeneous_rows(tuples).imag)
+        assert all(not np.any(x.imag) for t in tuples for x in t.vectors)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3), extra=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_real_and_complex_cast_give_the_same_set(self, n, extra, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n + extra, n)
+        p = RmepProblem(blocks=tuple(
+            EquationBlock(a=rng.standard_normal(shape), b=(rng.standard_normal(shape), rng.standard_normal(shape)))
+            for _ in range(2)
+        ))
+        real = solve_complete(p, seed=0)
+        cast = solve_complete(complex_cast(p), seed=0)
+        assert match_multisets(homogeneous_rows(real), homogeneous_rows(cast)) <= 1e-10
