@@ -39,7 +39,7 @@ import numpy as np
 
 from . import alternating, mep, serialization, spectral, tsvd
 from .errors import CapacityError, DomainError, IrregularMepError, ValidationError
-from .model import HomogeneousEigenvalue, dehomogenize, normalized_residual, random_planted_problem
+from .model import GAMMA_THRESHOLD, dehomogenize, normalize_homogeneous, random_planted_problem
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -231,10 +231,10 @@ def _bench_trial(m: int, n: int, k: int, sigma: float, child_seed) -> dict:
     problem, reference = random_planted_problem([m] * k, [n] * k, sigma, child_seed)
     solver_seed = int(child_seed.generate_state(1)[0])
     # The reference needs only values, so no vectors are computed for it.
-    coords = mep.solve_from_determinants(mep.operator_determinants(reference), seed=solver_seed)
-    ref_vals = [dehomogenize(v) for v in map(HomogeneousEigenvalue.from_vector, coords) if v.is_finite()]
+    rows = normalize_homogeneous(mep.solve_from_determinants(mep.operator_determinants(reference), seed=solver_seed))
+    rows = rows[rows[:, 0].real > GAMMA_THRESHOLD]
+    ref_vals = rows[:, 1:] / rows[:, :1].real
     comp_vals = [dehomogenize(t.value) for t in tsvd.solve_complete(problem, seed=solver_seed) if t.value.is_finite()]
-    ref_vals = np.array(ref_vals).reshape(-1, k)
     comp_vals = np.array(comp_vals).reshape(-1, k)
     pairs = _greedy_match(ref_vals, comp_vals)
     errs = np.array([[_relative_error(ref_vals[i, s], comp_vals[j, s]) for s in range(k)] for i, j in pairs])
@@ -325,10 +325,10 @@ def _cmd_ode(opt: dict, mathieu: bool) -> int:
         writer.writerow(header)
         for j, tup in enumerate(finite, start=1):
             lam, mu = dehomogenize(tup.value)
-            per_block, rho = normalized_residual(disc.problem, tup)
+            rho_1, rho_2 = tup.block_residuals
             s1, s2, s_total = spectral.continuous_residual(spec, disc.bases, tup)
             row = [j, _fmt(lam.real), _fmt(lam.imag), _fmt(mu.real), _fmt(mu.imag),
-                   _fmt(tup.value.gamma), _fmt(rho), _fmt(per_block[0]), _fmt(per_block[1]),
+                   _fmt(tup.value.gamma), _fmt(tup.residual), _fmt(rho_1), _fmt(rho_2),
                    _fmt(s1), _fmt(s2), _fmt(s_total)]
             if mathieu:
                 omega = 2.0 * np.sqrt(complex(mu)) / h

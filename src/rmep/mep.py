@@ -32,13 +32,15 @@ solved in real arithmetic, and complex otherwise.
 
 The lifted pencil supplies only the values: `solve_from_determinants`
 returns the homogeneous tuples as the rows of an array.  Each tuple's
-vectors come from its own pencils instead: `tuples_from_pencils` takes x_i
-as the smallest right singular vector of sum_j c_j S_ij for the tuple's
-coefficients c, one batched SVD per block over all tuples.  `solve_mep`
-uses c = (gamma, -alpha_1, ..., -alpha_k), so a square problem gets the
-null vectors of gamma A_i - sum_s alpha_s B_is, which need no factoring of
-z and exist also where z is not a Kronecker product (multiple
-eigenvalues); `tsvd.solve_complete` calls it on the rectangular blocks.
+vectors come from its own pencils instead: `tuples_from_pencils` returns,
+for every row of coefficients c, the smallest right singular vector x_i of
+sum_j c_j S_ij and that pencil's smallest singular value, as arrays, one
+batched SVD per block over all tuples.  `solve_mep` uses
+c = (gamma, -alpha_1, ..., -alpha_k), so a square problem gets the null
+vectors of gamma A_i - sum_s alpha_s B_is, which need no factoring of z and
+exist also where z is not a Kronecker product (multiple eigenvalues);
+`tsvd.solve_complete` calls it on the rectangular blocks and takes each
+tuple's residual from the singular values.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 
 from .errors import CapacityError, IrregularMepError, ValidationError
 from .linalg import EPS, gep, rcond_1norm, svd
-from .model import EigenTuple, HomogeneousEigenvalue, MepProblem, RmepProblem
+from .model import EigenTuple, HomogeneousEigenvalue, MepProblem, RmepProblem, normalize_homogeneous
 
 __all__ = [
     "OperatorDeterminants",
@@ -174,22 +176,29 @@ def solve_mep(problem: MepProblem, seed: int = 0) -> list[EigenTuple]:
     Deterministic for a fixed seed (which drives the random mass-matrix
     weights and the tuple-splitting combination).
     """
-    coords = solve_from_determinants(operator_determinants(problem), seed=seed)
-    values = [HomogeneousEigenvalue.from_vector(v) for v in coords]
-    return tuples_from_pencils(problem, values, [v.coefficients for v in values])
+    rows = normalize_homogeneous(solve_from_determinants(operator_determinants(problem), seed=seed))
+    vectors, _ = tuples_from_pencils(problem, np.concatenate((rows[:, :1], -rows[:, 1:]), axis=1))
+    return [
+        EigenTuple(HomogeneousEigenvalue(gamma=row[0].real, alphas=row[1:]), tuple(x[t] for x in vectors))
+        for t, row in enumerate(rows)
+    ]
 
 
-def tuples_from_pencils(problem: RmepProblem, values, c) -> list[EigenTuple]:
-    """One EigenTuple per value (residual None) whose vector x_i is the
-    smallest right singular vector of the pencil sum_j c_tj S_ij, with row t
-    of the T x (k+1) coefficients `c` belonging to values[t].  One batched
-    SVD per block serves all T tuples; it runs in real arithmetic when the
-    blocks and every row of `c` are real."""
+def tuples_from_pencils(problem: RmepProblem, c):
+    """(vectors, sigmas) of the pencils sum_j c_tj S_ij, one pencil per row t
+    of the T x (k+1) coefficients `c`: per block i, the (T, n_i) smallest
+    right singular vectors and the (T,) smallest singular values.  One
+    batched SVD per block serves all T rows; it runs in real arithmetic when
+    the blocks and every row of `c` are real."""
     c = np.asarray(c)
     if not np.any(c.imag):
         c = c.real
-    vectors = [svd(blk.pencil(c)).v[:, :, -1] for blk in problem.blocks]
-    return [EigenTuple(value, tuple(x[t] for x in vectors)) for t, value in enumerate(values)]
+    vectors, sigmas = [], []
+    for blk in problem.blocks:
+        res = svd(blk.pencil(c))
+        vectors.append(res.v[:, :, -1])
+        sigmas.append(res.singular_values[:, -1])
+    return vectors, sigmas
 
 
 def _least_squares_quotients(matrices, mz, z) -> np.ndarray:

@@ -35,6 +35,7 @@ __all__ = [
     "PerturbationSet",
     "homogenize",
     "dehomogenize",
+    "normalize_homogeneous",
     "normalized_residual",
     "homogeneous_residual",
     "perturbation_cost",
@@ -139,10 +140,12 @@ class RmepProblem:
 
     @cached_property
     def spectral_norms(self) -> tuple[tuple[float, tuple[float, ...]], ...]:
-        # Residual denominators are evaluated once per tuple; cache the 2-norms.
+        # Residual denominators are evaluated once per tuple; cache the 2-norms,
+        # one batched norm per block.
         out = []
         for blk in self.blocks:
-            out.append((float(np.linalg.norm(blk.a, 2)), tuple(float(np.linalg.norm(bi, 2)) for bi in blk.b)))
+            norm_a, *norms_b = np.linalg.norm(blk.coeffs, 2, axis=(1, 2)).tolist()
+            out.append((norm_a, tuple(norms_b)))
         return tuple(out)
 
 
@@ -213,11 +216,13 @@ class HomogeneousEigenvalue:
 
 @dataclass(frozen=True)
 class EigenTuple:
-    """Candidate solution: homogeneous value, unit vectors, cached residual."""
+    """Candidate solution: homogeneous value, unit vectors and, when known,
+    the total normalized residual and its per-block terms."""
 
     value: HomogeneousEigenvalue
     vectors: tuple[np.ndarray, ...]
     residual: float | None = None
+    block_residuals: tuple[float, ...] | None = None
 
     def __post_init__(self):
         vecs = []
@@ -276,11 +281,40 @@ def dehomogenize(value: HomogeneousEigenvalue) -> np.ndarray:
     return value.alphas / value.gamma
 
 
+def normalize_homogeneous(v) -> np.ndarray:
+    """`HomogeneousEigenvalue.from_vector` applied to every row of an
+    (N, k+1) array at once.
+
+    Each row is scaled to unit norm, its phase is taken from v_0 unless
+    |v_0| <= 1e-14 (then from the largest-modulus alpha), gamma is made real
+    and nonnegative and the row is normalized again.  Returns the complex
+    (N, k+1) array of rows (gamma, alpha_1, ..., alpha_k).  The batched norms
+    round differently from `from_vector`'s, so entries agree with it to a
+    few eps, not bitwise.
+    """
+    v = np.array(v, dtype=np.complex128)
+    nrm = np.linalg.norm(v, axis=1)
+    if not np.all(nrm > 0):  # also catches nan rows
+        raise ValidationError("cannot normalize a zero or non-finite row")
+    v /= nrm[:, None]
+    # A unit row whose v_0 is negligible has a nonzero largest alpha.
+    pivot = np.where(np.abs(v[:, 0]) > 1e-14, 0, np.argmax(np.abs(v[:, 1:]), axis=1) + 1)
+    p = v[np.arange(v.shape[0]), pivot]
+    v *= (p.conj() / np.abs(p))[:, None]
+    v[:, 0] = np.abs(v[:, 0].real)
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return v
+
+
 def normalized_residual(problem: RmepProblem, t: EigenTuple):
     """Per-block and total backward-error style residuals.
 
         rho_i = ||A_i x_i - sum_s lambda_s B_is x_i||_2
                 / (||A_i||_2 + sum_s |lambda_s| ||B_is||_2)
+
+    This is the metric for any tuple.  `tsvd.solve_complete` stores the same
+    quantity, to a few eps, taking each numerator from its refit SVD as the
+    pencil's smallest singular value.
 
     Only defined for finite eigenvalues; use `homogeneous_residual` otherwise.
     """

@@ -2,7 +2,9 @@
 
 Both formats store, per block, the matrices A, B_1, ..., B_k as column-major
 arrays of interleaved (re, im) doubles and round-trip bit-exactly for finite
-values.  Square problems are tagged so they load back as MepProblem.
+values.  A matrix whose imaginary parts are all exactly 0 loads as float64,
+so a real problem is solved in real arithmetic after a round trip too.
+Square problems are tagged so they load back as MepProblem.
 """
 
 from __future__ import annotations
@@ -44,7 +46,12 @@ def _decode_matrix(data, rows: int, cols: int) -> np.ndarray:
     if arr.size != 2 * rows * cols:
         raise ValidationError(f"matrix payload has {arr.size} doubles, expected {2 * rows * cols}")
     flat = arr[0::2] + 1j * arr[1::2]
-    return flat.reshape((rows, cols), order="F")
+    return _real_if_exact(flat.reshape((rows, cols), order="F"))
+
+
+def _real_if_exact(z: np.ndarray) -> np.ndarray:
+    """z's real part when every imaginary part is exactly 0, else z."""
+    return z if np.any(z.imag) else z.real
 
 
 def to_json_dict(problem: RmepProblem) -> dict:
@@ -150,7 +157,7 @@ def load_binary(path) -> RmepProblem:
             if off + nbytes > len(data):
                 raise ValidationError("truncated binary problem file")
             flat = np.frombuffer(data, dtype="<c16", count=m * n, offset=off)
-            mats.append(flat.reshape((m, n), order="F").astype(np.complex128))
+            mats.append(_real_if_exact(flat.reshape((m, n), order="F").astype(np.complex128)))
             off += nbytes
         blocks.append(EquationBlock(a=mats[0], b=tuple(mats[1:])))
     if off != len(data):

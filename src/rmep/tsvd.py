@@ -12,7 +12,9 @@ perturbed problem into the square multiparameter problem
 whose N = n_1*...*n_k tuples are the complete set of approximate
 eigen-tuples for the rectangular problem.  `solve_complete` takes their
 values from it and each tuple's vectors from its own pencils on the
-original blocks, one batched SVD per block.  When additionally
+original blocks, one batched SVD per block; the smallest singular values of
+the same SVDs give every tuple's normalized residual, so the whole set stays
+in arrays until one EigenTuple per tuple is built at the end.  When additionally
 ||V_11||_2 < 1, the minimal cost is attained and explicit coupling matrices
 X_is with A^_i = sum_s B^_is X_is exist; they are built from a column-pivoted
 QR of V_12.
@@ -27,8 +29,10 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import mep
+from .errors import ValidationError
 from .linalg import svd
 from .model import (
+    GAMMA_THRESHOLD,
     EigenTuple,
     EquationBlock,
     HomogeneousEigenvalue,
@@ -36,7 +40,7 @@ from .model import (
     PerturbationSet,
     RmepProblem,
     dehomogenize,
-    normalized_residual,
+    normalize_homogeneous,
 )
 
 __all__ = [
@@ -168,21 +172,45 @@ def solve_complete(problem: RmepProblem, seed: int = 0) -> list[EigenTuple]:
     pencils are A_i - sum_s lambda_s B_is, whose singular vectors are the
     unit vectors minimizing the residual being reported, and they stay
     accurate when the lifted pencil is so ill conditioned that its
-    eigenvectors lose most digits.  Tuples with gamma at/below the
-    infinite-eigenvalue threshold use gamma A_i - sum_s alpha_s B_is and sort
-    last with residual None.
+    eigenvectors lose most digits.  The smallest singular value sigma_i of
+    each such pencil is ||A_i x_i - sum_s lambda_s B_is x_i||, so a finite
+    tuple stores
+
+        rho_i = sigma_i / (||A_i||_2 + sum_s |lambda_s| ||B_is||_2)
+
+    as `block_residuals` and their sum as `residual`: `normalized_residual`'s
+    metric to a few eps, without forming the products again.  Tuples with
+    gamma at/below the infinite-eigenvalue threshold use
+    gamma A_i - sum_s alpha_s B_is and sort last with residuals None.
     """
     reduced = reduced_mep(truncate_blocks(problem))
-    coords = mep.solve_from_determinants(mep.operator_determinants(reduced), seed=seed)
-    values = [HomogeneousEigenvalue.from_vector(v) for v in coords]
-    c = [np.concatenate(([1.0], -dehomogenize(v))) if v.is_finite() else v.coefficients for v in values]
-    tuples = mep.tuples_from_pencils(problem, values, c)
-    finite = [EigenTuple(t.value, t.vectors, normalized_residual(problem, t)[1]) for t in tuples if t.value.is_finite()]
-    return sorted(finite, key=lambda t: t.residual) + [t for t in tuples if not t.value.is_finite()]
+    rows = normalize_homogeneous(mep.solve_from_determinants(mep.operator_determinants(reduced), seed=seed))
+    gamma = rows[:, 0].real
+    finite = gamma > GAMMA_THRESHOLD
+    # Finite rows take the pencil coefficients (1, -lambda), the others (gamma, -alpha).
+    c = np.column_stack((np.where(finite, 1.0, gamma), -rows[:, 1:] / np.where(finite, gamma, 1.0)[:, None]))
+    vectors, sigmas = mep.tuples_from_pencils(problem, c)
+    # One column per block; the values in infinite rows are never used.
+    rho = np.column_stack([
+        sigma / (norm_a + np.abs(c[:, 1:]) @ norms_b) for sigma, (norm_a, norms_b) in zip(sigmas, problem.spectral_norms)
+    ])
+    total = rho.sum(axis=1)
+    order = np.flatnonzero(finite)
+    order = np.concatenate((order[np.argsort(total[order], kind="stable")], np.flatnonzero(~finite)))
+    tuples = []
+    for t in order.tolist():
+        value = HomogeneousEigenvalue(gamma=gamma[t], alphas=rows[t, 1:])
+        residuals = (float(total[t]), tuple(rho[t].tolist())) if finite[t] else (None, None)
+        tuples.append(EigenTuple(value, tuple(x[t] for x in vectors), *residuals))
+    return tuples
 
 
 def write_complete_csv(problem: RmepProblem, tuples, fileobj) -> None:
-    """Columns: j, re/im of each lambda_s, gamma, rho, rho_1..rho_k."""
+    """Columns: j, re/im of each lambda_s, gamma, rho, rho_1..rho_k.
+
+    rho and rho_i are the residuals stored on each finite tuple by
+    `solve_complete`, so the rho column is the order of the rows.
+    """
     k = problem.k
     writer = csv.writer(fileobj)
     header = ["j"]
@@ -193,12 +221,13 @@ def write_complete_csv(problem: RmepProblem, tuples, fileobj) -> None:
     for j, tup in enumerate(tuples, start=1):
         row = [j]
         if tup.value.is_finite():
+            if tup.block_residuals is None:
+                raise ValidationError(f"tuple {j} is finite but carries no residuals; write the tuples of solve_complete")
             lambdas = dehomogenize(tup.value)
             for l in lambdas:
                 row += [f"{l.real:.17g}", f"{l.imag:.17g}"]
-            per_block, rho = normalized_residual(problem, tup)
-            row += [f"{tup.value.gamma:.17g}", f"{rho:.17g}"]
-            row += [f"{r:.17g}" for r in per_block]
+            row += [f"{tup.value.gamma:.17g}", f"{tup.residual:.17g}"]
+            row += [f"{r:.17g}" for r in tup.block_residuals]
         else:
             for a in tup.value.alphas:
                 row += [f"{a.real:.17g}", f"{a.imag:.17g}"]

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -46,6 +47,17 @@ def test_solve_complete_binary_input(tmp_path):
     header, data = read_csv(tmp_path / "complete_set.csv")
     assert len(data) == 9
     assert float(data[0][header.index("rho")]) <= 1e-10
+
+
+@pytest.mark.parametrize("save, name", [(save_json, "sl.json"), (save_binary, "sl.bin")])
+def test_solve_complete_on_saved_real_problem_matches_in_memory(tmp_path, save, name):
+    # The saved problem loads back real, so the file gives the same artifact.
+    p = rmep.spectral.discretize(rmep.spectral.builtin_sturm_liouville(n1=6, n2=6)).problem
+    save(p, tmp_path / name)
+    assert main(["solve-complete", str(tmp_path / name), "--out", str(tmp_path), "--no-timestamp"]) == 0
+    expected = io.StringIO()
+    rmep.tsvd.write_complete_csv(p, rmep.tsvd.solve_complete(p, seed=0), expected)
+    assert (tmp_path / "complete_set.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_bench_random_noiseless(tmp_path):
@@ -296,6 +308,13 @@ def test_ode_sl_small(tmp_path):
     h, grid = read_csv(tmp_path / "sl_u1_01.csv")
     assert h == ["t", "re_u", "im_u"]
     assert len(grid) == 201
+    # rho is the stored sort key: nondecreasing and the sum of the stored rho_i
+    tuples = rmep.tsvd.solve_complete(rmep.spectral.discretize(rmep.spectral.builtin_sturm_liouville(n1=12, n2=12)).problem)
+    rho = header.index("rho")
+    assert [float(r[rho]) for r in data] == sorted(float(r[rho]) for r in data)
+    for row, t in zip(data, tuples):
+        assert float(row[rho]) == t.residual == sum(t.block_residuals)
+        assert [float(row[rho + 1]), float(row[rho + 2])] == list(t.block_residuals)
 
 
 def test_ode_mathieu_small(tmp_path):

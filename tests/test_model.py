@@ -13,10 +13,12 @@ from rmep.model import (
     dehomogenize,
     homogeneous_residual,
     homogenize,
+    normalize_homogeneous,
     normalized_residual,
     perturbation_cost,
     random_planted_problem,
 )
+from rmep.spectral import builtin_sturm_liouville, discretize
 
 from conftest import EPS, crandn, random_problem
 
@@ -43,6 +45,16 @@ class TestProblemTypes:
     def test_mep_requires_square(self):
         with pytest.raises(ValidationError):
             MepProblem(blocks=(EquationBlock(a=np.ones((3, 2)), b=(np.ones((3, 2)),)),))
+
+    def test_spectral_norms_bitwise_per_matrix_norms(self):
+        # The batched norm must give the same bits as one norm per matrix, so
+        # the KKT check of the alternating solver does not move.
+        problems = [random_planted_problem([20, 20], [5, 5], 0.1, seed=4)[0],
+                    discretize(builtin_sturm_liouville(n1=12, n2=12)).problem]
+        for p in problems:
+            for blk, (norm_a, norms_b) in zip(p.blocks, p.spectral_norms):
+                assert norm_a == float(np.linalg.norm(blk.a, 2))
+                assert norms_b == tuple(float(np.linalg.norm(b, 2)) for b in blk.b)
 
     def test_total_dim(self):
         rng = np.random.default_rng(0)
@@ -124,6 +136,28 @@ class TestHomogenize:
         h = HomogeneousEigenvalue.from_vector([0.0, 1.0j])
         assert h.gamma == 0.0
         assert abs(h.alphas[0] - 1.0) < 1e-14  # largest alpha made real positive
+
+
+class TestNormalizeHomogeneous:
+    def test_matches_from_vector(self):
+        rng = np.random.default_rng(7)
+        for k in (1, 2, 3):
+            v = crandn(rng, 400, k + 1)
+            v[:40, 0] = 0.0  # gamma = 0: the phase comes from the largest alpha
+            v[40:80, 0] *= 1e-15  # |v_0| <= 1e-14 after normalization
+            v[80:120] *= 1e-100
+            v[120:160] *= 1e100
+            rows = normalize_homogeneous(v)
+            for vi, row in zip(v, rows):
+                h = HomogeneousEigenvalue.from_vector(vi)
+                assert np.max(np.abs(row - np.concatenate(([h.gamma], h.alphas)))) <= 2 * EPS
+            assert np.all(rows[:, 0].imag == 0) and np.all(rows[:, 0].real >= 0)
+            assert np.all(rows[:40, 0] == 0.0)
+
+    def test_rejects_zero_and_non_finite_rows(self):
+        for bad in ([[1.0, 2.0], [0.0, 0.0]], [[np.nan, 1.0]]):
+            with pytest.raises(ValidationError):
+                normalize_homogeneous(bad)
 
 
 class TestNormalizedResidual:

@@ -13,6 +13,7 @@ from rmep.serialization import (
     save_json,
     to_json_dict,
 )
+from rmep.spectral import builtin_sturm_liouville, discretize
 
 from conftest import random_problem
 
@@ -92,6 +93,19 @@ def test_binary_roundtrip(tmp_path):
     assert_problems_equal(q, p)
     for ba, bb in zip(p.blocks, q.blocks):
         assert ba.a.tobytes() == bb.a.tobytes()
+
+
+@pytest.mark.parametrize("save, load, name", [(save_json, load_json, "p.json"), (save_binary, load_binary, "p.bin")])
+def test_real_problem_loads_real(tmp_path, save, load, name):
+    p = discretize(builtin_sturm_liouville(n1=6, n2=6)).problem
+    save(p, tmp_path / name)
+    q = load(tmp_path / name)
+    assert all(blk.coeffs.dtype == np.float64 for blk in q.blocks)
+    assert_problems_equal(q, p)
+    # a complex problem stays complex
+    c = random_problem(np.random.default_rng(6), 4, 3, 2)
+    save(c, tmp_path / name)
+    assert all(blk.coeffs.dtype == np.complex128 for blk in load(tmp_path / name).blocks)
 
 
 def test_binary_kind_and_magic(tmp_path):

@@ -2,10 +2,12 @@ import csv
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmep import mep
+from rmep.errors import ValidationError
 from rmep.linalg import gep, svd
 from rmep.model import (
     EquationBlock,
@@ -201,7 +203,25 @@ class TestSolveComplete:
             for blk, x in zip(p.blocks, t.vectors):
                 v = np.linalg.svd(blk.a - sum(l * b for l, b in zip(lam, blk.b)))[2][-1].conj()
                 assert np.linalg.norm(x - v * np.vdot(v, x) / abs(np.vdot(v, x))) <= 1e-12
-            assert t.residual == normalized_residual(p, t)[1]
+            # rho comes from the refit's smallest singular value, not from
+            # ||R x||, so it matches normalized_residual to rounding only.
+            per_block, rho = normalized_residual(p, t)
+            assert abs(t.residual - rho) <= 4 * EPS
+            assert np.max(np.abs(np.array(t.block_residuals) - per_block)) <= 4 * EPS
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 2), n=st.integers(1, 4), extra=st.integers(1, 4),
+           sigma=st.one_of(st.just(0.0), st.floats(0.0, 0.2)), seed=st.integers(0, 2**32 - 1))
+    def test_stored_residuals_match_normalized_residual(self, k, n, extra, sigma, seed):
+        # Absolute, not relative: at sigma = 0 both are rounding noise near
+        # 1e-16 and differ by a large fraction of themselves.
+        p, _ = random_planted_problem([n + extra] * k, [n] * k, sigma, seed=seed)
+        for t in solve_complete(p, seed=0):
+            if t.residual is None:
+                continue
+            per_block, _ = normalized_residual(p, t)
+            assert np.max(np.abs(np.array(t.block_residuals) - per_block)) <= 8 * EPS
+            assert t.residual == sum(t.block_residuals)
 
     def test_csv_export(self):
         p, _ = random_planted_problem([10, 10], [2, 2], 0.0, seed=15)
@@ -211,6 +231,24 @@ class TestSolveComplete:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "j,re_lambda1,im_lambda1,re_lambda2,im_lambda2,gamma,rho,rho_1,rho_2"
         assert len(lines) == 1 + 4
+
+    def test_csv_rho_is_the_stored_sort_key(self):
+        p, _ = random_planted_problem([14, 14, 14], [3, 2, 2], 0.05, seed=18)
+        tuples = solve_complete(p, seed=0)
+        buf = io.StringIO()
+        write_complete_csv(p, tuples, buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))
+        rho_col = rows[0].index("rho")
+        rhos = [float(r[rho_col]) for r in rows[1:]]
+        assert rhos == sorted(rhos)
+        for row, t in zip(rows[1:], tuples):
+            assert float(row[rho_col]) == t.residual == sum(t.block_residuals)
+            assert [float(v) for v in row[rho_col + 1:]] == list(t.block_residuals)
+
+    def test_csv_needs_stored_residuals(self):
+        p = shared_b_problem()
+        with pytest.raises(ValidationError, match="carries no residuals"):
+            write_complete_csv(p, solve_mep(p, seed=0), io.StringIO())
 
     def test_csv_infinite_rows_carry_raw_alphas(self):
         p = shared_b_problem()
@@ -274,3 +312,57 @@ class TestRealArithmetic:
         real = solve_complete(p, seed=0)
         cast = solve_complete(complex_cast(p), seed=0)
         assert match_multisets(homogeneous_rows(real), homogeneous_rows(cast)) <= 1e-10
+
+
+def value_residual_rows(tuples, k, params=None, blocks=None):
+    """One row (gamma, alpha_s..., rho_i...) per tuple, with the alphas and
+    residuals reordered by `params` and `blocks` when given; -1 stands for
+    the residuals of an infinite tuple."""
+    params = list(range(k)) if params is None else list(params)
+    blocks = list(range(k)) if blocks is None else list(blocks)
+    return np.array([
+        np.concatenate((
+            [t.value.gamma],
+            t.value.alphas[params],
+            np.array(t.block_residuals if t.residual is not None else [-1.0] * k)[blocks],
+        ))
+        for t in tuples
+    ])
+
+
+planted = dict(k=st.integers(1, 2), n=st.integers(1, 3), extra=st.integers(1, 3),
+               sigma=st.floats(0.0, 0.2), seed=st.integers(0, 2**32 - 1))
+
+
+class TestCompleteSetProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(block=st.integers(0, 1), **planted)
+    def test_unitary_row_rotation_of_a_block(self, block, k, n, extra, sigma, seed):
+        p, _ = random_planted_problem([n + extra] * k, [n] * k, sigma, seed=seed)
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(crandn(rng, n + extra, n + extra))[0]
+        blocks = list(p.blocks)
+        blk = blocks[block % k]
+        blocks[block % k] = EquationBlock(a=q @ blk.a, b=tuple(q @ b for b in blk.b))
+        rotated = solve_complete(RmepProblem(blocks=tuple(blocks)), seed=0)
+        assert match_multisets(value_residual_rows(solve_complete(p, seed=0), k),
+                               value_residual_rows(rotated, k)) <= 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), **planted)
+    def test_permuting_blocks_and_parameters_permutes_the_tuples(self, data, k, n, extra, sigma, seed):
+        p, _ = random_planted_problem([n + extra] * k, [n] * k, sigma, seed=seed)
+        blocks = data.draw(st.permutations(range(k)))
+        params = data.draw(st.permutations(range(k)))
+        permuted = RmepProblem(blocks=tuple(
+            EquationBlock(a=p.blocks[i].a, b=tuple(p.blocks[i].b[s] for s in params)) for i in blocks
+        ))
+        expected = value_residual_rows(solve_complete(p, seed=0), k, params=params, blocks=blocks)
+        assert match_multisets(expected, value_residual_rows(solve_complete(permuted, seed=0), k)) <= 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(other=st.integers(1, 2**32 - 1), **planted)
+    def test_complete_set_does_not_depend_on_the_seed(self, other, k, n, extra, sigma, seed):
+        p, _ = random_planted_problem([n + extra] * k, [n] * k, sigma, seed=seed)
+        assert match_multisets(value_residual_rows(solve_complete(p, seed=0), k),
+                               value_residual_rows(solve_complete(p, seed=other), k)) <= 1e-10
