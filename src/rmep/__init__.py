@@ -32,7 +32,6 @@ from .model import (
     homogeneous_residual,
     homogenize,
     normalized_residual,
-    perturbation_cost,
     random_planted_problem,
 )
 from .spectral import (
@@ -81,7 +80,6 @@ __all__ = [
     "homogenize",
     "normalized_residual",
     "operator_determinants",
-    "perturbation_cost",
     "random_planted_problem",
     "reconstruct",
     "reduced_mep",

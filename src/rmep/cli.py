@@ -39,7 +39,7 @@ import numpy as np
 
 from . import alternating, mep, serialization, spectral, tsvd
 from .errors import CapacityError, DomainError, IrregularMepError, ValidationError
-from .model import GAMMA_THRESHOLD, dehomogenize, normalize_homogeneous, random_planted_problem
+from .model import dehomogenize, pencil_coefficients, random_planted_problem
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,6 +112,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
         if key != "config" and value is not None and value is not False:
             options[key] = value
     options["out"] = _convert(options.get("out", "."), Path, "out")
+    if not isinstance(options.get("no_timestamp", False), bool):
+        raise ValidationError(f"--no-timestamp expects true or false, got {options['no_timestamp']!r}")
     return options
 
 
@@ -137,11 +139,17 @@ def _fmt(x: float) -> str:
 
 
 def _convert(value, kind, option: str):
-    """kind(value), or a ValidationError naming the option it came from."""
+    """kind(value), or a ValidationError naming the option it came from.
+
+    A bool is no number, and an integer option takes only an int, so a
+    config file's 1.9, "2" or true is rejected rather than coerced (flags
+    arrive already parsed)."""
+    expected = {int: "an integer", float: "a number"}.get(kind, "a path")
+    if (kind in (int, float) and isinstance(value, bool)) or (kind is int and not isinstance(value, int)):
+        raise ValidationError(f"--{option} expects {expected}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        expected = {int: "an integer", float: "a number"}.get(kind, "a path")
         raise ValidationError(f"--{option} expects {expected}, got {value!r}") from exc
 
 
@@ -197,26 +205,24 @@ def _cmd_solve_complete(opt: dict) -> int:
     return EXIT_OK
 
 
-def _relative_error(a: complex, b: complex) -> float:
-    s = abs(a) + abs(b)
-    return 0.0 if s == 0 else abs(a - b) / s
+def _relative_errors(a, b):
+    """|a - b| / (|a| + |b|) elementwise, and 0 where a = b = 0.  The moduli
+    come from hypot, as abs() of one complex does; numpy's vectorized complex
+    abs can differ in the last bit."""
+    d = a - b
+    scale = np.hypot(a.real, a.imag) + np.hypot(b.real, b.imag)
+    return np.hypot(d.real, d.imag) / np.where(scale == 0, 1.0, scale)
 
 
 def _greedy_match(ref, computed):
-    """Pairs minimizing the summed per-component relative error, greedily."""
+    """Pairs minimizing the summed per-component relative error, greedily,
+    as the index arrays (into ref, into computed)."""
     nref, ncomp = len(ref), len(computed)
-    k = ref.shape[1]
-    cost = np.zeros((nref, ncomp))
-    for s in range(k):
-        aa = np.abs(ref[:, s][:, None] - computed[:, s][None, :])
-        ss = np.abs(ref[:, s])[:, None] + np.abs(computed[:, s])[None, :]
-        with np.errstate(invalid="ignore"):
-            cost += np.where(ss == 0, 0.0, aa / ss)
-    order = np.argsort(cost, axis=None)
+    cost = sum(_relative_errors(ref[:, None, s], computed[None, :, s]) for s in range(ref.shape[1]))
     used_r = np.zeros(nref, bool)
     used_c = np.zeros(ncomp, bool)
     pairs = []
-    for flat in order:
+    for flat in np.argsort(cost, axis=None):
         i, j = divmod(int(flat), ncomp)
         if used_r[i] or used_c[j]:
             continue
@@ -224,26 +230,25 @@ def _greedy_match(ref, computed):
         pairs.append((i, j))
         if len(pairs) == min(nref, ncomp):
             break
-    return pairs
+    return np.array(pairs, dtype=int).reshape(-1, 2).T
 
 
 def _bench_trial(m: int, n: int, k: int, sigma: float, child_seed) -> dict:
     problem, reference = random_planted_problem([m] * k, [n] * k, sigma, child_seed)
     solver_seed = int(child_seed.generate_state(1)[0])
     # The reference needs only values, so no vectors are computed for it.
-    rows = normalize_homogeneous(mep.solve_from_determinants(mep.operator_determinants(reference), seed=solver_seed))
-    rows = rows[rows[:, 0].real > GAMMA_THRESHOLD]
-    ref_vals = rows[:, 1:] / rows[:, :1].real
+    finite, c = pencil_coefficients(mep.solve_from_determinants(mep.operator_determinants(reference), seed=solver_seed))
+    ref_vals = -c[finite, 1:]
     comp_vals = [dehomogenize(t.value) for t in tsvd.solve_complete(problem, seed=solver_seed) if t.value.is_finite()]
     comp_vals = np.array(comp_vals).reshape(-1, k)
-    pairs = _greedy_match(ref_vals, comp_vals)
-    errs = np.array([[_relative_error(ref_vals[i, s], comp_vals[j, s]) for s in range(k)] for i, j in pairs])
+    ref_idx, comp_idx = _greedy_match(ref_vals, comp_vals)
+    errs = _relative_errors(ref_vals[ref_idx], comp_vals[comp_idx])
     total = n**k
     return {
         "max": errs.max(axis=0),
         "min": errs.min(axis=0),
         "mean": errs.mean(axis=0),
-        "unmatched": total - len(pairs),
+        "unmatched": total - len(ref_idx),
     }
 
 

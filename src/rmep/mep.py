@@ -31,16 +31,18 @@ The weights w and c are real when every D_j is real, so a real problem is
 solved in real arithmetic, and complex otherwise.
 
 The lifted pencil supplies only the values: `solve_from_determinants`
-returns the homogeneous tuples as the rows of an array.  Each tuple's
-vectors come from its own pencils instead: `tuples_from_pencils` returns,
-for every row of coefficients c, the smallest right singular vector x_i of
-sum_j c_j S_ij and that pencil's smallest singular value, as arrays, one
-batched SVD per block over all tuples.  `solve_mep` uses
-c = (gamma, -alpha_1, ..., -alpha_k), so a square problem gets the null
-vectors of gamma A_i - sum_s alpha_s B_is, which need no factoring of z and
-exist also where z is not a Kronecker product (multiple eigenvalues);
-`tsvd.solve_complete` calls it on the rectangular blocks and takes each
-tuple's residual from the singular values.
+returns the homogeneous tuples as the rows of an array, normalized by
+`model.normalize_homogeneous`.  Each tuple's vectors come from its own
+pencils instead: `tuples_from_pencils` returns, for every row of
+coefficients c, the smallest right singular vector x_i of sum_j c_j S_ij and
+that pencil's smallest singular value, as arrays, one batched SVD per block
+over all tuples.  `solve_mep` and `tsvd.solve_complete` take c from
+`model.pencil_coefficients`: (1, -lambda_1, ..., -lambda_k) for a finite
+tuple and (gamma, -alpha_1, ..., -alpha_k) for an infinite one.  So a square
+problem gets the null vectors of its tuples' pencils, which need no
+factoring of z and exist also where z is not a Kronecker product (multiple
+eigenvalues); `tsvd.solve_complete` forms the pencils of the rectangular
+blocks and takes each tuple's residual from the singular values.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import numpy as np
 
 from .errors import CapacityError, IrregularMepError, ValidationError
 from .linalg import EPS, gep, rcond_1norm, svd
-from .model import EigenTuple, HomogeneousEigenvalue, MepProblem, RmepProblem, normalize_homogeneous
+from .model import EigenTuple, HomogeneousEigenvalue, MepProblem, RmepProblem, normalize_homogeneous, pencil_coefficients
 
 __all__ = [
     "OperatorDeterminants",
@@ -171,13 +173,15 @@ def _pick_mass(deltas: OperatorDeterminants, rng):
 
 def solve_mep(problem: MepProblem, seed: int = 0) -> list[EigenTuple]:
     """All N = n_1*...*n_k tuples of a square problem, multiplicities kept,
-    each with the null vectors of its own pencils (residual None).
+    each with the null vectors of its own pencils (residual None): the
+    normalized rows of `solve_from_determinants`, with the pencils of
+    `model.pencil_coefficients`.
 
     Deterministic for a fixed seed (which drives the random mass-matrix
     weights and the tuple-splitting combination).
     """
-    rows = normalize_homogeneous(solve_from_determinants(operator_determinants(problem), seed=seed))
-    vectors, _ = tuples_from_pencils(problem, np.concatenate((rows[:, :1], -rows[:, 1:]), axis=1))
+    rows = solve_from_determinants(operator_determinants(problem), seed=seed)
+    vectors, _ = tuples_from_pencils(problem, pencil_coefficients(rows)[1])
     return [
         EigenTuple(HomogeneousEigenvalue(gamma=row[0].real, alphas=row[1:]), tuple(x[t] for x in vectors))
         for t, row in enumerate(rows)
@@ -217,7 +221,8 @@ def _column_vdots(w, x, out):
 
 def solve_from_determinants(deltas: OperatorDeterminants, seed: int = 0) -> np.ndarray:
     """The N tuples as the rows of an N x (k+1) array of homogeneous
-    coordinates (gamma, alpha_1, ..., alpha_k), not normalized."""
+    coordinates (gamma, alpha_1, ..., alpha_k), each normalized by
+    `model.normalize_homogeneous`."""
     rng = np.random.default_rng(seed)
     mass, _ = _pick_mass(deltas, rng)
     pencil = gep(_random_combination(deltas.matrices, rng), mass)
@@ -238,4 +243,4 @@ def solve_from_determinants(deltas: OperatorDeterminants, seed: int = 0) -> np.n
     )
     for j in np.flatnonzero(left_unusable):
         values[j] = _least_squares_quotients(deltas.matrices, mz_all[:, j], z_all[:, j])
-    return values
+    return normalize_homogeneous(values)

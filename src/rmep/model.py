@@ -12,7 +12,11 @@ homogeneous form lambda_s = alpha_s / gamma with
 
 which keeps infinite eigenvalues (gamma = 0) representable.  This module
 holds the value types, the residual metrics, the perturbation bookkeeping
-and the seeded random generator used by the benchmark harness.
+and the seeded random generator used by the benchmark harness.  It also
+holds the two rules every solver shares: `normalize_homogeneous` picks the
+representative above (phase and pivot included), and `pencil_coefficients`
+splits finite from infinite values at GAMMA_THRESHOLD and maps each row to
+its pencil coefficients.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ __all__ = [
     "homogenize",
     "dehomogenize",
     "normalize_homogeneous",
+    "pencil_coefficients",
     "normalized_residual",
     "homogeneous_residual",
-    "perturbation_cost",
     "random_planted_problem",
 ]
 
@@ -174,7 +178,7 @@ class HomogeneousEigenvalue:
         if gamma < 0:
             raise ValidationError("gamma must be nonnegative")
         nrm = gamma * gamma + float(np.sum(np.abs(alphas) ** 2))
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # nan fails too
             raise ValidationError(f"(gamma, alphas) must be unit-normalized, |v|^2 = {nrm}")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "alphas", alphas)
@@ -186,29 +190,10 @@ class HomogeneousEigenvalue:
 
     @classmethod
     def from_vector(cls, v) -> "HomogeneousEigenvalue":
-        """Normalize an arbitrary nonzero (k+1)-vector and fix the phase.
-
-        The global phase is chosen so the leading (gamma) component is real
-        nonnegative; when that component is negligible (|v_0| <= 1e-14 after
-        normalization) the phase of the largest-modulus alpha is used instead.
-        """
-        v = np.array(v, dtype=np.complex128).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise ValidationError("cannot normalize the zero vector")
-        v = v / nrm
-        if abs(v[0]) > 1e-14:
-            phase = v[0] / abs(v[0])
-        else:
-            j = int(np.argmax(np.abs(v[1:]))) + 1
-            phase = v[j] / abs(v[j]) if abs(v[j]) > 0 else 1.0
-        v = v * np.conj(phase)
-        gamma = abs(float(v[0].real))
-        alphas = v[1:]
-        # Re-normalize exactly after forcing gamma real.
-        w = np.concatenate(([gamma], alphas))
-        w = w / np.linalg.norm(w)
-        return cls(gamma=float(w[0].real), alphas=w[1:])
+        """The value of one nonzero (k+1)-vector, normalized by
+        `normalize_homogeneous`."""
+        row = normalize_homogeneous(np.reshape(v, (1, -1)))[0]
+        return cls(gamma=row[0].real, alphas=row[1:])
 
     def is_finite(self) -> bool:
         return self.gamma > GAMMA_THRESHOLD
@@ -246,28 +231,23 @@ class PerturbationSet:
     @classmethod
     def from_blocks(cls, origin: RmepProblem, blocks) -> "PerturbationSet":
         blocks = tuple(blocks)
-        cost = _frobenius_cost(origin, blocks)
+        if len(blocks) != origin.k:
+            raise ValidationError("perturbation block count does not match the problem")
+        cost = 0.0
+        for blk, pblk in zip(origin.blocks, blocks):
+            if pblk.coeffs.shape != blk.coeffs.shape:
+                raise ValidationError("perturbation shapes do not match the problem")
+            cost += float(np.linalg.norm(pblk.coeffs - blk.coeffs) ** 2)
         return cls(blocks=blocks, cost=cost)
 
 
-def _frobenius_cost(origin: RmepProblem, blocks) -> float:
-    if len(blocks) != origin.k:
-        raise ValidationError("perturbation block count does not match the problem")
-    total = 0.0
-    for blk, pblk in zip(origin.blocks, blocks):
-        if pblk.coeffs.shape != blk.coeffs.shape:
-            raise ValidationError("perturbation shapes do not match the problem")
-        total += float(np.linalg.norm(pblk.coeffs - blk.coeffs) ** 2)
-    return total
-
-
 def homogenize(lambdas) -> HomogeneousEigenvalue:
-    """Map finite eigenvalues to the unit homogeneous representative."""
+    """Map finite eigenvalues to the unit homogeneous representative of
+    (1, lambda_1, ..., lambda_k)."""
     lam = np.array(lambdas, dtype=np.complex128).reshape(-1)
     if not np.all(np.isfinite(lam.view(np.float64))):
         raise ValidationError("homogenize requires finite eigenvalues")
-    tau = math.sqrt(1.0 + float(np.sum(np.abs(lam) ** 2)))
-    return HomogeneousEigenvalue(gamma=1.0 / tau, alphas=lam / tau)
+    return HomogeneousEigenvalue.from_vector(np.concatenate(([1.0], lam)))
 
 
 def dehomogenize(value: HomogeneousEigenvalue) -> np.ndarray:
@@ -282,19 +262,19 @@ def dehomogenize(value: HomogeneousEigenvalue) -> np.ndarray:
 
 
 def normalize_homogeneous(v) -> np.ndarray:
-    """`HomogeneousEigenvalue.from_vector` applied to every row of an
-    (N, k+1) array at once.
+    """The unit homogeneous representative of every row of an (N, k+1)
+    array: the one normalization rule of the package.
 
     Each row is scaled to unit norm, its phase is taken from v_0 unless
     |v_0| <= 1e-14 (then from the largest-modulus alpha), gamma is made real
     and nonnegative and the row is normalized again.  Returns the complex
-    (N, k+1) array of rows (gamma, alpha_1, ..., alpha_k).  The batched norms
-    round differently from `from_vector`'s, so entries agree with it to a
-    few eps, not bitwise.
+    (N, k+1) array of rows (gamma, alpha_1, ..., alpha_k).
+    `HomogeneousEigenvalue.from_vector` and `homogenize` apply it to one row,
+    and `mep.solve_from_determinants` to every tuple of the lifted pencil.
     """
     v = np.array(v, dtype=np.complex128)
     nrm = np.linalg.norm(v, axis=1)
-    if not np.all(nrm > 0):  # also catches nan rows
+    if not np.all((nrm > 0) & (nrm < np.inf)):  # also catches nan rows and an overflowing norm
         raise ValidationError("cannot normalize a zero or non-finite row")
     v /= nrm[:, None]
     # A unit row whose v_0 is negligible has a nonzero largest alpha.
@@ -304,6 +284,21 @@ def normalize_homogeneous(v) -> np.ndarray:
     v[:, 0] = np.abs(v[:, 0].real)
     v /= np.linalg.norm(v, axis=1)[:, None]
     return v
+
+
+def pencil_coefficients(rows: np.ndarray):
+    """(finite, c) for normalized rows (gamma, alpha_1, ..., alpha_k): the one
+    rule that turns a homogeneous value into pencil coefficients.
+
+    `finite` marks the rows with gamma > GAMMA_THRESHOLD; row t of the
+    (N, k+1) array c is (1, -lambda_1, ..., -lambda_k) with lambda = alpha /
+    gamma there, and (gamma, -alpha_1, ..., -alpha_k) elsewhere.  This is the
+    batched form of `is_finite` with `dehomogenize` or `coefficients`.
+    """
+    gamma = rows[:, 0].real
+    finite = gamma > GAMMA_THRESHOLD
+    c = np.column_stack((np.where(finite, 1.0, gamma), -rows[:, 1:] / np.where(finite, gamma, 1.0)[:, None]))
+    return finite, c
 
 
 def normalized_residual(problem: RmepProblem, t: EigenTuple):
@@ -335,11 +330,6 @@ def homogeneous_residual(problem: RmepProblem, t: EigenTuple) -> float:
     """sum_i ||gamma A_i x_i - sum_s alpha_s B_is x_i||_2^2 (finite for any gamma)."""
     c = t.value.coefficients
     return sum(float(np.linalg.norm(blk.pencil(c, x)) ** 2) for blk, x in zip(problem.blocks, t.vectors))
-
-
-def perturbation_cost(problem: RmepProblem, pset: PerturbationSet) -> float:
-    """Recompute sum_i ||[A^_i - A_i, B^_i1 - B_i1, ...]||_F^2 from scratch."""
-    return _frobenius_cost(problem, pset.blocks)
 
 
 def _complex_normal(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:

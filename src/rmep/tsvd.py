@@ -32,7 +32,6 @@ from . import mep
 from .errors import ValidationError
 from .linalg import svd
 from .model import (
-    GAMMA_THRESHOLD,
     EigenTuple,
     EquationBlock,
     HomogeneousEigenvalue,
@@ -40,7 +39,7 @@ from .model import (
     PerturbationSet,
     RmepProblem,
     dehomogenize,
-    normalize_homogeneous,
+    pencil_coefficients,
 )
 
 __all__ = [
@@ -165,11 +164,13 @@ def reduced_mep(truncations: list[BlockTruncation]) -> MepProblem:
 def solve_complete(problem: RmepProblem, seed: int = 0) -> list[EigenTuple]:
     """All N approximate eigen-tuples, ordered by ascending total residual.
 
-    The reduced square problem supplies the eigenvalues.  Each tuple's
-    vectors are then derived against the original rectangular blocks as the
-    smallest right singular vectors of its pencils, one batched SVD per block
-    over all tuples (`mep.tuples_from_pencils`): for a finite tuple the
-    pencils are A_i - sum_s lambda_s B_is, whose singular vectors are the
+    The reduced square problem supplies the eigenvalues, as the rows that
+    `model.normalize_homogeneous` normalizes.  Each tuple's vectors are then
+    derived against the original rectangular blocks as the smallest right
+    singular vectors of its pencils, one batched SVD per block over all
+    tuples (`mep.tuples_from_pencils`), with the coefficients of
+    `model.pencil_coefficients`: for a finite tuple the pencils are
+    A_i - sum_s lambda_s B_is, whose singular vectors are the
     unit vectors minimizing the residual being reported, and they stay
     accurate when the lifted pencil is so ill conditioned that its
     eigenvectors lose most digits.  The smallest singular value sigma_i of
@@ -184,11 +185,8 @@ def solve_complete(problem: RmepProblem, seed: int = 0) -> list[EigenTuple]:
     gamma A_i - sum_s alpha_s B_is and sort last with residuals None.
     """
     reduced = reduced_mep(truncate_blocks(problem))
-    rows = normalize_homogeneous(mep.solve_from_determinants(mep.operator_determinants(reduced), seed=seed))
-    gamma = rows[:, 0].real
-    finite = gamma > GAMMA_THRESHOLD
-    # Finite rows take the pencil coefficients (1, -lambda), the others (gamma, -alpha).
-    c = np.column_stack((np.where(finite, 1.0, gamma), -rows[:, 1:] / np.where(finite, gamma, 1.0)[:, None]))
+    rows = mep.solve_from_determinants(mep.operator_determinants(reduced), seed=seed)
+    finite, c = pencil_coefficients(rows)
     vectors, sigmas = mep.tuples_from_pencils(problem, c)
     # One column per block; the values in infinite rows are never used.
     rho = np.column_stack([
@@ -199,7 +197,7 @@ def solve_complete(problem: RmepProblem, seed: int = 0) -> list[EigenTuple]:
     order = np.concatenate((order[np.argsort(total[order], kind="stable")], np.flatnonzero(~finite)))
     tuples = []
     for t in order.tolist():
-        value = HomogeneousEigenvalue(gamma=gamma[t], alphas=rows[t, 1:])
+        value = HomogeneousEigenvalue(gamma=rows[t, 0].real, alphas=rows[t, 1:])
         residuals = (float(total[t]), tuple(rho[t].tolist())) if finite[t] else (None, None)
         tuples.append(EigenTuple(value, tuple(x[t] for x in vectors), *residuals))
     return tuples

@@ -29,6 +29,16 @@ def shared_b_problem():
     return MepProblem(blocks=tuple(EquationBlock(a=crandn(rng, 2, 2), b=(b1, b2)) for _ in range(2)))
 
 
+def frobenius_distance(problem, blocks):
+    """sum_i ||S^_i - S_i||_F^2 between the problem's blocks and `blocks`,
+    summed matrix by matrix over A_i and every B_is with numpy alone."""
+    total = 0.0
+    for blk, pblk in zip(problem.blocks, blocks, strict=True):
+        for mat, pmat in zip((blk.a,) + blk.b, (pblk.a,) + pblk.b, strict=True):
+            total += float(np.sum(np.abs(pmat - mat) ** 2))
+    return total
+
+
 def pencil_vector_error(problem, t):
     """Largest distance, up to phase, of t's vectors from numpy's smallest
     right singular vectors of gamma A_i - sum_s alpha_s B_is."""

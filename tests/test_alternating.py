@@ -26,10 +26,10 @@ from rmep.model import (
     dehomogenize,
     homogeneous_residual,
     homogenize,
-    perturbation_cost,
+    random_planted_problem,
 )
 
-from conftest import EPS, crandn, random_problem
+from conftest import EPS, crandn, frobenius_distance, random_problem
 
 
 def scalar_problem():
@@ -266,6 +266,21 @@ class TestSolveOne:
                 scale = np.linalg.norm(blk.a) + sum(abs(l) * np.linalg.norm(bi) for l, bi in zip(lam, blk.b))
                 assert np.linalg.norm(r) <= 1e-12 * scale
 
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(1, 2), block=st.integers(0, 1), sigma=st.floats(0.0, 0.2), seed=st.integers(0, 2**32 - 1))
+    def test_unitary_row_rotation_of_a_block_keeps_theta(self, k, block, sigma, seed):
+        # ||Q R x|| = ||R x|| for every pencil R of the rotated block, so the
+        # objective is the same function and the run ends at the same theta.
+        p, _ = random_planted_problem([8] * k, [3] * k, sigma, seed=seed)
+        q = np.linalg.qr(crandn(np.random.default_rng(seed), 8, 8))[0]
+        blocks = list(p.blocks)
+        blk = blocks[block % k]
+        blocks[block % k] = EquationBlock(a=q @ blk.a, b=tuple(q @ b for b in blk.b))
+        theta = solve_one(p)[2].objectives[-1]
+        rotated = solve_one(RmepProblem(blocks=tuple(blocks)))[2].objectives[-1]
+        scale = sum(np.linalg.norm(b.coeffs) ** 2 for b in p.blocks)
+        assert abs(rotated - theta) <= 1e-7 * theta + 4 * EPS * scale
+
     def test_trace_csv(self):
         p = scalar_problem()
         _, _, trace = solve_one(p)
@@ -332,7 +347,7 @@ class TestReconstructPerturbation:
             pset = reconstruct_perturbation(p, value, xs)
             objective = homogeneous_residual(p, EigenTuple(value=value, vectors=tuple(xs)))
             assert abs(pset.cost - objective) <= 1e-12 * max(objective, 1e-300)
-            assert abs(perturbation_cost(p, pset) - pset.cost) <= 1e-12 * max(pset.cost, 1e-300)
+            assert abs(frobenius_distance(p, pset.blocks) - pset.cost) <= 1e-12 * max(pset.cost, 1e-300)
 
 
 def _reference_value(columns):

@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 import rmep.alternating
 import rmep.spectral
 import rmep.tsvd
-from rmep.cli import main
+from rmep.cli import _relative_errors, main
 from rmep.model import dehomogenize, random_planted_problem
 from rmep.serialization import save_binary, save_json, to_json_dict
 
@@ -70,6 +72,18 @@ def test_bench_random_noiseless(tmp_path):
     col = header.index("mean_mean_rel_err_lambda1")
     assert float(data[0][col]) <= 1e-10
     assert float(data[0][header.index("mean_unmatched")]) == 0.0
+
+
+def test_relative_errors_match_the_scalar_rule_bitwise():
+    # the per-pair rule bench.csv was written with: abs() of each complex scalar
+    rng = np.random.default_rng(9)
+    a = (rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))) * 10.0 ** rng.uniform(-8, 8, (200, 2))
+    b = a * (1 + 1e-3 * rng.standard_normal((200, 2)))
+    a[:5], b[:5] = 0.0, 0.0
+    b[5:10] = 0.0
+    scalar = [[0.0 if abs(x) + abs(y) == 0 else abs(x - y) / (abs(x) + abs(y)) for x, y in zip(ra, rb)]
+              for ra, rb in zip(a, b)]
+    assert np.array_equal(_relative_errors(a, b), np.array(scalar))
 
 
 def test_bench_random_requires_seed(tmp_path):
@@ -195,10 +209,23 @@ def test_config_file_defaults(tmp_path):
         (["bench-random", "--seed", "1"], {"trials": "many"}, "--trials expects an integer"),
         (["ode-mathieu"], {"alpha": "wide"}, "--alpha expects a number"),
         (["ode-sl"], {"n1": [12]}, "--n1 expects an integer"),
+        # JSON values are not coerced: no float or bool for an integer, no bool for a number
+        (["bench-random", "--seed", "1"], {"trials": 1.9}, "--trials expects an integer, got 1.9"),
+        (["bench-random"], {"seed": True}, "--seed expects an integer, got True"),
+        (["bench-random", "--seed", "1"], {"trials": "2"}, "--trials expects an integer, got '2'"),
+        (["solve-one", "INPUT"], {"max_iters": 2.9}, "--max-iters expects an integer, got 2.9"),
+        (["ode-mathieu"], {"alpha": True}, "--alpha expects a number, got True"),
+        (["bench-random", "--seed", "1"], {"sigmas": [0.0, False]}, "--sigmas expects a number, got False"),
+        (["bench-random", "--seed", "1"], {"no-timestamp": "yes"}, "--no-timestamp expects true or false, got 'yes'"),
     ],
-    ids=["bench-seed", "bench-trials", "mathieu-alpha", "sl-n1"],
+    ids=["bench-seed", "bench-trials", "mathieu-alpha", "sl-n1", "trials-float", "seed-bool", "trials-string",
+         "max-iters-float", "alpha-bool", "sigmas-bool", "no-timestamp-string"],
 )
 def test_config_values_of_wrong_type_are_config_errors(tmp_path, capsys, command, config, message):
+    if "INPUT" in command:
+        p, _ = random_planted_problem([8, 8], [3, 3], 0.05, seed=1)
+        save_json(p, tmp_path / "problem.json")
+        command = [str(tmp_path / "problem.json") if c == "INPUT" else c for c in command]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -385,11 +412,15 @@ def test_console_entry_point_subprocess(tmp_path):
     p, _ = random_planted_problem([8, 8], [2, 2], 0.0, seed=4)
     inp = tmp_path / "p.json"
     save_json(p, inp)
+    # The child imports the same rmep as this process, installed or not.
+    src = str(Path(rmep.tsvd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "rmep.cli", "solve-complete", str(inp), "--out", str(tmp_path), "--no-timestamp"],
         capture_output=True,
         text=True,
         timeout=300,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "complete_set.csv").exists()
