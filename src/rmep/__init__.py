@@ -43,6 +43,7 @@ from .spectral import (
     builtin_mathieu,
     builtin_sturm_liouville,
     continuous_residual,
+    continuous_residuals,
     discretize,
     reconstruct,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "builtin_mathieu",
     "builtin_sturm_liouville",
     "continuous_residual",
+    "continuous_residuals",
     "dehomogenize",
     "discretize",
     "homogeneous_residual",

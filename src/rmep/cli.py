@@ -141,16 +141,25 @@ def _fmt(x: float) -> str:
 def _convert(value, kind, option: str):
     """kind(value), or a ValidationError naming the option it came from.
 
-    A bool is no number, and an integer option takes only an int, so a
-    config file's 1.9, "2" or true is rejected rather than coerced (flags
-    arrive already parsed)."""
+    A bool or a string is no number, and an integer option takes only an
+    int, so a config file's 1.9, "2", "4" or true is rejected rather than
+    coerced (flags arrive already parsed, and `--sigmas` splits and parses
+    its own string)."""
     expected = {int: "an integer", float: "a number"}.get(kind, "a path")
-    if (kind in (int, float) and isinstance(value, bool)) or (kind is int and not isinstance(value, int)):
+    if (kind in (int, float) and isinstance(value, (bool, str))) or (kind is int and not isinstance(value, int)):
         raise ValidationError(f"--{option} expects {expected}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"--{option} expects {expected}, got {value!r}") from exc
+
+
+def _parse_float(text: str, option: str) -> float:
+    """float(text), or a ValidationError naming the option it came from."""
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ValidationError(f"--{option} expects a number, got {text!r}") from exc
 
 
 def _option(opt: dict, key: str, kind, default):
@@ -261,7 +270,7 @@ def _cmd_bench_random(opt: dict) -> int:
     trials = _option(opt, "trials", int, 10)
     sigmas_opt = opt.get("sigmas", "0,0.01,0.05,0.1,0.2")
     if isinstance(sigmas_opt, str):
-        sigmas_opt = [s for s in sigmas_opt.split(",") if s.strip() != ""]
+        sigmas_opt = [_parse_float(s, "sigmas") for s in sigmas_opt.split(",") if s.strip() != ""]
     sigmas = [_convert(s, float, "sigmas") for s in sigmas_opt]
     if not sigmas:
         raise ValidationError("bench-random needs at least one noise level in --sigmas")
@@ -328,10 +337,10 @@ def _cmd_ode(opt: dict, mathieu: bool) -> int:
         if mathieu:
             header += ["re_omega", "im_omega"]
         writer.writerow(header)
-        for j, tup in enumerate(finite, start=1):
+        defects = spectral.continuous_residuals(spec, disc.bases, finite)
+        for j, (tup, (s1, s2, s_total)) in enumerate(zip(finite, defects), start=1):
             lam, mu = dehomogenize(tup.value)
             rho_1, rho_2 = tup.block_residuals
-            s1, s2, s_total = spectral.continuous_residual(spec, disc.bases, tup)
             row = [j, _fmt(lam.real), _fmt(lam.imag), _fmt(mu.real), _fmt(mu.imag),
                    _fmt(tup.value.gamma), _fmt(tup.residual), _fmt(rho_1), _fmt(rho_2),
                    _fmt(s1), _fmt(s2), _fmt(s_total)]

@@ -10,14 +10,14 @@ inverse iteration instead of a full SVD, and checks by a Cholesky that the
 result is the minimizer.
 
 `gep` first solves the pencil (A, B) as the standard problem B^{-1} A: one
-LU of B, `scipy.linalg.eig` (`dgeev` or `zgeev`) on B^{-1} A for right and
-left vectors, and left pencil vectors B^{-H} y.  That result is kept only
-when every pair, right and left, has a normwise backward error on the
-original pencil of at most GEP_BACKWARD_RTOL; otherwise (or when B is
-exactly singular) the pencil goes through QZ.  The standard path returns
-beta = 1.  The path is chosen by the backward error, not by a condition
-estimate of B: a mass matrix with rcond 6e-14 can still give backward
-errors at the QZ level.
+LU of B (or the one the caller got from `rcond_1norm`), `scipy.linalg.eig`
+(`dgeev` or `zgeev`) on B^{-1} A for right and left vectors, and left
+pencil vectors B^{-H} y.  That result is kept only when every pair, right
+and left, has a normwise backward error on the original pencil of at most
+GEP_BACKWARD_RTOL; otherwise (or when B is exactly singular) the pencil
+goes through QZ.  The standard path returns beta = 1.  The path is chosen
+by the backward error, not by a condition estimate of B: a mass matrix
+with rcond 6e-14 can still give backward errors at the QZ level.
 All functions are pure; returned arrays are freshly allocated.
 """
 
@@ -55,6 +55,10 @@ INVERSE_ITERATION_STEPS = 200
 # singular value of R lies below s.  Exact minimizers of random, graded and
 # rank-deficient R up to n = 200 pass with a slack of 0.25.
 MINIMIZER_SLACK = 4.0
+# `gep` forms its backward-error products this many columns at a time, so
+# that they need no N x N temporaries while B's LU may still be held: at
+# N = 576 the two full products would add 2.0 MB to the solve's peak.
+BACKWARD_ERROR_COLUMNS = 128
 
 
 def as_matrix(a, name="matrix") -> np.ndarray:
@@ -217,30 +221,41 @@ def _shifted_factor(r, x):
         return None
 
 
-def gep(a, b) -> GepResult:
+def gep(a, b, lu=None) -> GepResult:
     """Eigenpairs of the pencil A z = lambda B z, with right and left
     eigenvectors: standard form B^{-1} A when its backward error passes,
     else QZ.  A real pencil (both A and B real) is solved in real arithmetic:
     its eigenvalues come as a complex array, and its eigenvectors are real
     when every eigenvalue is real, else complex with conjugate pairs of
-    columns.  A and B are read, never written."""
+    columns.  A and B are read, never written.
+
+    `lu` is B's LU as `rcond_1norm` returns it, in the pencil's dtype; it
+    replaces the factorization of B and is read, never written.  The
+    backward-error check still alone decides whether the standard form is
+    kept, and the result is bitwise the one gep gets by factoring B."""
     dtype = _working_dtype(a, b)
     a = _checked(np.asarray(a, dtype=dtype), "A")
     b = _checked(np.asarray(b, dtype=dtype), "B")
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValidationError(f"pencil matrices must be square and equal-shaped, got {a.shape}, {b.shape}")
+    if lu is not None and (lu[0].shape != b.shape or lu[0].dtype != dtype):
+        raise ValidationError(f"the LU of B must be {b.shape} {dtype}, got {lu[0].shape} {lu[0].dtype}")
     scale_a, scale_b = np.linalg.norm(a, "fro"), np.linalg.norm(b, "fro")
     with np.errstate(all="ignore"):  # overflow from a near-singular B fails the check below
-        result = _standard(a, b, scale_a, scale_b)
+        result = _standard(a, b, scale_a, scale_b, lu)
     return result if result is not None else _qz(a, b)
 
 
-def _standard(a, b, scale_a, scale_b):
-    """eig on B^{-1} A; None when B is singular or a pair fails the
-    backward-error check.  Temporaries are overwritten in place."""
-    lu, piv, info = _lapack("getrf", b)(b)
-    if info != 0:
-        return None
+def _standard(a, b, scale_a, scale_b, factor=None):
+    """eig on B^{-1} A, with B's LU `factor` when given; None when B is
+    singular or a pair fails the backward-error check.  Temporaries are
+    overwritten in place."""
+    if factor is None:
+        lu, piv, info = _lapack("getrf", b)(b)
+        if info != 0:
+            return None
+    else:
+        lu, piv = factor
     getrs = _lapack("getrs", b)
     c, info = getrs(lu, piv, a)
     if info != 0 or not np.all(np.isfinite(c)):
@@ -279,13 +294,19 @@ def _column_norms(x):
 
 
 def _backward_errors(a, b, mu, z, scale_a, scale_b):
-    """||A z_j - mu_j B z_j|| / (||A|| + |mu_j| ||B||) for unit columns z_j."""
-    res = a @ z
-    bz = b @ z
+    """||A z_j - mu_j B z_j|| / (||A|| + |mu_j| ||B||) for unit columns z_j,
+    BACKWARD_ERROR_COLUMNS columns at a time."""
     # Real vectors come only with real eigenvalues.
-    bz *= mu if np.iscomplexobj(bz) else mu.real
-    res -= bz
-    return _column_norms(res) / np.maximum(scale_a + np.abs(mu) * scale_b, np.finfo(np.float64).tiny)
+    mu_z = mu if np.iscomplexobj(z) else mu.real
+    norms = np.empty(z.shape[1])
+    for start in range(0, z.shape[1], BACKWARD_ERROR_COLUMNS):
+        cols = slice(start, start + BACKWARD_ERROR_COLUMNS)
+        res = a @ z[:, cols]
+        bz = b @ z[:, cols]
+        bz *= mu_z[cols]
+        res -= bz
+        norms[cols] = _column_norms(res)
+    return norms / np.maximum(scale_a + np.abs(mu) * scale_b, np.finfo(np.float64).tiny)
 
 
 def _qz(a, b):
@@ -300,17 +321,19 @@ def _qz(a, b):
     return GepResult(alpha=alpha, beta=beta, right=vr, left=vl)
 
 
-def rcond_1norm(a) -> float:
-    """Cheap reciprocal 1-norm condition estimate via LU (0.0 if singular),
-    in real arithmetic for real input."""
+def rcond_1norm(a):
+    """(rcond, lu): a cheap reciprocal 1-norm condition estimate of A and the
+    LU (lu, piv) it comes from, which `gep` accepts for B = A.  Real input
+    is factored in real arithmetic.  A zero or exactly singular A gives
+    (0.0, None)."""
     a = np.ascontiguousarray(a, dtype=_working_dtype(a))
     if a.shape[0] != a.shape[1]:
         raise ValidationError("rcond estimate requires a square matrix")
     anorm = np.linalg.norm(a, 1)
     if anorm == 0.0:
-        return 0.0
-    lu, _, info = _lapack("getrf", a)(a)
+        return 0.0, None
+    lu, piv, info = _lapack("getrf", a)(a)
     if info != 0:
-        return 0.0
+        return 0.0, None
     rc, info = _lapack("gecon", a)(lu, anorm, norm="1")
-    return float(rc) if info == 0 else 0.0
+    return (float(rc), (lu, piv)) if info == 0 else (0.0, None)

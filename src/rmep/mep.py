@@ -11,24 +11,28 @@ D_j z = lambda_j D_0 z with z = x_1 (x) ... (x) x_k, and when D_0 is
 invertible the matrices D_0^{-1} D_j commute.
 
 The solver works projectively so that singular D_0 (infinite eigenvalues)
-is not fatal: it picks a numerically invertible mass matrix M (D_0 itself,
-or the best of a few random combinations sum_j w_j D_j), solves one pencil
-(sum_j c_j D_j, M) with random coefficients c to split tuples that collide
-in any single coordinate, and recovers each homogeneous tuple from
-two-sided Rayleigh quotients
+is not fatal: it picks a numerically invertible mass matrix M (D_0 itself
+when well conditioned, else the first random combination sum_j w_j D_j
+that is not numerically singular), solves one pencil (sum_j c_j D_j, M)
+with random coefficients c to split tuples that collide in any single
+coordinate, and recovers each homogeneous tuple from two-sided Rayleigh
+quotients
 
     (gamma, alpha_1, ..., alpha_k)  ~  (w^H D_0 z, w^H D_1 z, ..., w^H D_k z)
 
 with (z, w) the right/left eigenvectors.  This is quadratically accurate in
 the eigenvector error and needs no pairing across the k pencils.
 
-`linalg.gep` solves the pencil as the standard problem M^{-1} sum_j c_j D_j
-(the commuting structure of the determinants makes it equivalent) and keeps
-that solve only if every right and left pair has a backward error on the
-pencil of at most `linalg.GEP_BACKWARD_RTOL`; otherwise it uses QZ.  The
-quotients of all N tuples are formed together, one product D_j Z per j.
-The weights w and c are real when every D_j is real, so a real problem is
-solved in real arithmetic, and complex otherwise.
+Each candidate for M is LU-factored once, by the condition estimate that
+judges it, and the chosen M's LU goes on to `linalg.gep`.  That solves the
+pencil as the standard problem M^{-1} sum_j c_j D_j (the commuting
+structure of the determinants makes it equivalent) and keeps that solve
+only if every right and left pair has a backward error on the pencil of at
+most `linalg.GEP_BACKWARD_RTOL`; otherwise it uses QZ.  So the rcond of M
+only screens out singular candidates; the backward error judges accuracy.
+The quotients of all N tuples are formed together, one product D_j Z per
+j.  The weights w and c are real when every D_j is real, so a real problem
+is solved in real arithmetic, and complex otherwise.
 
 The lifted pencil supplies only the values: `solve_from_determinants`
 returns the homogeneous tuples as the rows of an array, normalized by
@@ -77,11 +81,9 @@ IRREGULAR_RCOND = EPS
 
 @dataclass(frozen=True)
 class OperatorDeterminants:
-    """The k+1 lifted matrices D_0..D_k and the reciprocal 1-norm condition
-    estimate `rcond` of D_0."""
+    """The k+1 lifted matrices D_0..D_k."""
 
     matrices: tuple[np.ndarray, ...]
-    rcond: float
 
     @property
     def size(self) -> int:
@@ -139,7 +141,7 @@ def operator_determinants(problem: MepProblem) -> OperatorDeterminants:
         cols = list(b_columns)
         cols[j] = a_column
         mats.append(_operator_determinant(cols))
-    return OperatorDeterminants(matrices=tuple(mats), rcond=rcond_1norm(mats[0]))
+    return OperatorDeterminants(matrices=tuple(mats))
 
 
 def _random_combination(matrices, rng):
@@ -153,22 +155,24 @@ def _random_combination(matrices, rng):
 
 
 def _pick_mass(deltas: OperatorDeterminants, rng):
-    """(mass, rcond): D_0 when well conditioned, else the best-conditioned of
-    WEIGHT_TRIALS random combinations (the first draw is kept on ties)."""
-    if deltas.rcond >= 1.0 / COND_THRESHOLD:
-        return deltas.matrices[0], deltas.rcond
-    mass, rc = None, 0.0
+    """(mass, lu): D_0 itself when its rcond is at least 1/COND_THRESHOLD,
+    else the first of up to WEIGHT_TRIALS random combinations whose rcond is
+    at least IRREGULAR_RCOND, with the LU of `linalg.rcond_1norm` for
+    `gep`.  Each candidate is factored once; IrregularMepError when every
+    draw is singular."""
+    mass = deltas.matrices[0]
+    rc, lu = rcond_1norm(mass)
+    if rc >= 1.0 / COND_THRESHOLD:
+        return mass, lu
     for _ in range(WEIGHT_TRIALS):
-        candidate = _random_combination(deltas.matrices, rng)
-        candidate_rc = rcond_1norm(candidate)
-        if mass is None or candidate_rc > rc:
-            mass, rc = candidate, candidate_rc
-    if rc < IRREGULAR_RCOND:
-        raise IrregularMepError(
-            f"no combination of the operator determinants was numerically invertible "
-            f"(best rcond {rc:.2e} over {WEIGHT_TRIALS} draws)"
-        )
-    return mass, rc
+        mass = _random_combination(deltas.matrices, rng)
+        rc, lu = rcond_1norm(mass)
+        if rc >= IRREGULAR_RCOND:
+            return mass, lu
+    raise IrregularMepError(
+        f"no combination of the operator determinants was numerically invertible "
+        f"(rcond below {IRREGULAR_RCOND:.2e} on all {WEIGHT_TRIALS} draws)"
+    )
 
 
 def solve_mep(problem: MepProblem, seed: int = 0) -> list[EigenTuple]:
@@ -224,8 +228,8 @@ def solve_from_determinants(deltas: OperatorDeterminants, seed: int = 0) -> np.n
     coordinates (gamma, alpha_1, ..., alpha_k), each normalized by
     `model.normalize_homogeneous`."""
     rng = np.random.default_rng(seed)
-    mass, _ = _pick_mass(deltas, rng)
-    pencil = gep(_random_combination(deltas.matrices, rng), mass)
+    mass, lu = _pick_mass(deltas, rng)
+    pencil = gep(_random_combination(deltas.matrices, rng), mass, lu=lu)
     z_all, w_all = pencil.right, pencil.left
     # All tuples' quotients at once: one product per D_j, reusing one buffer.
     mz_all = mass @ z_all

@@ -45,6 +45,7 @@ __all__ = [
     "discretize",
     "reconstruct",
     "continuous_residual",
+    "continuous_residuals",
     "builtin_sturm_liouville",
     "builtin_mathieu",
     "sample_eigenfunction",
@@ -272,25 +273,35 @@ def continuous_residual(spec: OdeSpec, bases, t: EigenTuple):
     the Chebyshev tail that the n-term basis truncates, so a bound on it is
     a bound on resolution as much as on eigenvalue accuracy.
     """
-    lam, mu = dehomogenize(t.value)
-    out = []
-    for eq, basis, coeffs in zip(spec.equations, bases, t.vectors):
-        coeffs = np.asarray(coeffs)
-        if coeffs.size != basis.n:
-            raise ValidationError(f"coefficient vector has length {coeffs.size}, basis expects {basis.n}")
-        if np.linalg.norm(coeffs) == 0:
-            warnings.warn("zero coefficient vector; the zero function is not an eigenfunction", stacklevel=2)
-            out.append(0.0)
-            continue
+    return continuous_residuals(spec, bases, [t])[0]
+
+
+def continuous_residuals(spec: OdeSpec, bases, tuples):
+    """`continuous_residual` of each tuple, as a list of (s_1, s_2, s_1 + s_2):
+    each equation's refined grid and its samples of p, q and f are built once
+    for all the tuples."""
+    grids = []
+    for eq, basis in zip(spec.equations, bases):
         fine = build_basis(basis.interval, basis.n, 2 * basis.oversampling)
-        u = fine.values @ coeffs
-        upp = fine.second_derivs @ coeffs
-        pv = _sample(eq.p, fine.nodes)
-        qv = _sample(eq.q, fine.nodes)
-        fv = _sample(eq.f, fine.nodes)
-        defect = upp + (lam * pv + mu * qv + fv) * u
-        out.append(float(fine.weights @ np.abs(defect)))
-    return out[0], out[1], out[0] + out[1]
+        grids.append((fine, _sample(eq.p, fine.nodes), _sample(eq.q, fine.nodes), _sample(eq.f, fine.nodes)))
+    results = []
+    for t in tuples:
+        lam, mu = dehomogenize(t.value)
+        out = []
+        for (fine, pv, qv, fv), coeffs in zip(grids, t.vectors):
+            coeffs = np.asarray(coeffs)
+            if coeffs.size != fine.n:
+                raise ValidationError(f"coefficient vector has length {coeffs.size}, basis expects {fine.n}")
+            if np.linalg.norm(coeffs) == 0:
+                warnings.warn("zero coefficient vector; the zero function is not an eigenfunction", stacklevel=2)
+                out.append(0.0)
+                continue
+            u = fine.values @ coeffs
+            upp = fine.second_derivs @ coeffs
+            defect = upp + (lam * pv + mu * qv + fv) * u
+            out.append(float(fine.weights @ np.abs(defect)))
+        results.append((out[0], out[1], out[0] + out[1]))
+    return results
 
 
 def builtin_sturm_liouville(n1: int = 30, n2: int = 30, oversampling: int = 4) -> OdeSpec:

@@ -217,9 +217,12 @@ def test_config_file_defaults(tmp_path):
         (["ode-mathieu"], {"alpha": True}, "--alpha expects a number, got True"),
         (["bench-random", "--seed", "1"], {"sigmas": [0.0, False]}, "--sigmas expects a number, got False"),
         (["bench-random", "--seed", "1"], {"no-timestamp": "yes"}, "--no-timestamp expects true or false, got 'yes'"),
+        # a number option takes no string either; only --sigmas parses its own
+        (["ode-mathieu"], {"alpha": "4"}, "--alpha expects a number, got '4'"),
+        (["bench-random", "--seed", "1"], {"sigmas": ["0.1"]}, "--sigmas expects a number, got '0.1'"),
     ],
     ids=["bench-seed", "bench-trials", "mathieu-alpha", "sl-n1", "trials-float", "seed-bool", "trials-string",
-         "max-iters-float", "alpha-bool", "sigmas-bool", "no-timestamp-string"],
+         "max-iters-float", "alpha-bool", "sigmas-bool", "no-timestamp-string", "alpha-string", "sigmas-list-string"],
 )
 def test_config_values_of_wrong_type_are_config_errors(tmp_path, capsys, command, config, message):
     if "INPUT" in command:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rmep.errors import CapacityError, IrregularMepError
-from rmep import mep
+from rmep import linalg, mep
 from rmep.mep import operator_determinants, solve_mep
 from rmep.model import EquationBlock, MepProblem, dehomogenize
 
@@ -278,6 +278,52 @@ class TestSolveMep:
             for sol in sols:
                 assert sol.residual is None
                 assert pencil_vector_error(p, sol) <= 1e-12
+
+    def test_singular_first_draw_is_skipped(self, monkeypatch):
+        draws = []
+        original = mep._random_combination
+
+        def spy(matrices, rng):
+            draw = original(matrices, rng)
+            draws.append(np.zeros_like(draw) if not draws else draw)
+            return draws[-1]
+
+        monkeypatch.setattr(mep, "_random_combination", spy)
+        deltas = operator_determinants(shared_b_problem())
+        mass, lu = mep._pick_mass(deltas, np.random.default_rng(0))
+        assert len(draws) == 2 and mass is draws[1]
+        assert np.array_equal(lu[0], linalg.rcond_1norm(mass)[1][0])
+
+    def test_all_singular_draws_raise_after_weight_trials(self, monkeypatch):
+        draws = []
+
+        def singular(matrices, rng):
+            draws.append(1)
+            return np.zeros_like(matrices[0])
+
+        monkeypatch.setattr(mep, "_random_combination", singular)
+        with pytest.raises(IrregularMepError):
+            mep._pick_mass(operator_determinants(shared_b_problem()), np.random.default_rng(0))
+        assert len(draws) == mep.WEIGHT_TRIALS
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["d0", "shifted"])
+    def test_each_mass_candidate_is_factored_once(self, monkeypatch, shifted):
+        # D_0 is factored once; on the shifted path so is the first draw,
+        # which passes here.  gep takes that LU and factors nothing.
+        problem = shared_b_problem() if shifted else random_problem(np.random.default_rng(11), 3, 3, 2, square=True)
+        names, in_gep = [], []
+        lapack, gep = linalg._lapack, mep.gep
+
+        def gep_spy(*args, **kwargs):
+            before = names.count("getrf")
+            result = gep(*args, **kwargs)
+            in_gep.append(names.count("getrf") - before)
+            return result
+
+        monkeypatch.setattr(linalg, "_lapack", lambda name, x: names.append(name) or lapack(name, x))
+        monkeypatch.setattr(mep, "gep", gep_spy)
+        mep.solve_from_determinants(operator_determinants(problem), seed=0)
+        assert names.count("getrf") == (2 if shifted else 1) and in_gep == [0]
 
     def test_irregular_raises(self):
         zero = np.zeros((2, 2))

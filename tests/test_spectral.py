@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rmep import spectral
 from rmep.errors import DomainError, ValidationError
 from rmep.model import EigenTuple, dehomogenize, homogenize
 from rmep.spectral import (
@@ -13,6 +14,7 @@ from rmep.spectral import (
     builtin_mathieu,
     builtin_sturm_liouville,
     continuous_residual,
+    continuous_residuals,
     discretize,
     mathieu_geometry,
     reconstruct,
@@ -248,6 +250,28 @@ class TestContinuousResidual:
         best = tuples[0]
         s1, s2, total = continuous_residual(spec, disc.bases, best)
         assert total == pytest.approx(s1 + s2)
+
+    @pytest.mark.parametrize("mathieu", [False, True], ids=["sl", "mathieu"])
+    def test_batch_equals_per_tuple_defects(self, monkeypatch, mathieu):
+        # The per-tuple reference rebuilds the refined grid for every vector.
+        spec = builtin_mathieu(4.0, 1.0, n1=12, n2=12) if mathieu else builtin_sturm_liouville(n1=12, n2=12)
+        disc = discretize(spec)
+        finite = [t for t in solve_complete(disc.problem, seed=0) if t.residual is not None][:10]
+        expected = []
+        for t in finite:
+            lam, mu = dehomogenize(t.value)
+            s = []
+            for eq, basis, x in zip(spec.equations, disc.bases, t.vectors):
+                fine = build_basis(basis.interval, basis.n, 2 * basis.oversampling)
+                pv, qv, fv = (np.array([g(float(v)) for v in fine.nodes]) for g in (eq.p, eq.q, eq.f))
+                defect = fine.second_derivs @ x + (lam * pv + mu * qv + fv) * (fine.values @ x)
+                s.append(float(fine.weights @ np.abs(defect)))
+            expected.append((s[0], s[1], s[0] + s[1]))
+        builds = []
+        original = spectral.build_basis
+        monkeypatch.setattr(spectral, "build_basis", lambda *args: builds.append(args) or original(*args))
+        assert continuous_residuals(spec, disc.bases, finite) == expected
+        assert len(builds) == 2
 
 
 class TestBuiltins:

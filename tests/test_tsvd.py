@@ -287,14 +287,15 @@ class TestRealArithmetic:
         for name in ("gep", "svd"):
             original = getattr(mep, name)
 
-            def spy(*args, original=original):
+            def spy(*args, original=original, **kwargs):
                 dtypes.extend(np.asarray(a).dtype for a in args)
-                return original(*args)
+                dtypes.extend(lu.dtype for lu, _ in kwargs.values())  # gep's lu = (lu, piv)
+                return original(*args, **kwargs)
 
             monkeypatch.setattr(mep, name, spy)
         tuples = solve_complete(p, seed=0)
-        # The combination, the mass matrix and the refit pencils are all real.
-        assert dtypes == [np.float64] * 4
+        # The combination, the mass matrix, its LU and the refit pencils are all real.
+        assert dtypes == [np.float64] * 5
         assert len(tuples) == 36 and not np.any(homogeneous_rows(tuples).imag)
         assert all(not np.any(x.imag) for t in tuples for x in t.vectors)
 
