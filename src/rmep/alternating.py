@@ -36,7 +36,6 @@ solution; its squared Frobenius cost equals the objective value.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +60,6 @@ __all__ = [
     "kkt_residual",
     "reconstruct_perturbation",
     "solve_one",
-    "write_trace_csv",
 ]
 
 STATUS_TOL = "tol-met"
@@ -107,11 +105,18 @@ class AlternatingTrace:
 
     objectives: list[float] = field(default_factory=list)
     kkt: list[float] = field(default_factory=list)
-    final_kkt: float | None = None
-    iterations: int = 0
     extrapolations: int = 0
     status: str = STATUS_BUDGET
     likely_infimum: bool = False
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objectives)
+
+    @property
+    def final_kkt(self) -> float | None:
+        """The last sweep's KKT residual; None before the first sweep."""
+        return self.kkt[-1] if self.kkt else None
 
 
 def _vector_step(problem: RmepProblem, value: HomogeneousEigenvalue, xs=None):
@@ -227,7 +232,6 @@ def _run(problem, value, cfg):
                 beta = max(beta / 2.0, BETA_MIN)
         kept = xs
         trace.objectives.append(theta)
-        trace.iterations += 1
         trace.kkt.append(_kkt_residual(problem, value, xs, h))
         n = len(trace.objectives)
         if n >= 2 and abs(trace.objectives[-1] - trace.objectives[-2]) <= (trace.objectives[-1] + 1.0) * cfg.rel_tol:
@@ -235,7 +239,6 @@ def _run(problem, value, cfg):
             break
     else:
         trace.status = STATUS_BUDGET
-    trace.final_kkt = trace.kkt[-1]
     if trace.status == STATUS_TOL and trace.final_kkt > STAGNATION_KKT:
         # The cheap objective-change rule can fire long before first-order
         # optimality holds; report that instead of claiming convergence.
@@ -283,11 +286,3 @@ def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None):
     else:
         trace.likely_infimum = True
     return tup, pset, trace
-
-
-def write_trace_csv(trace: AlternatingTrace, fileobj) -> None:
-    """Columns: iter, theta1, eps_kkt."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["iter", "theta1", "eps_kkt"])
-    for j, (theta, kkt) in enumerate(zip(trace.objectives, trace.kkt), start=1):
-        writer.writerow([j, f"{theta:.17g}", f"{kkt:.17g}"])

@@ -13,10 +13,16 @@ ode-sl         built-in coupled Sturm-Liouville system; writes an eigenvalue
 ode-mathieu    built-in elliptic-membrane (Mathieu) system; additionally
                writes eigenfrequencies and (x, y, psi) mode grids.
 
-A JSON file passed with --config supplies defaults for any option of the
+`_build_parser` declares every option with its type and default, once.  A
+JSON file passed with --config supplies defaults for any option of the
 subcommand, each key spelled as its flag (max-iters) or with underscores
-(max_iters); an unknown key is a configuration error.  Explicit flags win.
-With --no-timestamp, artifacts are byte-identical across runs for a fixed
+(max_iters).  Each value is checked against the option's declaration (an
+unknown key or a value of the wrong type is a configuration error) and
+installed as the subcommand's default before the command line is parsed
+again, so explicit flags win.  The seed must be >= 0, and the output
+directory is made before any solve.  Every CSV artifact is written by
+`_write_csv`, which formats floats with `.17g` (they parse back bitwise);
+with --no-timestamp, artifacts are byte-identical across runs for a fixed
 seed.  The solvers are called through their modules (`tsvd.solve_complete`,
 not a name bound at import), so a tracer that swaps module attributes sees
 every call.
@@ -31,7 +37,6 @@ import argparse
 import csv
 import json
 import sys
-from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -46,84 +51,133 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_IRREGULAR = 4
 
-def _build_parser() -> argparse.ArgumentParser:
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="rmep", description="Rectangular multiparameter eigenvalue solvers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help, seed=0):
+        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(run=run)
         p.add_argument("--config", type=Path, help="JSON file with defaults for any option")
-        p.add_argument("--seed", type=int, help="random seed (required for bench-random)")
-        p.add_argument("--out", type=Path, help="output directory (default: current directory)")
+        p.add_argument("--seed", type=int, default=seed,
+                       help="random seed, >= 0" + (", required" if seed is None else ""))
+        p.add_argument("--out", type=Path, default=".", help="output directory")
         p.add_argument("--no-timestamp", action="store_true", help="suppress the timestamp header in artifacts")
+        return p
 
-    p = sub.add_parser("solve-one", help="one approximate eigen-tuple (alternating scheme)")
+    solve_one = alternating.AlternatingConfig
+    p = command("solve-one", _cmd_solve_one, "one approximate eigen-tuple (alternating scheme)", seed=solve_one.seed)
     p.add_argument("input", type=Path, help="problem file (.json or binary)")
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--rel-tol", type=float)
-    p.add_argument("--restarts", type=int)
-    common(p)
+    p.add_argument("--max-iters", type=int, default=solve_one.max_iters, help="sweep budget")
+    p.add_argument("--rel-tol", type=float, default=solve_one.rel_tol, help="relative objective-change tolerance")
+    p.add_argument("--restarts", type=int, default=solve_one.restarts, help="extra runs from random guesses")
 
-    p = sub.add_parser("solve-complete", help="complete set of approximate eigen-tuples")
+    p = command("solve-complete", _cmd_solve_complete, "complete set of approximate eigen-tuples")
     p.add_argument("input", type=Path, help="problem file (.json or binary)")
-    common(p)
 
-    p = sub.add_parser("bench-random", help="noise sweep over planted random problems")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--sigmas", type=str, help="comma-separated noise levels")
-    p.add_argument("--trials", type=int)
-    common(p)
+    p = command("bench-random", _cmd_bench_random, "noise sweep over planted random problems", seed=None)
+    p.add_argument("--m", type=int, default=20, help="rows of every block")
+    p.add_argument("--n", type=int, default=5, help="columns of every block")
+    p.add_argument("--k", type=int, default=2, help="number of parameters")
+    p.add_argument("--sigmas", type=str, default="0,0.01,0.05,0.1,0.2", help="comma-separated noise levels")
+    p.add_argument("--trials", type=int, default=10, help="planted problems per noise level")
 
-    p = sub.add_parser("ode-sl", help="built-in Sturm-Liouville system")
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--oversampling", type=int)
-    p.add_argument("--top", type=int)
-    common(p)
-
-    p = sub.add_parser("ode-mathieu", help="built-in elliptic-membrane Mathieu system")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--oversampling", type=int)
-    p.add_argument("--top", type=int)
-    common(p)
-    return parser
+    for name, help, top in [("ode-sl", "built-in Sturm-Liouville system", 10),
+                            ("ode-mathieu", "built-in elliptic-membrane Mathieu system", 8)]:
+        p = command(name, _cmd_ode, help)
+        if name == "ode-mathieu":
+            p.add_argument("--alpha", type=float, default=4.0, help="semi-axis of the ellipse along x")
+            p.add_argument("--beta", type=float, default=1.0, help="semi-axis of the ellipse along y")
+        p.add_argument("--n1", type=int, default=30, help="basis size of the first equation")
+        p.add_argument("--n2", type=int, default=30, help="basis size of the second equation")
+        p.add_argument("--oversampling", type=int, default=4, help="collocation oversampling factor")
+        p.add_argument("--top", type=int, default=top, help="finite tuples written, by ascending rho")
+    return parser, sub.choices
 
 
-def _merge_options(args: argparse.Namespace) -> dict:
-    options = {}
-    if args.config is not None:
-        try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: invalid JSON or UTF-8
-            raise ValidationError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ValidationError("config file must hold a JSON object")
-        known = set(vars(args)) - {"command", "config"}
-        for key, value in loaded.items():
-            name = key.replace("-", "_")
-            if name not in known:
-                raise ValidationError(f"config file key {key!r} is not an option of {args.command}")
-            options[name] = value
-    for key, value in vars(args).items():
-        if key != "config" and value is not None and value is not False:
-            options[key] = value
-    options["out"] = _convert(options.get("out", "."), Path, "out")
-    if not isinstance(options.get("no_timestamp", False), bool):
-        raise ValidationError(f"--no-timestamp expects true or false, got {options['no_timestamp']!r}")
-    return options
+def _convert(value, kind, flag: str):
+    """kind(value) for a JSON value, or a ValidationError naming the flag.
+
+    A bool or a string is no number, and an integer option takes only an
+    int, so a config file's 1.9, "2", "4" or true is rejected rather than
+    coerced."""
+    accepts, expected = {int: (int, "an integer"), float: ((int, float), "a number"), Path: (str, "a path"),
+                         str: (str, "a list of numbers or a comma-separated string")}[kind]
+    if isinstance(value, bool) or not isinstance(value, accepts):
+        raise ValidationError(f"{flag} expects {expected}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError as exc:  # an integer too large for a float
+        raise ValidationError(f"{flag} expects {expected}, got {value!r}") from exc
 
 
-@contextmanager
-def _artifact(path: Path, no_timestamp: bool):
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _config_defaults(path: Path, command: argparse.ArgumentParser, name: str) -> dict:
+    """The config file's values by option destination, each checked against
+    the option's declaration in `command` and converted as its flag would be.
+    --sigmas, the one string option, also takes a list of numbers."""
+    try:
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: invalid JSON or UTF-8
+        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ValidationError("config file must hold a JSON object")
+    options = {a.dest: a for a in command._actions if a.option_strings and a.dest not in ("help", "config")}
+    defaults = {}
+    for key, value in loaded.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise ValidationError(f"config file key {key!r} is not an option of {name}")
+        flag = action.option_strings[0]
+        if action.type is None:  # the store_true switch --no-timestamp
+            if not isinstance(value, bool):
+                raise ValidationError(f"{flag} expects true or false, got {value!r}")
+        elif action.type is str and isinstance(value, list):
+            value = [_convert(v, float, flag) for v in value]
+        else:
+            value = _convert(value, action.type, flag)
+        defaults[action.dest] = value
+    return defaults
+
+
+def _output_dir(out: Path) -> Path:
+    """`out`, made with its parents if missing; commands call this once,
+    after their options are checked and before they solve."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ValidationError(f"--out {out} cannot be used as the output directory: {exc}") from exc
+    return out
+
+
+def _write_csv(path: Path, no_timestamp: bool, header, rows) -> None:
+    """Every CSV artifact: a timestamp comment unless no_timestamp, the
+    header, then the rows, each float written as .17g so that it parses
+    back bitwise (infinity as inf)."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         if not no_timestamp:
             f.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-        yield f
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([f"{x:.17g}" if isinstance(x, float) else x for x in row] for row in rows)
+
+
+def _tuple_table(k: int, tuples) -> tuple[list, list]:
+    """complete_set.csv's header and rows: j, re/im of each lambda_s, gamma,
+    rho, rho_1..rho_k.  An infinite tuple (gamma at or below the threshold)
+    shows its raw alphas and rho = inf.  rho and rho_i are the residuals
+    that `solve_complete` stored, so the rho column is the order of the rows."""
+    header = ["j", *(f"{part}_lambda{s}" for s in range(1, k + 1) for part in ("re", "im")), "gamma", "rho",
+              *(f"rho_{i}" for i in range(1, k + 1))]
+    rows = []
+    for j, tup in enumerate(tuples, start=1):
+        if tup.value.is_finite():
+            values, rho = dehomogenize(tup.value), (tup.residual, *tup.block_residuals)
+        else:
+            values, rho = tup.value.alphas, (np.inf,) * (k + 1)
+        rows.append([j, *(part for v in values for part in (v.real, v.imag)), tup.value.gamma, *rho])
+    return header, rows
 
 
 def _load_problem(path: Path):
@@ -134,26 +188,6 @@ def _load_problem(path: Path):
     return serialization.load_binary(path)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _convert(value, kind, option: str):
-    """kind(value), or a ValidationError naming the option it came from.
-
-    A bool or a string is no number, and an integer option takes only an
-    int, so a config file's 1.9, "2", "4" or true is rejected rather than
-    coerced (flags arrive already parsed, and `--sigmas` splits and parses
-    its own string)."""
-    expected = {int: "an integer", float: "a number"}.get(kind, "a path")
-    if (kind in (int, float) and isinstance(value, (bool, str))) or (kind is int and not isinstance(value, int)):
-        raise ValidationError(f"--{option} expects {expected}, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"--{option} expects {expected}, got {value!r}") from exc
-
-
 def _parse_float(text: str, option: str) -> float:
     """float(text), or a ValidationError naming the option it came from."""
     try:
@@ -162,24 +196,14 @@ def _parse_float(text: str, option: str) -> float:
         raise ValidationError(f"--{option} expects a number, got {text!r}") from exc
 
 
-def _option(opt: dict, key: str, kind, default):
-    """The option `key` (or its default) as `kind`."""
-    return _convert(opt.get(key, default), kind, key.replace("_", "-"))
-
-
-def _cmd_solve_one(opt: dict) -> int:
-    problem = _load_problem(Path(opt["input"]))
-    cfg = alternating.AlternatingConfig(
-        max_iters=_option(opt, "max_iters", int, 1000),
-        rel_tol=_option(opt, "rel_tol", float, 1e-6),
-        restarts=_option(opt, "restarts", int, 0),
-        seed=_option(opt, "seed", int, 0),
-    )
+def _cmd_solve_one(args: argparse.Namespace) -> int:
+    cfg = alternating.AlternatingConfig(max_iters=args.max_iters, rel_tol=args.rel_tol, restarts=args.restarts,
+                                        seed=args.seed)
+    problem = _load_problem(args.input)
+    out = _output_dir(args.out)
     tup, pset, trace = alternating.solve_one(problem, cfg)
-    out = opt["out"]
-    stamp = bool(opt.get("no_timestamp"))
-    with _artifact(out / "trace.csv", stamp) as f:
-        alternating.write_trace_csv(trace, f)
+    _write_csv(out / "trace.csv", args.no_timestamp, ["iter", "theta1", "eps_kkt"],
+               [[j, theta, kkt] for j, (theta, kkt) in enumerate(zip(trace.objectives, trace.kkt), start=1)])
     doc = {
         "gamma": tup.value.gamma,
         "alphas": [[a.real, a.imag] for a in tup.value.alphas],
@@ -197,17 +221,16 @@ def _cmd_solve_one(opt: dict) -> int:
         lam = dehomogenize(tup.value)
         doc["lambdas"] = [[l.real, l.imag] for l in lam]
         doc["rho"] = tup.residual
-    (out / "eigen_tuple.json").parent.mkdir(parents=True, exist_ok=True)
     (out / "eigen_tuple.json").write_text(json.dumps(doc, indent=1), encoding="utf-8")
     print(f"solve-one: status={trace.status} theta={trace.objectives[-1]:.6e} kkt={trace.final_kkt:.3e}")
     return EXIT_OK
 
 
-def _cmd_solve_complete(opt: dict) -> int:
-    problem = _load_problem(Path(opt["input"]))
-    tuples = tsvd.solve_complete(problem, seed=_option(opt, "seed", int, 0))
-    with _artifact(opt["out"] / "complete_set.csv", bool(opt.get("no_timestamp"))) as f:
-        tsvd.write_complete_csv(problem, tuples, f)
+def _cmd_solve_complete(args: argparse.Namespace) -> int:
+    problem = _load_problem(args.input)
+    out = _output_dir(args.out)
+    tuples = tsvd.solve_complete(problem, seed=args.seed)
+    _write_csv(out / "complete_set.csv", args.no_timestamp, *_tuple_table(problem.k, tuples))
     finite = sum(1 for t in tuples if t.residual is not None)
     best = next((t.residual for t in tuples if t.residual is not None), float("nan"))
     print(f"solve-complete: {len(tuples)} tuples ({finite} finite), best rho = {best:.3e}")
@@ -261,25 +284,19 @@ def _bench_trial(m: int, n: int, k: int, sigma: float, child_seed) -> dict:
     }
 
 
-def _cmd_bench_random(opt: dict) -> int:
-    if "seed" not in opt:
-        raise ValidationError("bench-random requires a seed (--seed or config)")
-    m = _option(opt, "m", int, 20)
-    n = _option(opt, "n", int, 5)
-    k = _option(opt, "k", int, 2)
-    trials = _option(opt, "trials", int, 10)
-    sigmas_opt = opt.get("sigmas", "0,0.01,0.05,0.1,0.2")
-    if isinstance(sigmas_opt, str):
-        sigmas_opt = [_parse_float(s, "sigmas") for s in sigmas_opt.split(",") if s.strip() != ""]
-    sigmas = [_convert(s, float, "sigmas") for s in sigmas_opt]
+def _cmd_bench_random(args: argparse.Namespace) -> int:
+    sigmas = args.sigmas
+    if isinstance(sigmas, str):  # not a config file's list of numbers
+        sigmas = [_parse_float(s, "sigmas") for s in sigmas.split(",") if s.strip() != ""]
     if not sigmas:
         raise ValidationError("bench-random needs at least one noise level in --sigmas")
-    if trials < 1:
-        raise ValidationError(f"bench-random needs --trials >= 1, got {trials}")
-    seed = _option(opt, "seed", int, None)
+    if args.trials < 1:
+        raise ValidationError(f"bench-random needs --trials >= 1, got {args.trials}")
+    out = _output_dir(args.out)
+    m, n, k, trials = args.m, args.n, args.k, args.trials
     rows = []
     for sigma in sigmas:
-        children = np.random.SeedSequence(seed).spawn(trials)
+        children = np.random.SeedSequence(args.seed).spawn(trials)
         # Serial: the per-trial work is Python holding the interpreter lock.
         stats = [_bench_trial(m, n, k, sigma, c) for c in children]
         row = {"sigma": sigma, "trials": trials}
@@ -290,104 +307,67 @@ def _cmd_bench_random(opt: dict) -> int:
         row["mean_unmatched"] = float(np.mean([st["unmatched"] for st in stats]))
         rows.append(row)
         print(f"bench-random: sigma={sigma} mean-of-mean={row['mean_mean_rel_err_lambda1']:.4e}")
-    with _artifact(opt["out"] / "bench.csv", bool(opt.get("no_timestamp"))) as f:
-        writer = csv.writer(f)
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row["trials"] if h == "trials" else _fmt(row[h]) if isinstance(row[h], float) else row[h] for h in header])
+    _write_csv(out / "bench.csv", args.no_timestamp, list(rows[0]), [list(row.values()) for row in rows])
     return EXIT_OK
 
 
-def _write_function_grid(path: Path, stamp: bool, t, u):
-    with _artifact(path, stamp) as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "re_u", "im_u"])
-        for ti, ui in zip(t, u):
-            writer.writerow([_fmt(float(ti)), _fmt(ui.real), _fmt(ui.imag)])
-
-
-def _cmd_ode(opt: dict, mathieu: bool) -> int:
-    n1 = _option(opt, "n1", int, 30)
-    n2 = _option(opt, "n2", int, 30)
-    oversampling = _option(opt, "oversampling", int, 4)
-    top = _option(opt, "top", int, 8 if mathieu else 10)
-    if top < 1:
-        raise ValidationError(f"ode-{'mathieu' if mathieu else 'sl'} needs --top >= 1, got {top}")
+def _cmd_ode(args: argparse.Namespace) -> int:
+    mathieu = args.command == "ode-mathieu"
+    if args.top < 1:
+        raise ValidationError(f"{args.command} needs --top >= 1, got {args.top}")
     if mathieu:
-        alpha = _option(opt, "alpha", float, 4.0)
-        beta = _option(opt, "beta", float, 1.0)
         try:
-            h, _ = spectral.mathieu_geometry(alpha, beta)
+            h, _ = spectral.mathieu_geometry(args.alpha, args.beta)
         except DomainError as exc:  # a bad geometry is a bad option, not a solver fault
             raise ValidationError(str(exc)) from exc
-        spec = spectral.builtin_mathieu(alpha, beta, n1=n1, n2=n2, oversampling=oversampling)
+        spec = spectral.builtin_mathieu(args.alpha, args.beta, n1=args.n1, n2=args.n2, oversampling=args.oversampling)
     else:
-        spec = spectral.builtin_sturm_liouville(n1=n1, n2=n2, oversampling=oversampling)
+        spec = spectral.builtin_sturm_liouville(n1=args.n1, n2=args.n2, oversampling=args.oversampling)
+    out = _output_dir(args.out)
     disc = spectral.discretize(spec)
-    tuples = tsvd.solve_complete(disc.problem, seed=_option(opt, "seed", int, 0))
-    finite = [t for t in tuples if t.residual is not None][:top]
-    out = opt["out"]
-    stamp = bool(opt.get("no_timestamp"))
+    tuples = tsvd.solve_complete(disc.problem, seed=args.seed)
+    finite = [t for t in tuples if t.residual is not None][: args.top]
     name = "mathieu" if mathieu else "sl"
-    with _artifact(out / f"{name}_eigenvalues.csv", stamp) as f:
-        writer = csv.writer(f)
-        header = ["j", "re_lambda", "im_lambda", "re_mu", "im_mu", "gamma", "rho", "rho_1", "rho_2",
-                  "varsigma_1", "varsigma_2", "varsigma"]
-        if mathieu:
-            header += ["re_omega", "im_omega"]
-        writer.writerow(header)
-        defects = spectral.continuous_residuals(spec, disc.bases, finite)
-        for j, (tup, (s1, s2, s_total)) in enumerate(zip(finite, defects), start=1):
-            lam, mu = dehomogenize(tup.value)
-            rho_1, rho_2 = tup.block_residuals
-            row = [j, _fmt(lam.real), _fmt(lam.imag), _fmt(mu.real), _fmt(mu.imag),
-                   _fmt(tup.value.gamma), _fmt(tup.residual), _fmt(rho_1), _fmt(rho_2),
-                   _fmt(s1), _fmt(s2), _fmt(s_total)]
-            if mathieu:
-                omega = 2.0 * np.sqrt(complex(mu)) / h
-                row += [_fmt(omega.real), _fmt(omega.imag)]
-            writer.writerow(row)
+    # complete_set.csv's columns for (lambda, mu), then the continuous defects.
+    header, rows = _tuple_table(2, finite)
+    header[1:5] = ["re_lambda", "im_lambda", "re_mu", "im_mu"]
+    header += ["varsigma_1", "varsigma_2", "varsigma"]
+    for row, defects in zip(rows, spectral.continuous_residuals(spec, disc.bases, finite)):
+        row += defects
+    if mathieu:
+        header += ["re_omega", "im_omega"]
+        for row, tup in zip(rows, finite):
+            omega = 2.0 * np.sqrt(complex(dehomogenize(tup.value)[1])) / h
+            row += [omega.real, omega.imag]
+    _write_csv(out / f"{name}_eigenvalues.csv", args.no_timestamp, header, rows)
     for j, tup in enumerate(finite, start=1):
-        t1, u1 = spectral.sample_eigenfunction(disc.bases[0], tup.vectors[0])
-        t2, u2 = spectral.sample_eigenfunction(disc.bases[1], tup.vectors[1])
-        _write_function_grid(out / f"{name}_u1_{j:02d}.csv", stamp, t1, u1)
-        _write_function_grid(out / f"{name}_u2_{j:02d}.csv", stamp, t2, u2)
+        for i, (basis, x) in enumerate(zip(disc.bases, tup.vectors), start=1):
+            t, u = spectral.sample_eigenfunction(basis, x)
+            _write_csv(out / f"{name}_u{i}_{j:02d}.csv", args.no_timestamp, ["t", "re_u", "im_u"],
+                       zip(t, u.real, u.imag))
         if mathieu:
-            x, y, psi = spectral.elliptic_mode_grid(alpha, beta, disc.bases, tup)
-            with _artifact(out / f"{name}_mode_{j:02d}.csv", stamp) as f:
-                writer = csv.writer(f)
-                writer.writerow(["x", "y", "psi_re", "psi_im"])
-                for xi, yi, pi in zip(x, y, psi):
-                    writer.writerow([_fmt(float(xi)), _fmt(float(yi)), _fmt(pi.real), _fmt(pi.imag)])
-    best = finite[0] if finite else None
-    if best is not None:
-        lam, mu = dehomogenize(best.value)
-        print(f"ode-{name}: best tuple lambda={lam.real:.6f} mu={mu.real:.6f} rho={best.residual:.3e}")
+            x, y, psi = spectral.elliptic_mode_grid(args.alpha, args.beta, disc.bases, tup)
+            _write_csv(out / f"{name}_mode_{j:02d}.csv", args.no_timestamp, ["x", "y", "psi_re", "psi_im"],
+                       zip(x, y, psi.real, psi.imag))
+    if finite:
+        lam, mu = dehomogenize(finite[0].value)
+        print(f"ode-{name}: best tuple lambda={lam.real:.6f} mu={mu.real:.6f} rho={finite[0].residual:.3e}")
     return EXIT_OK
-
-
-def run(args: argparse.Namespace) -> int:
-    opt = _merge_options(args)
-    command = args.command
-    if command == "solve-one":
-        return _cmd_solve_one(opt)
-    if command == "solve-complete":
-        return _cmd_solve_complete(opt)
-    if command == "bench-random":
-        return _cmd_bench_random(opt)
-    if command == "ode-sl":
-        return _cmd_ode(opt, mathieu=False)
-    if command == "ode-mathieu":
-        return _cmd_ode(opt, mathieu=True)
-    raise AssertionError(f"unhandled command {command}")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(args)
+        if args.config is not None:
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(args.config, command, args.command))
+            args = parser.parse_args(argv)
+        if args.seed is None:
+            raise ValidationError(f"{args.command} requires a seed (--seed or config)")
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+        return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,14 +22,12 @@ QR of V_12.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import mep
-from .errors import ValidationError
 from .linalg import svd
 from .model import (
     EigenTuple,
@@ -38,7 +36,6 @@ from .model import (
     MepProblem,
     PerturbationSet,
     RmepProblem,
-    dehomogenize,
     pencil_coefficients,
 )
 
@@ -49,7 +46,6 @@ __all__ = [
     "truncation_certificate",
     "reduced_mep",
     "solve_complete",
-    "write_complete_csv",
 ]
 
 # Margin under 1.0 required of every ||V_11||_2 before the truncation
@@ -201,33 +197,3 @@ def solve_complete(problem: RmepProblem, seed: int = 0) -> list[EigenTuple]:
         residuals = (float(total[t]), tuple(rho[t].tolist())) if finite[t] else (None, None)
         tuples.append(EigenTuple(value, tuple(x[t] for x in vectors), *residuals))
     return tuples
-
-
-def write_complete_csv(problem: RmepProblem, tuples, fileobj) -> None:
-    """Columns: j, re/im of each lambda_s, gamma, rho, rho_1..rho_k.
-
-    rho and rho_i are the residuals stored on each finite tuple by
-    `solve_complete`, so the rho column is the order of the rows.
-    """
-    k = problem.k
-    writer = csv.writer(fileobj)
-    header = ["j"]
-    for s in range(1, k + 1):
-        header += [f"re_lambda{s}", f"im_lambda{s}"]
-    header += ["gamma", "rho"] + [f"rho_{i}" for i in range(1, k + 1)]
-    writer.writerow(header)
-    for j, tup in enumerate(tuples, start=1):
-        row = [j]
-        if tup.value.is_finite():
-            if tup.block_residuals is None:
-                raise ValidationError(f"tuple {j} is finite but carries no residuals; write the tuples of solve_complete")
-            lambdas = dehomogenize(tup.value)
-            for l in lambdas:
-                row += [f"{l.real:.17g}", f"{l.imag:.17g}"]
-            row += [f"{tup.value.gamma:.17g}", f"{tup.residual:.17g}"]
-            row += [f"{r:.17g}" for r in tup.block_residuals]
-        else:
-            for a in tup.value.alphas:
-                row += [f"{a.real:.17g}", f"{a.imag:.17g}"]
-            row += [f"{tup.value.gamma:.17g}", "inf"] + ["inf"] * k
-        writer.writerow(row)

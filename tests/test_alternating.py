@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +5,13 @@ from hypothesis import strategies as st
 
 from rmep.alternating import (
     AlternatingConfig,
+    AlternatingTrace,
     _vector_step,
     best_value,
     build_gram,
     kkt_residual,
     reconstruct_perturbation,
     solve_one,
-    write_trace_csv,
 )
 from rmep.errors import ValidationError
 from rmep.linalg import svd
@@ -161,6 +159,15 @@ class TestBestValue:
 
 
 class TestSolveOne:
+    def test_trace_iterations_and_final_kkt_read_its_lists(self):
+        empty = AlternatingTrace()
+        assert empty.iterations == 0 and empty.final_kkt is None
+        _, _, trace = solve_one(scalar_problem())
+        assert trace.iterations == len(trace.objectives) == len(trace.kkt) >= 1
+        assert trace.final_kkt == trace.kkt[-1]
+        with pytest.raises(AttributeError):
+            trace.iterations = 5
+
     def test_scalar_problem_recovers_exact_solution(self):
         p = scalar_problem()
         tup, pset, trace = solve_one(p)
@@ -280,15 +287,6 @@ class TestSolveOne:
         rotated = solve_one(RmepProblem(blocks=tuple(blocks)))[2].objectives[-1]
         scale = sum(np.linalg.norm(b.coeffs) ** 2 for b in p.blocks)
         assert abs(rotated - theta) <= 1e-7 * theta + 4 * EPS * scale
-
-    def test_trace_csv(self):
-        p = scalar_problem()
-        _, _, trace = solve_one(p)
-        buf = io.StringIO()
-        write_trace_csv(trace, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "iter,theta1,eps_kkt"
-        assert len(lines) == 1 + trace.iterations
 
 
 class TestKktResidual:

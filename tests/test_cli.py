@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import os
 import subprocess
@@ -10,11 +9,20 @@ import numpy as np
 import pytest
 
 import rmep.alternating
+import rmep.cli
 import rmep.spectral
 import rmep.tsvd
-from rmep.cli import _relative_errors, main
-from rmep.model import dehomogenize, random_planted_problem
+from rmep.cli import _build_parser, _relative_errors, main
+from rmep.model import EquationBlock, RmepProblem, dehomogenize, random_planted_problem
 from rmep.serialization import save_binary, save_json, to_json_dict
+
+from conftest import shared_b_problem
+
+COMMANDS = _build_parser()[1]
+# Every option a config file may set, as (subcommand, argparse action).
+OPTIONS = [(name, a) for name, command in COMMANDS.items() for a in command._actions
+           if a.option_strings and a.dest not in ("help", "config")]
+OPTION_IDS = [f"{name}{a.option_strings[0]}" for name, a in OPTIONS]
 
 
 def read_csv(path):
@@ -24,10 +32,39 @@ def read_csv(path):
     return header, data
 
 
-def test_solve_one_artifacts(tmp_path):
+def spy(monkeypatch, module, name):
+    """Wrap module.name; the returned list collects the wrapper's results."""
+    results = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return results
+
+
+def bits(values):
+    """Exact bit patterns of floats (or of the strings that spell them)."""
+    return [float(v).hex() for v in values]
+
+
+def tuple_fields(tup, k):
+    """The float fields of one tuple's complete_set.csv row after j: re/im of
+    each lambda_s (of each raw alpha_s when infinite), gamma, rho and
+    rho_1..rho_k (inf when infinite)."""
+    if tup.residual is None:
+        return [x for a in tup.value.alphas for x in (a.real, a.imag)] + [tup.value.gamma] + [np.inf] * (k + 1)
+    lambdas = [x for lam in dehomogenize(tup.value) for x in (lam.real, lam.imag)]
+    return lambdas + [tup.value.gamma, tup.residual, *tup.block_residuals]
+
+
+def test_solve_one_artifacts(tmp_path, monkeypatch):
     p, _ = random_planted_problem([8, 8], [3, 3], 0.0, seed=1)
     inp = tmp_path / "problem.json"
     save_json(p, inp)
+    runs = spy(monkeypatch, rmep.alternating, "solve_one")
     # the objective-change rule stops near 2 * rel_tol on consistent problems,
     # so drive the tolerance down to reach the roundoff floor
     rc = main(["solve-one", str(inp), "--rel-tol", "1e-13", "--out", str(tmp_path), "--no-timestamp"])
@@ -35,9 +72,25 @@ def test_solve_one_artifacts(tmp_path):
     header, data = read_csv(tmp_path / "trace.csv")
     assert header == ["iter", "theta1", "eps_kkt"]
     assert float(data[-1][1]) <= 1e-12  # consistent problem: final theta tiny
+    # every float field parses back to the trace bitwise
+    ((_, _, trace),) = runs
+    assert [r[0] for r in data] == [str(j) for j in range(1, trace.iterations + 1)]
+    assert bits(r[1] for r in data) == bits(trace.objectives)
+    assert bits(r[2] for r in data) == bits(trace.kkt)
     doc = json.loads((tmp_path / "eigen_tuple.json").read_text())
     assert doc["status"] in ("tol-met", "stagnated", "budget-exhausted")
     assert doc["lambdas"] is not None
+
+
+def test_trace_csv(tmp_path, monkeypatch):
+    p = RmepProblem(blocks=(EquationBlock(a=[[2.0], [0.0]], b=([[1.0], [0.0]],)),))
+    save_json(p, tmp_path / "p.json")
+    runs = spy(monkeypatch, rmep.alternating, "solve_one")
+    assert main(["solve-one", str(tmp_path / "p.json"), "--out", str(tmp_path), "--no-timestamp"]) == 0
+    ((_, _, trace),) = runs
+    lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
+    assert lines[0] == "iter,theta1,eps_kkt"
+    assert len(lines) == 1 + trace.iterations
 
 
 def test_solve_complete_binary_input(tmp_path):
@@ -57,9 +110,53 @@ def test_solve_complete_on_saved_real_problem_matches_in_memory(tmp_path, save, 
     p = rmep.spectral.discretize(rmep.spectral.builtin_sturm_liouville(n1=6, n2=6)).problem
     save(p, tmp_path / name)
     assert main(["solve-complete", str(tmp_path / name), "--out", str(tmp_path), "--no-timestamp"]) == 0
-    expected = io.StringIO()
-    rmep.tsvd.write_complete_csv(p, rmep.tsvd.solve_complete(p, seed=0), expected)
-    assert (tmp_path / "complete_set.csv").read_bytes() == expected.getvalue().encode("utf-8")
+    _, data = read_csv(tmp_path / "complete_set.csv")
+    tuples = rmep.tsvd.solve_complete(p, seed=0)
+    assert [r[0] for r in data] == [str(j) for j in range(1, len(tuples) + 1)]
+    for row, t in zip(data, tuples, strict=True):
+        assert bits(row[1:]) == bits(tuple_fields(t, p.k))
+
+
+def solve_complete_csv(tmp_path, problem):
+    """complete_set.csv's header and rows for `problem` saved as JSON."""
+    save_json(problem, tmp_path / "p.json")
+    assert main(["solve-complete", str(tmp_path / "p.json"), "--out", str(tmp_path), "--no-timestamp"]) == 0
+    return read_csv(tmp_path / "complete_set.csv")
+
+
+def test_complete_csv_export(tmp_path):
+    p, _ = random_planted_problem([10, 10], [2, 2], 0.0, seed=15)
+    solve_complete_csv(tmp_path, p)
+    lines = (tmp_path / "complete_set.csv").read_text().strip().splitlines()
+    assert lines[0] == "j,re_lambda1,im_lambda1,re_lambda2,im_lambda2,gamma,rho,rho_1,rho_2"
+    assert len(lines) == 1 + 4
+
+
+def test_complete_csv_rho_is_the_stored_sort_key(tmp_path, monkeypatch):
+    p, _ = random_planted_problem([14, 14, 14], [3, 2, 2], 0.05, seed=18)
+    solves = spy(monkeypatch, rmep.tsvd, "solve_complete")
+    header, data = solve_complete_csv(tmp_path, p)
+    (tuples,) = solves
+    rho_col = header.index("rho")
+    rhos = [float(r[rho_col]) for r in data]
+    assert rhos == sorted(rhos)
+    for row, t in zip(data, tuples, strict=True):
+        assert float(row[rho_col]) == t.residual == sum(t.block_residuals)
+        assert [float(v) for v in row[rho_col + 1:]] == list(t.block_residuals)
+
+
+def test_complete_csv_infinite_rows_carry_raw_alphas(tmp_path, monkeypatch):
+    solves = spy(monkeypatch, rmep.tsvd, "solve_complete")
+    _, rows = solve_complete_csv(tmp_path, shared_b_problem())
+    (tuples,) = solves
+    assert [r[0] for r in rows] == ["1", "2", "3", "4"]
+    for row, t in zip(rows[2:], tuples[2:]):
+        alphas = [complex(float(row[1 + 2 * s]), float(row[2 + 2 * s])) for s in range(2)]
+        assert alphas == list(t.value.alphas)
+        assert float(row[5]) == t.value.gamma
+        assert row[6:] == ["inf", "inf", "inf"]
+    for row in rows[:2]:
+        assert all(np.isfinite(float(v)) for v in row[5:])
 
 
 def test_bench_random_noiseless(tmp_path):
@@ -256,6 +353,80 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+# A JSON value each declared option type takes from a config file, with the
+# value the command then sees, and one it rejects, with the message's tail.
+GOOD_VALUES = {int: (3, 3), float: (0.5, 0.5), Path: ("there", Path("there")), str: ([0, 0.1], [0.0, 0.1]),
+               None: (True, True)}
+BAD_VALUES = {int: ("3", "expects an integer, got '3'"), float: ("0.5", "expects a number, got '0.5'"),
+              Path: (5, "expects a path, got 5"),
+              str: (True, "expects a list of numbers or a comma-separated string, got True"),
+              None: ("yes", "expects true or false, got 'yes'")}
+
+
+def run_with_config(tmp_path, monkeypatch, name, config):
+    """main on subcommand `name` with `config` as its --config file and the
+    command itself replaced by a recorder; returns (exit code, namespaces)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    calls = []
+    monkeypatch.setattr(rmep.cli, COMMANDS[name].get_default("run").__name__, lambda args: calls.append(args) or 0)
+    argv = [name] + (["p.json"] if name.startswith("solve") else []) + ["--config", str(cfg)]
+    return main(argv), calls
+
+
+@pytest.mark.parametrize("spelling", ["flag", "dest"])
+@pytest.mark.parametrize("name, action", OPTIONS, ids=OPTION_IDS)
+def test_every_option_is_accepted_from_a_config_file(tmp_path, monkeypatch, name, action, spelling):
+    value, expected = GOOD_VALUES[action.type]
+    key = action.option_strings[0][2:] if spelling == "flag" else action.dest
+    rc, calls = run_with_config(tmp_path, monkeypatch, name, {"seed": 1, key: value})
+    assert rc == 0
+    assert getattr(calls[0], action.dest) == expected
+
+
+@pytest.mark.parametrize("name, action", OPTIONS, ids=OPTION_IDS)
+def test_every_option_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys, monkeypatch, name, action):
+    value, message = BAD_VALUES[action.type]
+    rc, calls = run_with_config(tmp_path, monkeypatch, name, {action.dest: value})
+    assert rc == 2 and calls == []
+    assert f"{action.option_strings[0]} {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, action", OPTIONS, ids=OPTION_IDS)
+def test_help_shows_every_default(name, action):
+    assert f"{action.help} (default: {action.default})" in " ".join(COMMANDS[name].format_help().split())
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_negative_seed_is_config_error(tmp_path, capsys, command, source):
+    p, _ = random_planted_problem([8, 8], [2, 2], 0.0, seed=4)
+    save_json(p, tmp_path / "p.json")
+    argv = [command] + ([str(tmp_path / "p.json")] if command.startswith("solve") else [])
+    argv += ["--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, out", [("solve-one", "file"), ("solve-complete", "file"), ("bench-random", "file/x"),
+                                          ("ode-sl", "file"), ("ode-mathieu", "file/x")])
+def test_unusable_out_fails_before_the_solve(tmp_path, capsys, monkeypatch, command, out):
+    (tmp_path / "file").write_text("")
+    p, _ = random_planted_problem([8, 8], [2, 2], 0.0, seed=4)
+    save_json(p, tmp_path / "p.json")
+    solves = [spy(monkeypatch, rmep.tsvd, "solve_complete"), spy(monkeypatch, rmep.alternating, "solve_one")]
+    argv = [command] + ([str(tmp_path / "p.json")] if command.startswith("solve") else [])
+    assert main(argv + ["--seed", "1", "--out", str(tmp_path / out)]) == 2
+    assert f"error: --out {tmp_path / out} cannot be used as the output directory" in capsys.readouterr().err
+    assert solves == [[], []]
+
+
 def _valid_json_doc():
     p, _ = random_planted_problem([6, 6], [2, 2], 0.0, seed=3)
     return to_json_dict(p)
@@ -325,7 +496,9 @@ def test_flags_override_config(tmp_path):
     assert data[0][header.index("trials")] == "3"
 
 
-def test_ode_sl_small(tmp_path):
+def test_ode_sl_small(tmp_path, monkeypatch):
+    solves = spy(monkeypatch, rmep.tsvd, "solve_complete")
+    defects = spy(monkeypatch, rmep.spectral, "continuous_residuals")
     rc = main(["ode-sl", "--n1", "12", "--n2", "12", "--top", "4", "--out", str(tmp_path), "--no-timestamp"])
     assert rc == 0
     header, data = read_csv(tmp_path / "sl_eigenvalues.csv")
@@ -339,12 +512,16 @@ def test_ode_sl_small(tmp_path):
     assert h == ["t", "re_u", "im_u"]
     assert len(grid) == 201
     # rho is the stored sort key: nondecreasing and the sum of the stored rho_i
-    tuples = rmep.tsvd.solve_complete(rmep.spectral.discretize(rmep.spectral.builtin_sturm_liouville(n1=12, n2=12)).problem)
+    (tuples,) = solves
     rho = header.index("rho")
     assert [float(r[rho]) for r in data] == sorted(float(r[rho]) for r in data)
     for row, t in zip(data, tuples):
         assert float(row[rho]) == t.residual == sum(t.block_residuals)
         assert [float(row[rho + 1]), float(row[rho + 2])] == list(t.block_residuals)
+    # every float field parses back bitwise to its tuple and continuous defects
+    assert header[-3:] == ["varsigma_1", "varsigma_2", "varsigma"]
+    for row, t, d in zip(data, tuples[:4], defects[0], strict=True):
+        assert bits(row[1:]) == bits(tuple_fields(t, 2) + list(d))
 
 
 def test_ode_mathieu_small(tmp_path):

@@ -1,13 +1,8 @@
-import csv
-import io
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmep import mep
-from rmep.errors import ValidationError
 from rmep.linalg import gep, svd
 from rmep.model import (
     EquationBlock,
@@ -24,7 +19,6 @@ from rmep.tsvd import (
     solve_complete,
     truncate_blocks,
     truncation_certificate,
-    write_complete_csv,
 )
 
 from conftest import EPS, crandn, frobenius_distance, match_multisets, pencil_vector_error, random_problem, shared_b_problem
@@ -220,48 +214,6 @@ class TestSolveComplete:
             per_block, _ = normalized_residual(p, t)
             assert np.max(np.abs(np.array(t.block_residuals) - per_block)) <= 8 * EPS
             assert t.residual == sum(t.block_residuals)
-
-    def test_csv_export(self):
-        p, _ = random_planted_problem([10, 10], [2, 2], 0.0, seed=15)
-        tuples = solve_complete(p, seed=0)
-        buf = io.StringIO()
-        write_complete_csv(p, tuples, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "j,re_lambda1,im_lambda1,re_lambda2,im_lambda2,gamma,rho,rho_1,rho_2"
-        assert len(lines) == 1 + 4
-
-    def test_csv_rho_is_the_stored_sort_key(self):
-        p, _ = random_planted_problem([14, 14, 14], [3, 2, 2], 0.05, seed=18)
-        tuples = solve_complete(p, seed=0)
-        buf = io.StringIO()
-        write_complete_csv(p, tuples, buf)
-        rows = list(csv.reader(io.StringIO(buf.getvalue())))
-        rho_col = rows[0].index("rho")
-        rhos = [float(r[rho_col]) for r in rows[1:]]
-        assert rhos == sorted(rhos)
-        for row, t in zip(rows[1:], tuples):
-            assert float(row[rho_col]) == t.residual == sum(t.block_residuals)
-            assert [float(v) for v in row[rho_col + 1:]] == list(t.block_residuals)
-
-    def test_csv_needs_stored_residuals(self):
-        p = shared_b_problem()
-        with pytest.raises(ValidationError, match="carries no residuals"):
-            write_complete_csv(p, solve_mep(p, seed=0), io.StringIO())
-
-    def test_csv_infinite_rows_carry_raw_alphas(self):
-        p = shared_b_problem()
-        tuples = solve_complete(p, seed=0)
-        buf = io.StringIO()
-        write_complete_csv(p, tuples, buf)
-        rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
-        assert [r[0] for r in rows] == ["1", "2", "3", "4"]
-        for row, t in zip(rows[2:], tuples[2:]):
-            alphas = [complex(float(row[1 + 2 * s]), float(row[2 + 2 * s])) for s in range(2)]
-            assert alphas == list(t.value.alphas)
-            assert float(row[5]) == t.value.gamma
-            assert row[6:] == ["inf", "inf", "inf"]
-        for row in rows[:2]:
-            assert all(np.isfinite(float(v)) for v in row[5:])
 
 
 def complex_cast(problem):
