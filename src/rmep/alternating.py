@@ -157,18 +157,14 @@ def best_value(h: np.ndarray):
     return theta, HomogeneousEigenvalue.from_vector(v[:, 0])
 
 
-def kkt_residual(problem: RmepProblem, t: EigenTuple) -> float:
-    """Normalized first-order optimality residual at the state (value, vectors).
+def kkt_residual(problem: RmepProblem, v: HomogeneousEigenvalue, xs, h) -> float:
+    """Normalized first-order optimality residual at the state (v, xs), with
+    h = build_gram(problem, xs):
 
         sum_i ||R_i^H R_i x_i - x_i w_i|| / xi_i  +  ||H v - v w|| / sum_i xi_i
 
     with w_i = ||R_i x_i||^2, w = v^H H v and xi_i = ||A_i||_2^2 + sum_s ||B_is||_2^2.
     """
-    return _kkt_residual(problem, t.value, t.vectors, build_gram(problem, t.vectors))
-
-
-def _kkt_residual(problem, v, xs, h) -> float:
-    """`kkt_residual` with the Gram matrix H(xs) already built."""
     total = 0.0
     xis = []
     for i in range(problem.k):
@@ -232,7 +228,7 @@ def _run(problem, value, cfg):
                 beta = max(beta / 2.0, BETA_MIN)
         kept = xs
         trace.objectives.append(theta)
-        trace.kkt.append(_kkt_residual(problem, value, xs, h))
+        trace.kkt.append(kkt_residual(problem, value, xs, h))
         n = len(trace.objectives)
         if n >= 2 and abs(trace.objectives[-1] - trace.objectives[-2]) <= (trace.objectives[-1] + 1.0) * cfg.rel_tol:
             trace.status = STATUS_TOL

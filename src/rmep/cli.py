@@ -290,6 +290,9 @@ def _cmd_bench_random(args: argparse.Namespace) -> int:
         sigmas = [_parse_float(s, "sigmas") for s in sigmas.split(",") if s.strip() != ""]
     if not sigmas:
         raise ValidationError("bench-random needs at least one noise level in --sigmas")
+    for sigma in sigmas:
+        if not (np.isfinite(sigma) and sigma >= 0):
+            raise ValidationError(f"--sigmas must be finite and nonnegative, got {sigma}")
     if args.trials < 1:
         raise ValidationError(f"bench-random needs --trials >= 1, got {args.trials}")
     out = _output_dir(args.out)

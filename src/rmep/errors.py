@@ -34,9 +34,9 @@ class InfiniteEigenvalueError(RmepError):
 
 
 class IrregularMepError(RmepError):
-    """No random linear combination of the operator determinants was
-    numerically invertible; the multiparameter problem is treated as
-    irregular."""
+    """The lifted pencil is singular: QZ found an eigenvalue pair
+    (alpha, beta) of the operator determinants' combinations that is zero
+    to rounding, so the multiparameter problem is treated as irregular."""
 
 
 class DomainError(RmepError, ValueError):

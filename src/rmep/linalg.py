@@ -10,14 +10,14 @@ inverse iteration instead of a full SVD, and checks by a Cholesky that the
 result is the minimizer.
 
 `gep` first solves the pencil (A, B) as the standard problem B^{-1} A: one
-LU of B (or the one the caller got from `rcond_1norm`), `scipy.linalg.eig`
-(`dgeev` or `zgeev`) on B^{-1} A for right and left vectors, and left
-pencil vectors B^{-H} y.  That result is kept only when every pair, right
-and left, has a normwise backward error on the original pencil of at most
-GEP_BACKWARD_RTOL; otherwise (or when B is exactly singular) the pencil
-goes through QZ.  The standard path returns beta = 1.  The path is chosen
-by the backward error, not by a condition estimate of B: a mass matrix
-with rcond 6e-14 can still give backward errors at the QZ level.
+LU of B, `scipy.linalg.eig` (`dgeev` or `zgeev`) on B^{-1} A for right and
+left vectors, and left pencil vectors B^{-H} y.  That result is kept only
+when every pair, right and left, has a normwise backward error on the
+original pencil of at most GEP_BACKWARD_RTOL; otherwise (or when B is
+exactly singular) the pencil goes through QZ.  The standard path returns
+beta = 1.  The path is chosen by the backward error, not by a condition
+estimate of B: a mass matrix with rcond 6e-14 can still give backward
+errors at the QZ level.
 All functions are pure; returned arrays are freshly allocated.
 """
 
@@ -221,41 +221,30 @@ def _shifted_factor(r, x):
         return None
 
 
-def gep(a, b, lu=None) -> GepResult:
+def gep(a, b) -> GepResult:
     """Eigenpairs of the pencil A z = lambda B z, with right and left
     eigenvectors: standard form B^{-1} A when its backward error passes,
     else QZ.  A real pencil (both A and B real) is solved in real arithmetic:
     its eigenvalues come as a complex array, and its eigenvectors are real
     when every eigenvalue is real, else complex with conjugate pairs of
-    columns.  A and B are read, never written.
-
-    `lu` is B's LU as `rcond_1norm` returns it, in the pencil's dtype; it
-    replaces the factorization of B and is read, never written.  The
-    backward-error check still alone decides whether the standard form is
-    kept, and the result is bitwise the one gep gets by factoring B."""
+    columns.  A and B are read, never written."""
     dtype = _working_dtype(a, b)
     a = _checked(np.asarray(a, dtype=dtype), "A")
     b = _checked(np.asarray(b, dtype=dtype), "B")
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValidationError(f"pencil matrices must be square and equal-shaped, got {a.shape}, {b.shape}")
-    if lu is not None and (lu[0].shape != b.shape or lu[0].dtype != dtype):
-        raise ValidationError(f"the LU of B must be {b.shape} {dtype}, got {lu[0].shape} {lu[0].dtype}")
     scale_a, scale_b = np.linalg.norm(a, "fro"), np.linalg.norm(b, "fro")
     with np.errstate(all="ignore"):  # overflow from a near-singular B fails the check below
-        result = _standard(a, b, scale_a, scale_b, lu)
+        result = _standard(a, b, scale_a, scale_b)
     return result if result is not None else _qz(a, b)
 
 
-def _standard(a, b, scale_a, scale_b, factor=None):
-    """eig on B^{-1} A, with B's LU `factor` when given; None when B is
-    singular or a pair fails the backward-error check.  Temporaries are
-    overwritten in place."""
-    if factor is None:
-        lu, piv, info = _lapack("getrf", b)(b)
-        if info != 0:
-            return None
-    else:
-        lu, piv = factor
+def _standard(a, b, scale_a, scale_b):
+    """eig on B^{-1} A; None when B is singular or a pair fails the
+    backward-error check.  Temporaries are overwritten in place."""
+    lu, piv, info = _lapack("getrf", b)(b)
+    if info != 0:
+        return None
     getrs = _lapack("getrs", b)
     c, info = getrs(lu, piv, a)
     if info != 0 or not np.all(np.isfinite(c)):
@@ -320,20 +309,3 @@ def _qz(a, b):
     vl = vl / np.linalg.norm(vl, axis=0, keepdims=True)
     return GepResult(alpha=alpha, beta=beta, right=vr, left=vl)
 
-
-def rcond_1norm(a):
-    """(rcond, lu): a cheap reciprocal 1-norm condition estimate of A and the
-    LU (lu, piv) it comes from, which `gep` accepts for B = A.  Real input
-    is factored in real arithmetic.  A zero or exactly singular A gives
-    (0.0, None)."""
-    a = np.ascontiguousarray(a, dtype=_working_dtype(a))
-    if a.shape[0] != a.shape[1]:
-        raise ValidationError("rcond estimate requires a square matrix")
-    anorm = np.linalg.norm(a, 1)
-    if anorm == 0.0:
-        return 0.0, None
-    lu, piv, info = _lapack("getrf", a)(a)
-    if info != 0:
-        return 0.0, None
-    rc, info = _lapack("gecon", a)(lu, anorm, norm="1")
-    return (float(rc), (lu, piv)) if info == 0 else (0.0, None)

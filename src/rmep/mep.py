@@ -11,28 +11,26 @@ D_j z = lambda_j D_0 z with z = x_1 (x) ... (x) x_k, and when D_0 is
 invertible the matrices D_0^{-1} D_j commute.
 
 The solver works projectively so that singular D_0 (infinite eigenvalues)
-is not fatal: it picks a numerically invertible mass matrix M (D_0 itself
-when well conditioned, else the first random combination sum_j w_j D_j
-that is not numerically singular), solves one pencil (sum_j c_j D_j, M)
-with random coefficients c to split tuples that collide in any single
-coordinate, and recovers each homogeneous tuple from two-sided Rayleigh
-quotients
+is not fatal: its mass matrix M is one random combination sum_j w_j D_j,
+and it solves one pencil (sum_j c_j D_j, M) with random coefficients c to
+split tuples that collide in any single coordinate, and recovers each
+homogeneous tuple from two-sided Rayleigh quotients
 
     (gamma, alpha_1, ..., alpha_k)  ~  (w^H D_0 z, w^H D_1 z, ..., w^H D_k z)
 
 with (z, w) the right/left eigenvectors.  This is quadratically accurate in
 the eigenvector error and needs no pairing across the k pencils.
 
-Each candidate for M is LU-factored once, by the condition estimate that
-judges it, and the chosen M's LU goes on to `linalg.gep`.  That solves the
-pencil as the standard problem M^{-1} sum_j c_j D_j (the commuting
-structure of the determinants makes it equivalent) and keeps that solve
-only if every right and left pair has a backward error on the pencil of at
-most `linalg.GEP_BACKWARD_RTOL`; otherwise it uses QZ.  So the rcond of M
-only screens out singular candidates; the backward error judges accuracy.
-The quotients of all N tuples are formed together, one product D_j Z per
-j.  The weights w and c are real when every D_j is real, so a real problem
-is solved in real arithmetic, and complex otherwise.
+No condition estimate judges M.  `linalg.gep` solves the pencil as the
+standard problem M^{-1} sum_j c_j D_j (the commuting structure of the
+determinants makes it equivalent) and keeps that solve only if every right
+and left pair has a backward error on the pencil of at most
+`linalg.GEP_BACKWARD_RTOL`; otherwise it uses QZ.  Only a singular pencil,
+det(sum_j c_j D_j - lambda M) = 0 for every lambda, is irregular: QZ then
+leaves a pair (alpha_j, beta_j) that is zero to rounding.  The quotients of
+all N tuples are formed together, one product D_j Z per j.  The weights w
+and c are real when every D_j is real, so a real problem is solved in real
+arithmetic, and complex otherwise.
 
 The lifted pencil supplies only the values: `solve_from_determinants`
 returns the homogeneous tuples as the rows of an array, normalized by
@@ -58,7 +56,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import CapacityError, IrregularMepError, ValidationError
-from .linalg import EPS, gep, rcond_1norm, svd
+from .linalg import EPS, GEP_BACKWARD_RTOL, gep, svd
 from .model import EigenTuple, HomogeneousEigenvalue, MepProblem, RmepProblem, normalize_homogeneous, pencil_coefficients
 
 __all__ = [
@@ -70,13 +68,6 @@ __all__ = [
 MAX_PARAMETERS = 4  # the expansion has k! Kronecker terms per determinant
 # Largest lifted size N; D_0..D_k are dense N x N, so memory grows as N^2.
 KRON_CAP = 20_000
-# Largest condition number of D_0 for which the plain pencil is solved
-# directly; beyond it a random combination is used as the mass matrix.
-COND_THRESHOLD = 1e12
-# Random combinations drawn before the problem is declared irregular.
-WEIGHT_TRIALS = 8
-# Reciprocal condition number below which a combination counts as singular.
-IRREGULAR_RCOND = EPS
 
 
 @dataclass(frozen=True)
@@ -154,35 +145,14 @@ def _random_combination(matrices, rng):
     return sum(wj * dj for wj, dj in zip(w, matrices))
 
 
-def _pick_mass(deltas: OperatorDeterminants, rng):
-    """(mass, lu): D_0 itself when its rcond is at least 1/COND_THRESHOLD,
-    else the first of up to WEIGHT_TRIALS random combinations whose rcond is
-    at least IRREGULAR_RCOND, with the LU of `linalg.rcond_1norm` for
-    `gep`.  Each candidate is factored once; IrregularMepError when every
-    draw is singular."""
-    mass = deltas.matrices[0]
-    rc, lu = rcond_1norm(mass)
-    if rc >= 1.0 / COND_THRESHOLD:
-        return mass, lu
-    for _ in range(WEIGHT_TRIALS):
-        mass = _random_combination(deltas.matrices, rng)
-        rc, lu = rcond_1norm(mass)
-        if rc >= IRREGULAR_RCOND:
-            return mass, lu
-    raise IrregularMepError(
-        f"no combination of the operator determinants was numerically invertible "
-        f"(rcond below {IRREGULAR_RCOND:.2e} on all {WEIGHT_TRIALS} draws)"
-    )
-
-
 def solve_mep(problem: MepProblem, seed: int = 0) -> list[EigenTuple]:
     """All N = n_1*...*n_k tuples of a square problem, multiplicities kept,
     each with the null vectors of its own pencils (residual None): the
     normalized rows of `solve_from_determinants`, with the pencils of
     `model.pencil_coefficients`.
 
-    Deterministic for a fixed seed (which drives the random mass-matrix
-    weights and the tuple-splitting combination).
+    Deterministic for a fixed seed (which draws the mass matrix's weights,
+    then the tuple-splitting combination).
     """
     rows = solve_from_determinants(operator_determinants(problem), seed=seed)
     vectors, _ = tuples_from_pencils(problem, pencil_coefficients(rows)[1])
@@ -209,6 +179,17 @@ def tuples_from_pencils(problem: RmepProblem, c):
     return vectors, sigmas
 
 
+def _is_singular(pencil, a, mass) -> bool:
+    """Whether QZ found a pair with |alpha_j| <= GEP_BACKWARD_RTOL ||A||_F and
+    |beta_j| <= GEP_BACKWARD_RTOL ||M||_F, as det(A - lambda M) = 0 for every
+    lambda gives; the all-zero pencil is one.  A standard-form result
+    (beta = 1 throughout) never is: gep keeps it only for an invertible M."""
+    if np.all(pencil.beta == 1.0):
+        return False
+    tiny_alpha = np.abs(pencil.alpha) <= GEP_BACKWARD_RTOL * np.linalg.norm(a)
+    return bool(np.any(tiny_alpha & (np.abs(pencil.beta) <= GEP_BACKWARD_RTOL * np.linalg.norm(mass))))
+
+
 def _least_squares_quotients(matrices, mz, z) -> np.ndarray:
     """(M z)^H D_j z / ||M z||^2 for each j: the homogeneous tuple from least
     squares on the pairs (M z, D_j z), used when the left vector is unusable."""
@@ -226,10 +207,15 @@ def _column_vdots(w, x, out):
 def solve_from_determinants(deltas: OperatorDeterminants, seed: int = 0) -> np.ndarray:
     """The N tuples as the rows of an N x (k+1) array of homogeneous
     coordinates (gamma, alpha_1, ..., alpha_k), each normalized by
-    `model.normalize_homogeneous`."""
+    `model.normalize_homogeneous`.  IrregularMepError when the pencil is
+    singular (`_is_singular`)."""
     rng = np.random.default_rng(seed)
-    mass, lu = _pick_mass(deltas, rng)
-    pencil = gep(_random_combination(deltas.matrices, rng), mass, lu=lu)
+    mass = _random_combination(deltas.matrices, rng)
+    a = _random_combination(deltas.matrices, rng)
+    pencil = gep(a, mass)
+    if _is_singular(pencil, a, mass):
+        raise IrregularMepError("the lifted pencil is singular: QZ found an eigenvalue pair (alpha, beta) "
+                                "that is zero to rounding")
     z_all, w_all = pencil.right, pencil.left
     # All tuples' quotients at once: one product per D_j, reusing one buffer.
     mz_all = mass @ z_all

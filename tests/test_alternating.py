@@ -292,8 +292,8 @@ class TestSolveOne:
 class TestKktResidual:
     def test_zero_at_exact_solution(self):
         p = scalar_problem()
-        t = EigenTuple(value=homogenize([2.0]), vectors=(np.array([1.0]),))
-        assert kkt_residual(p, t) <= 1e3 * EPS
+        xs = (np.array([1.0]),)
+        assert kkt_residual(p, homogenize([2.0]), xs, build_gram(p, xs)) <= 1e3 * EPS
 
     def test_grows_with_vector_perturbation(self):
         rng = np.random.default_rng(9)
@@ -307,7 +307,7 @@ class TestKktResidual:
         for eps_size in (1e-6, 1e-4, 1e-2):
             y = x + eps_size * d
             y /= np.linalg.norm(y)
-            values.append(kkt_residual(p, EigenTuple(value=tup.value, vectors=(y,))))
+            values.append(kkt_residual(p, tup.value, (y,), build_gram(p, (y,))))
         assert values[0] < values[1] < values[2]
 
 

@@ -207,6 +207,21 @@ def test_bench_random_rejects_bad_input(tmp_path, capsys, flags, message):
     assert not (tmp_path / "bench.csv").exists()
 
 
+@pytest.mark.parametrize("sigmas", [[0, 0.1, float("nan")], [0, -0.1]], ids=["late-nan", "late-negative"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bench_random_checks_every_sigma_before_the_first_trial(tmp_path, capsys, monkeypatch, sigmas, source):
+    trials = spy(monkeypatch, rmep.cli, "_bench_trial")
+    argv = ["bench-random", "--m", "8", "--n", "2", "--trials", "2", "--seed", "1", "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--sigmas", ",".join(map(str, sigmas))]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"sigmas": sigmas}))  # nan as the JSON literal NaN
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    assert f"--sigmas must be finite and nonnegative, got {sigmas[-1]}" in capsys.readouterr().err
+    assert trials == [] and not (tmp_path / "out").exists()
+
+
 def test_missing_input_is_config_error(tmp_path):
     rc = main(["solve-complete", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2

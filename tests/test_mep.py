@@ -245,20 +245,12 @@ class TestSolveMep:
             assert abs(lam[0] - 3.0) < 1e-10
             assert abs(lam[1] - 5.0) < 1e-10
 
-    def test_shifted_mass_fallback(self, monkeypatch):
+    def test_shifted_mass_fallback(self):
         # blocks sharing (B_1, B_2) make D_0 = B_1 (x) B_2 - B_2 (x) B_1 singular
-        shifted = []
-        original = mep._pick_mass
-        def spy(deltas, *args):
-            result = original(deltas, *args)
-            shifted.append(result[0] is not deltas.matrices[0])
-            return result
-        monkeypatch.setattr(mep, "_pick_mass", spy)
         rng = np.random.default_rng(0)
         b1, b2 = crandn(rng, 2, 2), crandn(rng, 2, 2)
         p = mep_from([(crandn(rng, 2, 2), b1, b2), (crandn(rng, 2, 2), b1, b2)])
         sols = solve_mep(p, seed=0)
-        assert shifted == [True]
         finite = [dehomogenize(s.value) for s in sols if s.value.is_finite()]
         assert len(finite) == 2 and len(sols) == 4
         for lam, mu in finite:
@@ -279,51 +271,42 @@ class TestSolveMep:
                 assert sol.residual is None
                 assert pencil_vector_error(p, sol) <= 1e-12
 
-    def test_singular_first_draw_is_skipped(self, monkeypatch):
-        draws = []
-        original = mep._random_combination
+    @pytest.mark.parametrize("kind", ["shared-b", "random"])
+    def test_qz_path_matches_standard_path(self, monkeypatch, kind):
+        # The shared-(B_1, B_2) problem has 2 finite and 2 infinite tuples.
+        p = shared_b_problem() if kind == "shared-b" else random_problem(np.random.default_rng(12), 3, 3, 2, square=True)
+        qz_calls = []
+        qz = linalg._qz
+        monkeypatch.setattr(linalg, "_qz", lambda *args: qz_calls.append(1) or qz(*args))
+        standard = mep.solve_from_determinants(operator_determinants(p), seed=0)
+        assert qz_calls == []
+        monkeypatch.setattr(linalg, "_standard", lambda *args: None)
+        sols = solve_mep(p, seed=0)
+        assert len(qz_calls) == 1 and len(sols) == p.total_dim
+        rows = [np.concatenate(([s.value.gamma], s.value.alphas)) for s in sols]
+        assert match_multisets(rows, standard) <= 1e-10
+        for sol in sols:
+            assert pencil_vector_error(p, sol) <= 1e-10
 
-        def spy(matrices, rng):
-            draw = original(matrices, rng)
-            draws.append(np.zeros_like(draw) if not draws else draw)
-            return draws[-1]
+    def test_singular_pencil_raises(self):
+        # Every matrix of the first block annihilates e_1, so every D_j
+        # annihilates e_1 (x) y: det(A - lambda M) = 0 for every lambda.
+        rng = np.random.default_rng(13)
+        first = [rng.standard_normal((3, 3)) for _ in range(3)]
+        for mat in first:
+            mat[:, 0] = 0.0
+        p = mep_from([first, [rng.standard_normal((3, 3)) for _ in range(3)]])
+        with pytest.raises(IrregularMepError, match="singular"):
+            solve_mep(p, seed=0)
 
-        monkeypatch.setattr(mep, "_random_combination", spy)
-        deltas = operator_determinants(shared_b_problem())
-        mass, lu = mep._pick_mass(deltas, np.random.default_rng(0))
-        assert len(draws) == 2 and mass is draws[1]
-        assert np.array_equal(lu[0], linalg.rcond_1norm(mass)[1][0])
-
-    def test_all_singular_draws_raise_after_weight_trials(self, monkeypatch):
-        draws = []
-
-        def singular(matrices, rng):
-            draws.append(1)
-            return np.zeros_like(matrices[0])
-
-        monkeypatch.setattr(mep, "_random_combination", singular)
-        with pytest.raises(IrregularMepError):
-            mep._pick_mass(operator_determinants(shared_b_problem()), np.random.default_rng(0))
-        assert len(draws) == mep.WEIGHT_TRIALS
-
-    @pytest.mark.parametrize("shifted", [False, True], ids=["d0", "shifted"])
-    def test_each_mass_candidate_is_factored_once(self, monkeypatch, shifted):
-        # D_0 is factored once; on the shifted path so is the first draw,
-        # which passes here.  gep takes that LU and factors nothing.
-        problem = shared_b_problem() if shifted else random_problem(np.random.default_rng(11), 3, 3, 2, square=True)
-        names, in_gep = [], []
-        lapack, gep = linalg._lapack, mep.gep
-
-        def gep_spy(*args, **kwargs):
-            before = names.count("getrf")
-            result = gep(*args, **kwargs)
-            in_gep.append(names.count("getrf") - before)
-            return result
-
-        monkeypatch.setattr(linalg, "_lapack", lambda name, x: names.append(name) or lapack(name, x))
-        monkeypatch.setattr(mep, "gep", gep_spy)
-        mep.solve_from_determinants(operator_determinants(problem), seed=0)
-        assert names.count("getrf") == (2 if shifted else 1) and in_gep == [0]
+    def test_large_entries_are_not_irregular(self):
+        # Scaling every block by 1e6 leaves the tuples alone but puts ||M||_F
+        # near 2e13, where the standard form's beta = 1 is below
+        # GEP_BACKWARD_RTOL ||M||_F: only a QZ pair may count as zero.
+        p = random_problem(np.random.default_rng(14), 3, 3, 2, square=True)
+        scaled = mep_from([(1e6 * blk.a, *(1e6 * b for b in blk.b)) for blk in p.blocks])
+        rows = mep.solve_from_determinants(operator_determinants(scaled), seed=0)
+        assert match_multisets(rows, mep.solve_from_determinants(operator_determinants(p), seed=0)) <= 1e-10
 
     def test_irregular_raises(self):
         zero = np.zeros((2, 2))

@@ -357,3 +357,21 @@ def test_basis_size_monotonicity(sl_solution_n30):
     _, _, tuples30 = sl_solution_n30
     errors.append(min(abs(dehomogenize(t.value)[0] - pi2) for t in tuples30 if t.residual is not None))
     assert errors[0] >= errors[1] >= errors[2]
+
+
+@pytest.mark.slow
+def test_mathieu_gate8_basis_with_seed_6004():
+    """Gate 8's basis at seed 6004, whose pencil the mass matrix once failed
+    to solve: the 8 smallest-rho finite tuples meet every clause of gate 8."""
+    spec = builtin_mathieu(4.0, 1.0, n1=40, n2=24)
+    disc = discretize(spec)
+    h, _ = mathieu_geometry(4.0, 1.0)
+    tuples = [t for t in solve_complete(disc.problem, seed=6004) if t.residual is not None][:8]
+    assert len(tuples) == 8
+    for t in tuples:
+        mu = complex(dehomogenize(t.value)[1])
+        omega = 2.0 * np.sqrt(mu) / h
+        assert t.residual <= 1e-8
+        assert continuous_residual(spec, disc.bases, t)[2] <= 1e-5
+        for z in (mu, omega):
+            assert abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)) and z.real > 0
