@@ -14,10 +14,11 @@ LU of B, `scipy.linalg.eig` (`dgeev` or `zgeev`) on B^{-1} A for right and
 left vectors, and left pencil vectors B^{-H} y.  That result is kept only
 when every pair, right and left, has a normwise backward error on the
 original pencil of at most GEP_BACKWARD_RTOL; otherwise (or when B is
-exactly singular) the pencil goes through QZ.  The standard path returns
-beta = 1.  The path is chosen by the backward error, not by a condition
-estimate of B: a mass matrix with rcond 6e-14 can still give backward
-errors at the QZ level.
+exactly singular) the pencil goes through QZ.  The check forms A Z and B Z
+for all right vectors in one pass, and A^T and B^T times the left ones in
+another.  The standard path returns beta = 1.  The path is chosen by the
+backward error, not by a condition estimate of B: a mass matrix with rcond
+6e-14 can still give backward errors at the QZ level.
 All functions are pure; returned arrays are freshly allocated.
 """
 
@@ -55,10 +56,6 @@ INVERSE_ITERATION_STEPS = 200
 # singular value of R lies below s.  Exact minimizers of random, graded and
 # rank-deficient R up to n = 200 pass with a slack of 0.25.
 MINIMIZER_SLACK = 4.0
-# `gep` forms its backward-error products this many columns at a time, so
-# that they need no N x N temporaries while B's LU may still be held: at
-# N = 576 the two full products would add 2.0 MB to the solve's peak.
-BACKWARD_ERROR_COLUMNS = 128
 
 
 def as_matrix(a, name="matrix") -> np.ndarray:
@@ -283,19 +280,13 @@ def _column_norms(x):
 
 
 def _backward_errors(a, b, mu, z, scale_a, scale_b):
-    """||A z_j - mu_j B z_j|| / (||A|| + |mu_j| ||B||) for unit columns z_j,
-    BACKWARD_ERROR_COLUMNS columns at a time."""
+    """||A z_j - mu_j B z_j|| / (||A|| + |mu_j| ||B||) for unit columns z_j."""
+    res = a @ z
+    bz = b @ z
     # Real vectors come only with real eigenvalues.
-    mu_z = mu if np.iscomplexobj(z) else mu.real
-    norms = np.empty(z.shape[1])
-    for start in range(0, z.shape[1], BACKWARD_ERROR_COLUMNS):
-        cols = slice(start, start + BACKWARD_ERROR_COLUMNS)
-        res = a @ z[:, cols]
-        bz = b @ z[:, cols]
-        bz *= mu_z[cols]
-        res -= bz
-        norms[cols] = _column_norms(res)
-    return norms / np.maximum(scale_a + np.abs(mu) * scale_b, np.finfo(np.float64).tiny)
+    bz *= mu if np.iscomplexobj(z) else mu.real
+    res -= bz
+    return _column_norms(res) / np.maximum(scale_a + np.abs(mu) * scale_b, np.finfo(np.float64).tiny)
 
 
 def _qz(a, b):

@@ -28,9 +28,15 @@ and left pair has a backward error on the pencil of at most
 `linalg.GEP_BACKWARD_RTOL`; otherwise it uses QZ.  Only a singular pencil,
 det(sum_j c_j D_j - lambda M) = 0 for every lambda, is irregular: QZ then
 leaves a pair (alpha_j, beta_j) that is zero to rounding.  The quotients of
-all N tuples are formed together, one product D_j Z per j.  The weights w
-and c are real when every D_j is real, so a real problem is solved in real
-arithmetic, and complex otherwise.
+all N tuples are formed together, one product D_j Z per j, and each product
+gives two numerators: the two-sided w^H D_j z and the least-squares
+(M z)^H D_j z.  A tuple whose left vector is unusable (w^H M z negligible
+against ||M z||, or a zero or non-finite row) takes the least-squares row.
+The weights w and c are real when every D_j is real, so a real problem is
+solved in real arithmetic, and complex otherwise.  `solve_mep` first scales
+each block by the power of two that brings its largest entry into [1/2, 1):
+that is exact, leaves the tuples unchanged and keeps the k-fold products of
+the determinants clear of underflow and overflow.
 
 The lifted pencil supplies only the values: `solve_from_determinants`
 returns the homogeneous tuples as the rows of an array, normalized by
@@ -49,15 +55,16 @@ blocks and takes each tuple's residual from the singular values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .errors import CapacityError, IrregularMepError, ValidationError
 from .linalg import EPS, GEP_BACKWARD_RTOL, gep, svd
-from .model import EigenTuple, HomogeneousEigenvalue, MepProblem, RmepProblem, normalize_homogeneous, pencil_coefficients
+from .model import EigenTuple, EquationBlock, HomogeneousEigenvalue, MepProblem, RmepProblem, normalize_homogeneous, pencil_coefficients
 
 __all__ = [
     "OperatorDeterminants",
@@ -75,10 +82,6 @@ class OperatorDeterminants:
     """The k+1 lifted matrices D_0..D_k."""
 
     matrices: tuple[np.ndarray, ...]
-
-    @property
-    def size(self) -> int:
-        return self.matrices[0].shape[0]
 
 
 def _operator_determinant(columns) -> np.ndarray:
@@ -99,20 +102,8 @@ def _operator_determinant(columns) -> np.ndarray:
 
 
 def _permutation_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """+1 or -1 by the parity of the number of inversions."""
+    return -1 if sum(p > q for p, q in combinations(perm, 2)) % 2 else 1
 
 
 def operator_determinants(problem: MepProblem) -> OperatorDeterminants:
@@ -152,14 +143,28 @@ def solve_mep(problem: MepProblem, seed: int = 0) -> list[EigenTuple]:
     `model.pencil_coefficients`.
 
     Deterministic for a fixed seed (which draws the mass matrix's weights,
-    then the tuple-splitting combination).
+    then the tuple-splitting combination).  Each block is first scaled by
+    the power of two that brings its largest entry into [1/2, 1), so tuples
+    and vectors do not depend on the scale of the data.
     """
+    problem = _unit_scaled(problem)
     rows = solve_from_determinants(operator_determinants(problem), seed=seed)
     vectors, _ = tuples_from_pencils(problem, pencil_coefficients(rows)[1])
     return [
         EigenTuple(HomogeneousEigenvalue(gamma=row[0].real, alphas=row[1:]), tuple(x[t] for x in vectors))
         for t, row in enumerate(rows)
     ]
+
+
+def _unit_scaled(problem: MepProblem) -> MepProblem:
+    """The problem with each block scaled exactly by the power of two that
+    brings its largest entry into [1/2, 1) (a zero block stays zero)."""
+    blocks = []
+    for blk in problem.blocks:
+        exponent = math.frexp(np.abs(blk.coeffs).max())[1]
+        coeffs = np.ldexp(blk.coeffs.view(np.float64), -exponent).view(blk.coeffs.dtype)
+        blocks.append(EquationBlock(a=coeffs[0], b=tuple(coeffs[1:])))
+    return MepProblem(blocks=tuple(blocks))
 
 
 def tuples_from_pencils(problem: RmepProblem, c):
@@ -190,12 +195,6 @@ def _is_singular(pencil, a, mass) -> bool:
     return bool(np.any(tiny_alpha & (np.abs(pencil.beta) <= GEP_BACKWARD_RTOL * np.linalg.norm(mass))))
 
 
-def _least_squares_quotients(matrices, mz, z) -> np.ndarray:
-    """(M z)^H D_j z / ||M z||^2 for each j: the homogeneous tuple from least
-    squares on the pairs (M z, D_j z), used when the left vector is unusable."""
-    return np.array([np.vdot(mz, dj @ z) for dj in matrices]) / float(np.vdot(mz, mz).real)
-
-
 def _column_vdots(w, x, out):
     """vdot(w[:, j], x[:, j]) for every column j; `out` (x's shape, may be x
     itself) is overwritten as scratch."""
@@ -217,20 +216,24 @@ def solve_from_determinants(deltas: OperatorDeterminants, seed: int = 0) -> np.n
         raise IrregularMepError("the lifted pencil is singular: QZ found an eigenvalue pair (alpha, beta) "
                                 "that is zero to rounding")
     z_all, w_all = pencil.right, pencil.left
-    # All tuples' quotients at once: one product per D_j, reusing one buffer.
+    # One product D_j Z per j, in one reused buffer, gives both numerators of
+    # every tuple: the two-sided w^H D_j z and the least-squares (M z)^H D_j z.
     mz_all = mass @ z_all
     buf = np.empty_like(mz_all)
     wmz = _column_vdots(w_all, mz_all, buf)
     mz_norms = np.sqrt(_column_vdots(mz_all, mz_all, buf).real)
-    values = np.empty((deltas.size, len(deltas.matrices)), dtype=np.complex128)
+    values = np.empty((z_all.shape[1], len(deltas.matrices)), dtype=np.complex128)
+    least_squares = np.empty_like(values)
     for j, dj in enumerate(deltas.matrices):
         np.matmul(dj, z_all, out=buf)
-        values[:, j] = _column_vdots(w_all, buf, buf)
+        np.conjugate(buf, out=buf)
+        least_squares[:, j] = np.einsum("ij,ij->j", buf, mz_all).conj()
+        buf *= w_all
+        values[:, j] = buf.sum(axis=0).conj()
     left_unusable = (
         (np.abs(wmz) <= 1e3 * EPS * mz_norms)
         | (np.linalg.norm(values, axis=1) == 0.0)
         | ~np.all(np.isfinite(values), axis=1)
     )
-    for j in np.flatnonzero(left_unusable):
-        values[j] = _least_squares_quotients(deltas.matrices, mz_all[:, j], z_all[:, j])
+    values[left_unusable] = least_squares[left_unusable]
     return normalize_homogeneous(values)

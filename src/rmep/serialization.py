@@ -1,8 +1,9 @@
 """Problem serialization: a JSON container and an equivalent binary format.
 
 Both formats store, per block, the matrices A, B_1, ..., B_k as column-major
-arrays of interleaved (re, im) doubles and round-trip bit-exactly for finite
-values.  A matrix whose imaginary parts are all exactly 0 loads as float64,
+arrays of interleaved (re, im) doubles, written by one encoder and read by
+one decoder, and round-trip bit-exactly for finite values, signed zeros
+included.  A matrix whose imaginary parts are all exactly 0 loads as float64,
 so a real problem is solved in real arithmetic after a round trip too.
 Square problems are tagged so they load back as MepProblem.
 """
@@ -33,24 +34,18 @@ BINARY_MAGIC = b"RMEP-PROBLEM-v1\x00"
 assert len(BINARY_MAGIC) == 16
 
 
-def _encode_matrix(a: np.ndarray) -> list[float]:
-    flat = np.asfortranarray(a).ravel(order="F")
-    out = np.empty(2 * flat.size)
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return out.tolist()
+def _encode_matrix(a: np.ndarray) -> np.ndarray:
+    """The matrix as column-major interleaved (re, im) little-endian doubles."""
+    return a.astype("<c16").ravel(order="F").view("<f8")
 
 
-def _decode_matrix(data, rows: int, cols: int) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.size != 2 * rows * cols:
+def _decode_matrix(doubles, rows: int, cols: int) -> np.ndarray:
+    """Inverse of `_encode_matrix`, from a sequence of doubles: float64 when
+    every imaginary part is exactly 0, else complex128."""
+    arr = np.array(doubles, dtype=np.float64)
+    if arr.shape != (2 * rows * cols,):
         raise ValidationError(f"matrix payload has {arr.size} doubles, expected {2 * rows * cols}")
-    flat = arr[0::2] + 1j * arr[1::2]
-    return _real_if_exact(flat.reshape((rows, cols), order="F"))
-
-
-def _real_if_exact(z: np.ndarray) -> np.ndarray:
-    """z's real part when every imaginary part is exactly 0, else z."""
+    z = arr.view(np.complex128).reshape((rows, cols), order="F")
     return z if np.any(z.imag) else z.real
 
 
@@ -62,8 +57,8 @@ def to_json_dict(problem: RmepProblem) -> dict:
             {
                 "rows": m,
                 "cols": n,
-                "a": _encode_matrix(blk.a),
-                "b": [_encode_matrix(bi) for bi in blk.b],
+                "a": _encode_matrix(blk.a).tolist(),
+                "b": [_encode_matrix(bi).tolist() for bi in blk.b],
             }
         )
     return {
@@ -128,7 +123,7 @@ def save_binary(problem: RmepProblem, path) -> None:
         m, n = blk.shape
         parts.append(struct.pack("<II", m, n))
         for mat in (blk.a,) + blk.b:
-            parts.append(np.asfortranarray(mat).astype("<c16").tobytes(order="F"))
+            parts.append(_encode_matrix(mat).tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -156,8 +151,7 @@ def load_binary(path) -> RmepProblem:
         for _ in range(k + 1):
             if off + nbytes > len(data):
                 raise ValidationError("truncated binary problem file")
-            flat = np.frombuffer(data, dtype="<c16", count=m * n, offset=off)
-            mats.append(_real_if_exact(flat.reshape((m, n), order="F").astype(np.complex128)))
+            mats.append(_decode_matrix(np.frombuffer(data, dtype="<f8", count=2 * m * n, offset=off), m, n))
             off += nbytes
         blocks.append(EquationBlock(a=mats[0], b=tuple(mats[1:])))
     if off != len(data):

@@ -67,7 +67,6 @@ class BlockTruncation:
     vblocks: tuple[np.ndarray, ...]
     v_trailing: np.ndarray
     tail: np.ndarray
-    v11_norm: float
 
     @property
     def n(self) -> int:
@@ -89,7 +88,6 @@ def truncate_blocks(problem: RmepProblem) -> list[BlockTruncation]:
                 vblocks=vblocks,
                 v_trailing=v[:, n:].copy(),
                 tail=s[n:].copy(),
-                v11_norm=float(np.linalg.norm(vblocks[0], 2)),
             )
         )
     return out
@@ -113,10 +111,8 @@ class TruncationCertificate:
     couplings: list[tuple[np.ndarray, ...]] | None
 
 
-def truncation_certificate(
-    problem: RmepProblem, truncations: list[BlockTruncation] | None = None
-) -> TruncationCertificate:
-    truncations = truncations if truncations is not None else truncate_blocks(problem)
+def truncation_certificate(problem: RmepProblem) -> TruncationCertificate:
+    truncations = truncate_blocks(problem)
     per_block = np.array([float(np.sum(t.tail**2)) for t in truncations])
     blocks = []
     for t in truncations:
@@ -125,7 +121,7 @@ def truncation_certificate(
         b_hat = tuple(core @ vb.conj().T for vb in t.vblocks[1:])
         blocks.append(EquationBlock(a=a_hat, b=b_hat))
     pset = PerturbationSet.from_blocks(problem, blocks)
-    attained = all(t.v11_norm < 1.0 - ATTAINMENT_MARGIN for t in truncations)
+    attained = all(np.linalg.norm(t.vblocks[0], 2) < 1.0 - ATTAINMENT_MARGIN for t in truncations)
     couplings = None
     if attained:
         couplings = []

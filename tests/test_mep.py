@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -227,23 +229,47 @@ class TestSolveMep:
             assert abs(lam[0] - 3.0) < 1e-10
             assert abs(lam[1] - 5.0) < 1e-10
 
-    def test_least_squares_quotient_fallback(self, monkeypatch):
-        # A_1 is defective, so every two-sided quotient w^H M z is ~1e-15 and
-        # each tuple must come from the least-squares quotient
-        calls = []
-        original = mep._least_squares_quotients
-        def spy(*args):
-            calls.append(args)
-            return original(*args)
-        monkeypatch.setattr(mep, "_least_squares_quotients", spy)
+    def test_least_squares_quotient_fallback(self):
+        # A_1 is defective, so every two-sided quotient w^H M z is ~1e-15
         eye, zero = np.eye(2), np.zeros((2, 2))
         p = mep_from([(np.array([[3.0, 1.0], [0.0, 3.0]]), eye, zero), (5.0 * eye, zero, eye)])
         sols = solve_mep(p, seed=0)
-        assert len(calls) == len(sols) == 4
+        assert len(sols) == 4
         for s in sols:
             lam = dehomogenize(s.value)
             assert abs(lam[0] - 3.0) < 1e-10
             assert abs(lam[1] - 5.0) < 1e-10
+
+    @pytest.mark.parametrize("columns", [[0, 4, 7], list(range(9))], ids=["some", "all"])
+    def test_zero_left_vectors_take_the_least_squares_row(self, monkeypatch, columns):
+        # A zero left vector makes w^H M z = 0 exactly and its two-sided row
+        # zero, so those tuples can only come from the least-squares quotient.
+        deltas = operator_determinants(random_problem(np.random.default_rng(15), 3, 3, 2, square=True))
+        unforced = mep.solve_from_determinants(deltas, seed=0)
+        gep = mep.gep
+        def zero_left(*args):
+            result = gep(*args)
+            left = result.left.copy()
+            left[:, columns] = 0.0
+            return dataclasses.replace(result, left=left)
+        monkeypatch.setattr(mep, "gep", zero_left)
+        forced = mep.solve_from_determinants(deltas, seed=0)
+        assert np.abs(forced - unforced).max() <= 1e-14
+
+    @pytest.mark.parametrize("scale", [2.0**-400, 2.0**400, 1e-170, 1e170], ids=["2^-400", "2^400", "1e-170", "1e170"])
+    def test_rows_do_not_depend_on_the_scale_of_the_data(self, scale):
+        # Scaling an equation leaves its tuples alone; the k-fold products of
+        # the determinants would underflow or overflow at 1e-170 and 1e170.
+        p = random_problem(np.random.default_rng(16), 3, 3, 2, square=True)
+        scaled = mep_from([(scale * blk.a, *(scale * b for b in blk.b)) for blk in p.blocks])
+        ref, sols = solve_mep(p, seed=0), solve_mep(scaled, seed=0)
+        rows = np.array([np.concatenate(([t.value.gamma], t.value.alphas)) for t in ref])
+        got = np.array([np.concatenate(([t.value.gamma], t.value.alphas)) for t in sols])
+        if np.log2(scale).is_integer():
+            assert np.array_equal(got, rows)
+            assert all(np.array_equal(x, y) for s, t in zip(sols, ref) for x, y in zip(s.vectors, t.vectors))
+        else:
+            assert np.abs(got - rows).max() <= 1e-14
 
     def test_shifted_mass_fallback(self):
         # blocks sharing (B_1, B_2) make D_0 = B_1 (x) B_2 - B_2 (x) B_1 singular

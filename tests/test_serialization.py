@@ -32,7 +32,8 @@ def awkward_problem():
     rng = np.random.default_rng(0)
     p = random_problem(rng, 5, 3, 2)
     a = np.array(p.blocks[0].a, copy=True)
-    a[0, 0] = 1e-308 + 1j * (-0.0)
+    a[0, 0] = complex(1e-308, -0.0)
+    a[3, 1] = complex(-0.0, 2.0)
     a[1, 1] = np.pi * 1e17
     a[2, 2] = -2.2250738585072014e-308
     blocks = list(p.blocks)
