@@ -42,7 +42,6 @@ from .spectral import (
     build_basis,
     builtin_mathieu,
     builtin_sturm_liouville,
-    continuous_residual,
     continuous_residuals,
     discretize,
     reconstruct,
@@ -74,7 +73,6 @@ __all__ = [
     "build_basis",
     "builtin_mathieu",
     "builtin_sturm_liouville",
-    "continuous_residual",
     "continuous_residuals",
     "dehomogenize",
     "discretize",

@@ -36,7 +36,7 @@ solution; its squared Frobenius cost equals the objective value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -252,9 +252,10 @@ def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None):
     sweep's state and keeps it only when it lowers theta, so the objective
     still never rises (see the module docstring).  Returns (tuple,
     perturbation, trace); the returned EigenTuple carries the finite
-    residual when gamma clears the infinite-eigenvalue threshold, and
-    `trace.likely_infimum` is set when it does not (the optimum is then
-    approached but not attained by any finite eigenvalue tuple).
+    residual and its per-block terms (`normalized_residual`) when gamma
+    clears the infinite-eigenvalue threshold, and `trace.likely_infimum` is
+    set when it does not (the optimum is then approached but not attained by
+    any finite eigenvalue tuple).
     """
     cfg = cfg or AlternatingConfig()
     if cfg.initial_lambdas is None:
@@ -277,8 +278,8 @@ def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None):
     pset = reconstruct_perturbation(problem, value, xs)
     tup = EigenTuple(value=value, vectors=tuple(xs))
     if value.is_finite():
-        _, rho = normalized_residual(problem, tup)
-        tup = EigenTuple(value=value, vectors=tuple(xs), residual=rho)
+        rho, total = normalized_residual(problem, tup)
+        tup = replace(tup, residual=total, block_residuals=tuple(rho.tolist()))
     else:
         trace.likely_infimum = True
     return tup, pset, trace

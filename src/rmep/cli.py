@@ -231,8 +231,8 @@ def _cmd_solve_complete(args: argparse.Namespace) -> int:
     out = _output_dir(args.out)
     tuples = tsvd.solve_complete(problem, seed=args.seed)
     _write_csv(out / "complete_set.csv", args.no_timestamp, *_tuple_table(problem.k, tuples))
-    finite = sum(1 for t in tuples if t.residual is not None)
-    best = next((t.residual for t in tuples if t.residual is not None), float("nan"))
+    finite = sum(1 for t in tuples if t.value.is_finite())
+    best = next((t.residual for t in tuples if t.value.is_finite()), float("nan"))
     print(f"solve-complete: {len(tuples)} tuples ({finite} finite), best rho = {best:.3e}")
     return EXIT_OK
 
@@ -329,7 +329,7 @@ def _cmd_ode(args: argparse.Namespace) -> int:
     out = _output_dir(args.out)
     disc = spectral.discretize(spec)
     tuples = tsvd.solve_complete(disc.problem, seed=args.seed)
-    finite = [t for t in tuples if t.residual is not None][: args.top]
+    finite = [t for t in tuples if t.value.is_finite()][: args.top]
     name = "mathieu" if mathieu else "sl"
     # complete_set.csv's columns for (lambda, mu), then the continuous defects.
     header, rows = _tuple_table(2, finite)

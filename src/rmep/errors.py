@@ -34,9 +34,10 @@ class InfiniteEigenvalueError(RmepError):
 
 
 class IrregularMepError(RmepError):
-    """The lifted pencil is singular: QZ found an eigenvalue pair
-    (alpha, beta) of the operator determinants' combinations that is zero
-    to rounding, so the multiparameter problem is treated as irregular."""
+    """`linalg.gep` found the pencil singular: a QZ pair (alpha, beta) is
+    zero to rounding against the pencil's norms.  For the lifted pencil of
+    the operator determinants this marks the multiparameter problem as
+    irregular."""
 
 
 class DomainError(RmepError, ValueError):

@@ -7,7 +7,8 @@ right and left eigenvectors.  Real input stays float64 and runs the
 d-prefixed LAPACK routines; complex input runs the z-prefixed ones.
 `smallest_singular_vector` finds one singular vector by warm-started
 inverse iteration instead of a full SVD, and checks by a Cholesky that the
-result is the minimizer.
+result is the minimizer.  `unit_scaled`, an exact power-of-two scaling, is
+the one scaling rule of both solvers.
 
 `gep` first solves the pencil (A, B) as the standard problem B^{-1} A: one
 LU of B, `scipy.linalg.eig` (`dgeev` or `zgeev`) on B^{-1} A for right and
@@ -18,7 +19,10 @@ exactly singular) the pencil goes through QZ.  The check forms A Z and B Z
 for all right vectors in one pass, and A^T and B^T times the left ones in
 another.  The standard path returns beta = 1.  The path is chosen by the
 backward error, not by a condition estimate of B: a mass matrix with rcond
-6e-14 can still give backward errors at the QZ level.
+6e-14 can still give backward errors at the QZ level.  `gep` also decides
+whether the pencil is singular (det(A - lambda B) = 0 for every lambda) and
+raises IrregularMepError then; only QZ's pairs are judged, since the
+standard path is kept only for an invertible B.
 All functions are pure; returned arrays are freshly allocated.
 """
 
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import BackendError, ValidationError
+from .errors import BackendError, IrregularMepError, ValidationError
 
 __all__ = [
     "SvdResult",
@@ -38,12 +42,14 @@ __all__ = [
     "as_matrix",
     "svd",
     "smallest_singular_vector",
+    "unit_scaled",
     "gep",
 ]
 
 EPS = float(np.finfo(np.float64).eps)
 # Largest normwise backward error ||A z - mu B z|| / ((||A|| + |mu| ||B||) ||z||)
 # at which a standard-form pair is accepted; QZ's own pairs stay within a few eps.
+# It is also the relative size below which a QZ pair (alpha, beta) counts as zero.
 GEP_BACKWARD_RTOL = 1e3 * EPS
 # Inverse iteration for a smallest singular vector stops once successive unit
 # iterates differ by at most the tolerance, or after the step cap.  x is then
@@ -149,9 +155,10 @@ def smallest_singular_vector(a, start=None) -> np.ndarray:
     rounding, up to a unit phase, unless the two smallest singular values
     tie within that slack.  For a unit `start`, ||A x|| never exceeds
     ||A start|| beyond rounding.  It works in complex arithmetic, also on
-    real A.
+    real A.  A copy of A is scaled by `unit_scaled` before the QR, so a
+    subnormal A enters it at full precision, and R after it.
     """
-    a = as_matrix(a).astype(np.complex128, copy=False)
+    a = unit_scaled(as_matrix(a).astype(np.complex128, copy=False))
     n = a.shape[1]
     if a.shape[0] < n:
         raise ValidationError(f"expected a tall matrix, got {a.shape}")
@@ -166,15 +173,12 @@ def smallest_singular_vector(a, start=None) -> np.ndarray:
     # 90x80 solve_one took 3.9 s with scipy's QR against 0.42 s, 2 threads on
     # 2 vCPUs).  Only the BLAS-2 triangular solves of zpotrs go through scipy;
     # the product and Cholesky of the minimality check stay in numpy too.
-    r = np.asfortranarray(np.linalg.qr(a, mode="r"))
+    # Scaling R keeps R^H R and the solves clear of underflow and overflow.
+    r = unit_scaled(np.asfortranarray(np.linalg.qr(a, mode="r")))
     # R = 0 (an exact solution) makes every unit vector optimal.
-    rmax = np.abs(r).max()
-    if rmax == 0.0:
+    if not r.any():
         return x
-    # An exact power-of-two scaling to max |R_ij| in [1/2, 1) keeps R^H R and
-    # the solves clear of underflow and overflow.  Tiny pivots are raised to
-    # a floor so that a singular R does not divide by zero.
-    r *= 2.0 ** -math.frexp(rmax)[1]
+    # Tiny pivots are raised to a floor so that a singular R does not divide by zero.
     diag = np.einsum("ii->i", r)
     diag[np.abs(diag) < EPS] = EPS
     for _ in range(INVERSE_ITERATION_STEPS):
@@ -190,6 +194,20 @@ def smallest_singular_vector(a, start=None) -> np.ndarray:
     factor = None if y is None else _shifted_factor(r, x)
     x = None if factor is None else _inverse_step(factor, x, lower=1)
     return np.linalg.svd(r)[2][-1].conj() if x is None else x
+
+
+def unit_scaled(a: np.ndarray) -> np.ndarray:
+    """Scale `a`, a C- or Fortran-ordered array that the caller owns, in
+    place by the power of two that brings its largest entry modulus into
+    [1/2, 1), and return it.  np.ldexp on the real and imaginary parts makes
+    the scaling exact (an entry that drops below the normal range rounds),
+    also for subnormal input, and a zero array stays zero."""
+    exponent = math.frexp(np.abs(a).max())[1]
+    # One pass over a float64 view of both parts: separate passes over the
+    # strided .real and .imag views took twice as long.
+    parts = (a.T if a.flags.f_contiguous else a).view(np.float64)
+    np.ldexp(parts, -exponent, out=parts)
+    return a
 
 
 def _inverse_step(factor, x, lower=0):
@@ -224,7 +242,8 @@ def gep(a, b) -> GepResult:
     else QZ.  A real pencil (both A and B real) is solved in real arithmetic:
     its eigenvalues come as a complex array, and its eigenvectors are real
     when every eigenvalue is real, else complex with conjugate pairs of
-    columns.  A and B are read, never written."""
+    columns.  A and B are read, never written.  IrregularMepError when the
+    pencil is singular: QZ found a pair that is zero to rounding."""
     dtype = _working_dtype(a, b)
     a = _checked(np.asarray(a, dtype=dtype), "A")
     b = _checked(np.asarray(b, dtype=dtype), "B")
@@ -233,7 +252,7 @@ def gep(a, b) -> GepResult:
     scale_a, scale_b = np.linalg.norm(a, "fro"), np.linalg.norm(b, "fro")
     with np.errstate(all="ignore"):  # overflow from a near-singular B fails the check below
         result = _standard(a, b, scale_a, scale_b)
-    return result if result is not None else _qz(a, b)
+    return result if result is not None else _qz(a, b, scale_a, scale_b)
 
 
 def _standard(a, b, scale_a, scale_b):
@@ -289,13 +308,18 @@ def _backward_errors(a, b, mu, z, scale_a, scale_b):
     return _column_norms(res) / np.maximum(scale_a + np.abs(mu) * scale_b, np.finfo(np.float64).tiny)
 
 
-def _qz(a, b):
-    """QZ solve of the pencil, for when the standard form is not accurate."""
+def _qz(a, b, scale_a, scale_b):
+    """QZ solve of the pencil, for when the standard form is not accurate.  A
+    pair with |alpha| <= GEP_BACKWARD_RTOL ||A||_F and |beta| <= GEP_BACKWARD_RTOL
+    ||B||_F marks a singular pencil (the zero pencil is one): IrregularMepError."""
     try:
         ab, vl, vr = sla.eig(a, b, left=True, right=True, homogeneous_eigvals=True)
     except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
         raise BackendError(f"QZ iteration failed for shape {a.shape}", shape=a.shape) from exc
     alpha, beta = np.asarray(ab[0]), np.asarray(ab[1])
+    if np.any((np.abs(alpha) <= GEP_BACKWARD_RTOL * scale_a) & (np.abs(beta) <= GEP_BACKWARD_RTOL * scale_b)):
+        raise IrregularMepError("the pencil is singular: QZ found an eigenvalue pair (alpha, beta) "
+                                "that is zero to rounding")
     vr = vr / np.linalg.norm(vr, axis=0, keepdims=True)
     vl = vl / np.linalg.norm(vl, axis=0, keepdims=True)
     return GepResult(alpha=alpha, beta=beta, right=vr, left=vl)

@@ -24,19 +24,19 @@ the eigenvector error and needs no pairing across the k pencils.
 No condition estimate judges M.  `linalg.gep` solves the pencil as the
 standard problem M^{-1} sum_j c_j D_j (the commuting structure of the
 determinants makes it equivalent) and keeps that solve only if every right
-and left pair has a backward error on the pencil of at most
-`linalg.GEP_BACKWARD_RTOL`; otherwise it uses QZ.  Only a singular pencil,
-det(sum_j c_j D_j - lambda M) = 0 for every lambda, is irregular: QZ then
-leaves a pair (alpha_j, beta_j) that is zero to rounding.  The quotients of
+and left pair passes its backward-error check; otherwise it uses QZ.  Only
+a singular pencil, det(sum_j c_j D_j - lambda M) = 0 for every lambda, is
+irregular, and `linalg.gep` raises IrregularMepError for it.  The quotients of
 all N tuples are formed together, one product D_j Z per j, and each product
 gives two numerators: the two-sided w^H D_j z and the least-squares
 (M z)^H D_j z.  A tuple whose left vector is unusable (w^H M z negligible
 against ||M z||, or a zero or non-finite row) takes the least-squares row.
 The weights w and c are real when every D_j is real, so a real problem is
 solved in real arithmetic, and complex otherwise.  `solve_mep` first scales
-each block by the power of two that brings its largest entry into [1/2, 1):
-that is exact, leaves the tuples unchanged and keeps the k-fold products of
-the determinants clear of underflow and overflow.
+a copy of each block with `linalg.unit_scaled`, by the power of two that
+brings its largest entry into [1/2, 1): that is exact, leaves the tuples
+unchanged and keeps the k-fold products of the determinants clear of
+underflow and overflow.
 
 The lifted pencil supplies only the values: `solve_from_determinants`
 returns the homogeneous tuples as the rows of an array, normalized by
@@ -55,15 +55,14 @@ blocks and takes each tuple's residual from the singular values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import CapacityError, IrregularMepError, ValidationError
-from .linalg import EPS, GEP_BACKWARD_RTOL, gep, svd
+from .errors import CapacityError, ValidationError
+from .linalg import EPS, gep, svd, unit_scaled
 from .model import EigenTuple, EquationBlock, HomogeneousEigenvalue, MepProblem, RmepProblem, normalize_homogeneous, pencil_coefficients
 
 __all__ = [
@@ -143,28 +142,18 @@ def solve_mep(problem: MepProblem, seed: int = 0) -> list[EigenTuple]:
     `model.pencil_coefficients`.
 
     Deterministic for a fixed seed (which draws the mass matrix's weights,
-    then the tuple-splitting combination).  Each block is first scaled by
-    the power of two that brings its largest entry into [1/2, 1), so tuples
-    and vectors do not depend on the scale of the data.
+    then the tuple-splitting combination).  A copy of each block is first
+    scaled by `linalg.unit_scaled`, so tuples and vectors do not depend on
+    the scale of the data.
     """
-    problem = _unit_scaled(problem)
+    scaled = (unit_scaled(blk.coeffs.copy()) for blk in problem.blocks)
+    problem = MepProblem(blocks=tuple(EquationBlock(a=c[0], b=tuple(c[1:])) for c in scaled))
     rows = solve_from_determinants(operator_determinants(problem), seed=seed)
     vectors, _ = tuples_from_pencils(problem, pencil_coefficients(rows)[1])
     return [
         EigenTuple(HomogeneousEigenvalue(gamma=row[0].real, alphas=row[1:]), tuple(x[t] for x in vectors))
         for t, row in enumerate(rows)
     ]
-
-
-def _unit_scaled(problem: MepProblem) -> MepProblem:
-    """The problem with each block scaled exactly by the power of two that
-    brings its largest entry into [1/2, 1) (a zero block stays zero)."""
-    blocks = []
-    for blk in problem.blocks:
-        exponent = math.frexp(np.abs(blk.coeffs).max())[1]
-        coeffs = np.ldexp(blk.coeffs.view(np.float64), -exponent).view(blk.coeffs.dtype)
-        blocks.append(EquationBlock(a=coeffs[0], b=tuple(coeffs[1:])))
-    return MepProblem(blocks=tuple(blocks))
 
 
 def tuples_from_pencils(problem: RmepProblem, c):
@@ -184,17 +173,6 @@ def tuples_from_pencils(problem: RmepProblem, c):
     return vectors, sigmas
 
 
-def _is_singular(pencil, a, mass) -> bool:
-    """Whether QZ found a pair with |alpha_j| <= GEP_BACKWARD_RTOL ||A||_F and
-    |beta_j| <= GEP_BACKWARD_RTOL ||M||_F, as det(A - lambda M) = 0 for every
-    lambda gives; the all-zero pencil is one.  A standard-form result
-    (beta = 1 throughout) never is: gep keeps it only for an invertible M."""
-    if np.all(pencil.beta == 1.0):
-        return False
-    tiny_alpha = np.abs(pencil.alpha) <= GEP_BACKWARD_RTOL * np.linalg.norm(a)
-    return bool(np.any(tiny_alpha & (np.abs(pencil.beta) <= GEP_BACKWARD_RTOL * np.linalg.norm(mass))))
-
-
 def _column_vdots(w, x, out):
     """vdot(w[:, j], x[:, j]) for every column j; `out` (x's shape, may be x
     itself) is overwritten as scratch."""
@@ -206,15 +184,12 @@ def _column_vdots(w, x, out):
 def solve_from_determinants(deltas: OperatorDeterminants, seed: int = 0) -> np.ndarray:
     """The N tuples as the rows of an N x (k+1) array of homogeneous
     coordinates (gamma, alpha_1, ..., alpha_k), each normalized by
-    `model.normalize_homogeneous`.  IrregularMepError when the pencil is
-    singular (`_is_singular`)."""
+    `model.normalize_homogeneous`.  IrregularMepError (from `linalg.gep`)
+    when the pencil is singular."""
     rng = np.random.default_rng(seed)
     mass = _random_combination(deltas.matrices, rng)
     a = _random_combination(deltas.matrices, rng)
     pencil = gep(a, mass)
-    if _is_singular(pencil, a, mass):
-        raise IrregularMepError("the lifted pencil is singular: QZ found an eigenvalue pair (alpha, beta) "
-                                "that is zero to rounding")
     z_all, w_all = pencil.right, pencil.left
     # One product D_j Z per j, in one reused buffer, gives both numerators of
     # every tuple: the two-sided w^H D_j z and the least-squares (M z)^H D_j z.

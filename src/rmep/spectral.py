@@ -21,7 +21,7 @@ of shape (n_r + 2) x n_r, with G_r, K_r the projections of the p- and
 q-weighted basis tables onto the operator column space.  Eigenvalue tuples
 of the resulting rectangular problem approximate (lambda, mu) of the ODE
 system; the quality of a computed tuple *as a solution of the continuous
-problem* is measured separately by the L1 defect `continuous_residual`.
+problem* is measured separately by the L1 defects of `continuous_residuals`.
 """
 
 from __future__ import annotations
@@ -44,13 +44,16 @@ __all__ = [
     "build_basis",
     "discretize",
     "reconstruct",
-    "continuous_residual",
     "continuous_residuals",
     "builtin_sturm_liouville",
     "builtin_mathieu",
     "sample_eigenfunction",
     "elliptic_mode_grid",
 ]
+
+# Points of `elliptic_mode_grid`'s mesh along s (angular) and t (radial).
+MODE_GRID_ANGULAR = 80
+MODE_GRID_RADIAL = 40
 
 
 @dataclass(frozen=True)
@@ -254,18 +257,20 @@ def reconstruct(basis: ChebyshevBasis, coeffs):
     return u
 
 
-def continuous_residual(spec: OdeSpec, bases, t: EigenTuple):
-    """L1 defect of the reconstructed eigenfunctions in the continuous ODEs.
+def continuous_residuals(spec: OdeSpec, bases, tuples):
+    """L1 defects of each tuple's reconstructed eigenfunctions in the
+    continuous ODEs, as a list of (s_1, s_2, s_1 + s_2) with
 
         s_r = int_a^b |u_r'' + (lambda p_r + mu q_r + f_r) u_r| dt,
 
     integrated by Clenshaw-Curtis on a node set refined to twice the basis
-    oversampling.  Each vector is read on its own basis in `bases` (size and
-    interval), and a vector whose length differs from its basis size raises
-    ValidationError; the spec supplies p, q and f.  Requires a finite
-    eigenvalue.  A zero coefficient vector gives a zero defect; that
-    degenerate case is flagged with a warning since the zero function is not
-    an eigenfunction.
+    oversampling.  Each equation's refined grid and its samples of p, q and
+    f are built once for all the tuples.  Each vector is read on its own
+    basis in `bases` (size and interval), and a vector whose length differs
+    from its basis size raises ValidationError; the spec supplies p, q and
+    f.  Requires finite eigenvalues.  A zero coefficient vector gives a zero
+    defect; that degenerate case is flagged with a warning since the zero
+    function is not an eigenfunction.
 
     The defect is absolute: it is taken for the tuple's own coefficient
     vectors, which `solve_complete` returns with unit 2-norm, and is not
@@ -273,13 +278,6 @@ def continuous_residual(spec: OdeSpec, bases, t: EigenTuple):
     the Chebyshev tail that the n-term basis truncates, so a bound on it is
     a bound on resolution as much as on eigenvalue accuracy.
     """
-    return continuous_residuals(spec, bases, [t])[0]
-
-
-def continuous_residuals(spec: OdeSpec, bases, tuples):
-    """`continuous_residual` of each tuple, as a list of (s_1, s_2, s_1 + s_2):
-    each equation's refined grid and its samples of p, q and f are built once
-    for all the tuples."""
     grids = []
     for eq, basis in zip(spec.equations, bases):
         fine = build_basis(basis.interval, basis.n, 2 * basis.oversampling)
@@ -367,15 +365,16 @@ def sample_eigenfunction(basis: ChebyshevBasis, coeffs, num: int = 201):
     return t, u(t)
 
 
-def elliptic_mode_grid(alpha: float, beta: float, bases, tup: EigenTuple, num_angular: int = 80, num_radial: int = 40):
+def elliptic_mode_grid(alpha: float, beta: float, bases, tup: EigenTuple):
     """Membrane mode psi(x, y) = u1(s) u2(t) on the elliptic-coordinate mesh.
 
-    Returns flat arrays (x, y, psi) over s in [0, pi/2] x t in [0, xi0] (one
+    Returns flat arrays (x, y, psi) over MODE_GRID_ANGULAR points s in
+    [0, pi/2] times MODE_GRID_RADIAL points t in [0, xi0], s-major (one
     quadrant; the remaining quadrants follow from the symmetry class).
     """
     h, xi0 = mathieu_geometry(alpha, beta)
-    s = np.linspace(0.0, math.pi / 2.0, num_angular)
-    t = np.linspace(0.0, xi0, num_radial)
+    s = np.linspace(0.0, math.pi / 2.0, MODE_GRID_ANGULAR)
+    t = np.linspace(0.0, xi0, MODE_GRID_RADIAL)
     u1 = reconstruct(bases[0], tup.vectors[0])
     u2 = reconstruct(bases[1], tup.vectors[1])
     u1v = u1(s)

@@ -23,7 +23,7 @@ from rmep.model import (
     random_planted_problem,
 )
 from rmep.alternating import reconstruct_perturbation
-from rmep.spectral import builtin_mathieu, continuous_residual, discretize, mathieu_geometry
+from rmep.spectral import builtin_mathieu, continuous_residuals, discretize, mathieu_geometry
 from rmep.tsvd import reduced_mep, solve_complete, truncate_blocks, truncation_certificate
 
 from conftest import EPS, crandn, frobenius_distance, match_multisets, random_problem
@@ -230,7 +230,7 @@ def test_criterion_08_mathieu_property_suite():
         _, mu = dehomogenize(t.value)
         mus.append(mu)
         omegas.append(2.0 * np.sqrt(complex(mu)) / h)
-        defects.append(continuous_residual(spec, disc.bases, t)[2])
+        defects.append(continuous_residuals(spec, disc.bases, [t])[0][2])
     mu_ok = all(abs(m.imag) <= 1e-8 * max(1.0, abs(m.real)) and m.real > 0 for m in mus)
     omega_ok = all(abs(o.imag) <= 1e-8 * max(1.0, abs(o.real)) and o.real > 0 for o in omegas)
     rho_ok = rho_max <= 1e-8

@@ -24,6 +24,7 @@ from rmep.model import (
     dehomogenize,
     homogeneous_residual,
     homogenize,
+    normalized_residual,
     random_planted_problem,
 )
 
@@ -237,6 +238,14 @@ class TestSolveOne:
         t2, _, tr2 = solve_one(p, cfg)
         assert tr1.objectives == tr2.objectives
         assert np.array_equal(t1.vectors[0], t2.vectors[0])
+
+    def test_returned_tuple_carries_block_residuals(self):
+        p = random_problem(np.random.default_rng(21), 20, 15, 2)
+        tup, _, trace = solve_one(p)
+        assert not trace.likely_infimum
+        per_block, total = normalized_residual(p, tup)
+        assert tup.block_residuals == tuple(per_block.tolist())
+        assert tup.residual == total == sum(tup.block_residuals)
 
     def test_repeat_runs_bitwise_equal(self):
         p = random_problem(np.random.default_rng(13), 40, 32, 2)

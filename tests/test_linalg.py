@@ -181,6 +181,19 @@ class TestSmallestSingularVector:
         assert not svd_calls
         assert abs(np.linalg.norm(a @ x) - s[-1]) <= 1e-12 * s[0]
 
+    @pytest.mark.parametrize("exponent", [-1060, -1070])
+    def test_subnormal_input_is_scaled_up_exactly(self, exponent):
+        # Every entry is subnormal; the kernel scales A up by an exact power
+        # of two before its QR, so it answers for that upscaled matrix.
+        rng = np.random.default_rng(19)
+        a = crandn(rng, 6, 4)
+        tiny = np.ldexp(a.real, exponent) + 1j * np.ldexp(a.imag, exponent)
+        assert np.abs(tiny).max() < np.finfo(np.float64).tiny
+        x = smallest_singular_vector(tiny)
+        up = linalg.unit_scaled(tiny.copy())
+        s = svd(up).singular_values
+        assert abs(np.linalg.norm(up @ x) - s[-1]) <= 1e-12 * s[0]
+
     def test_zero_matrix_returns_start(self):
         start = np.array([3.0, 4.0j])
         x = smallest_singular_vector(np.zeros((3, 2)), start)
@@ -219,15 +232,28 @@ class TestSmallestSingularVector:
         assert np.linalg.norm(a @ x) ** 2 <= s[-1] ** 2 + 2 * MINIMIZER_SLACK * EPS * np.sum(s**2)
 
 
+@pytest.mark.parametrize("complex_input, order", [(False, "C"), (True, "C"), (True, "F")],
+                         ids=["real", "complex", "complex-fortran"])
+def test_unit_scaled_is_exact_and_in_place(complex_input, order):
+    rng = np.random.default_rng(20)
+    a = 3.0e-200 * (crandn(rng, 5, 3) if complex_input else rng.standard_normal((5, 3)))
+    a = np.asarray(a, order=order)
+    before = a.copy()
+    assert linalg.unit_scaled(a) is a and 0.5 <= np.abs(a).max() < 1.0
+    scale = a[0, 0].real / before[0, 0].real
+    assert np.log2(scale).is_integer() and np.array_equal(before * scale, a)
+    assert not linalg.unit_scaled(np.zeros((2, 2), dtype=a.dtype)).any()
+
+
 @pytest.fixture
 def qz_calls(monkeypatch):
     """Records every pencil that `gep` hands to QZ."""
     calls = []
     qz = linalg._qz
 
-    def spy(a, b):
+    def spy(a, b, scale_a, scale_b):
         calls.append((a, b))
-        return qz(a, b)
+        return qz(a, b, scale_a, scale_b)
 
     monkeypatch.setattr(linalg, "_qz", spy)
     return calls
@@ -276,6 +302,21 @@ class TestGep:
             # B is exactly singular: the LU reports it and QZ takes the pencil.
             assert lu_infos == [2] and len(qz_calls) == 1
             assert qz_calls[0][1].dtype == dtype
+
+    @pytest.mark.parametrize("scale_a", [1.0, 1e-200])
+    def test_regular_pencil_with_singular_b_keeps_its_infinite_pair(self, qz_calls, scale_a):
+        # B has a zero column, so the LU fails and QZ runs.  The pencil is
+        # regular: its infinite pair has beta = 0 but an alpha that is small
+        # only in absolute terms when A is tiny, so it is no singular pair.
+        rng = np.random.default_rng(23)
+        a, b = scale_a * crandn(rng, 5, 5), crandn(rng, 5, 5)
+        b[:, 2] = 0.0
+        res = gep(a, b)
+        assert len(qz_calls) == 1
+        infinite = np.abs(res.beta) <= GEP_BACKWARD_RTOL * np.linalg.norm(b)
+        assert np.count_nonzero(infinite) == 1
+        assert np.abs(res.alpha[infinite])[0] > 1e-3 * np.linalg.norm(a)
+        assert np.linalg.norm(b @ res.right[:, infinite]) <= 1e3 * EPS * np.linalg.norm(b)
 
     def test_well_conditioned_b_takes_standard_path(self, qz_calls):
         rng = np.random.default_rng(11)
@@ -342,7 +383,7 @@ class TestGep:
         b = np.eye(n) + 0.25 * crandn(rng, n, n) / np.sqrt(2 * n)  # cond(B) <= ~3
         scale_a, scale_b = np.linalg.norm(a), np.linalg.norm(b)
         std = linalg._standard(a, b, scale_a, scale_b)
-        qz = linalg._qz(a, b)
+        qz = linalg._qz(a, b, scale_a, scale_b)
         assert std is not None
         assert match_multisets(std.alpha, qz.alpha / qz.beta) <= 1e-10 * scale_a
         assert max(pencil_backward_errors(a, b, std)) <= 20 * n * EPS

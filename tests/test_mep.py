@@ -15,6 +15,16 @@ def mep_from(blocks):
     return MepProblem(blocks=tuple(EquationBlock(a=a, b=tuple(bs)) for a, *bs in blocks))
 
 
+def annihilating_problem():
+    """Every matrix of the first block annihilates e_1, so every D_j
+    annihilates e_1 (x) y: det(A - lambda M) = 0 for every lambda."""
+    rng = np.random.default_rng(13)
+    first = [rng.standard_normal((3, 3)) for _ in range(3)]
+    for mat in first:
+        mat[:, 0] = 0.0
+    return mep_from([first, [rng.standard_normal((3, 3)) for _ in range(3)]])
+
+
 def poly2_mul(p, q):
     """Product of two bivariate polynomials given as coefficient arrays c[i, j] <-> x^i y^j."""
     out = np.zeros((p.shape[0] + q.shape[0] - 1, p.shape[1] + q.shape[1] - 1), dtype=complex)
@@ -315,15 +325,19 @@ class TestSolveMep:
             assert pencil_vector_error(p, sol) <= 1e-10
 
     def test_singular_pencil_raises(self):
-        # Every matrix of the first block annihilates e_1, so every D_j
-        # annihilates e_1 (x) y: det(A - lambda M) = 0 for every lambda.
-        rng = np.random.default_rng(13)
-        first = [rng.standard_normal((3, 3)) for _ in range(3)]
-        for mat in first:
-            mat[:, 0] = 0.0
-        p = mep_from([first, [rng.standard_normal((3, 3)) for _ in range(3)]])
         with pytest.raises(IrregularMepError, match="singular"):
-            solve_mep(p, seed=0)
+            solve_mep(annihilating_problem(), seed=0)
+
+    def test_gep_rejects_the_singular_lifted_pencil(self):
+        # gep alone decides: the lifted pencil of the annihilating problem,
+        # and the zero pencil of the all-zero problem.
+        zero = np.zeros((2, 2))
+        for p in (annihilating_problem(), mep_from([(zero, zero, zero), (zero, zero, zero)])):
+            d = operator_determinants(p).matrices
+            rng = np.random.default_rng(0)
+            mass, a = (mep._random_combination(d, rng) for _ in range(2))
+            with pytest.raises(IrregularMepError, match="singular"):
+                mep.gep(a, mass)
 
     def test_large_entries_are_not_irregular(self):
         # Scaling every block by 1e6 leaves the tuples alone but puts ||M||_F

@@ -13,9 +13,9 @@ from rmep.spectral import (
     build_basis,
     builtin_mathieu,
     builtin_sturm_liouville,
-    continuous_residual,
     continuous_residuals,
     discretize,
+    elliptic_mode_grid,
     mathieu_geometry,
     reconstruct,
     sample_eigenfunction,
@@ -215,7 +215,7 @@ class TestContinuousResidual:
         c1 = c1 / np.linalg.norm(c1)
         c2 = c2 / np.linalg.norm(c2)
         tup = EigenTuple(value=homogenize([lam, mu]), vectors=(c1, c2))
-        s1, s2, total = continuous_residual(spec, disc_bases, tup)
+        s1, s2, total = continuous_residuals(spec, disc_bases, [tup])[0]
         assert total <= 1e-8
 
     def test_zero_vector_flagged(self):
@@ -228,7 +228,7 @@ class TestContinuousResidual:
         tup = EigenTuple(value=val, vectors=(e, e))
         object.__setattr__(tup, "vectors", (z, z))
         with pytest.warns(UserWarning, match="zero coefficient"):
-            s1, s2, total = continuous_residual(spec, bases, tup)
+            s1, s2, total = continuous_residuals(spec, bases, [tup])[0]
         assert s1 == 0.0
 
     def test_vectors_read_on_their_own_bases(self):
@@ -239,16 +239,16 @@ class TestContinuousResidual:
         bases36 = (build_basis((0.0, 1.0), 36), build_basis((0.0, 1.0), 36))
         c = [project_onto_basis(b, lambda t: np.sin(np.pi * t)) for b in bases36]
         tup = EigenTuple(value=homogenize([np.pi**2, 0.0]), vectors=tuple(x / np.linalg.norm(x) for x in c))
-        assert continuous_residual(spec30, bases36, tup) == continuous_residual(spec36, bases36, tup)
+        assert continuous_residuals(spec30, bases36, [tup])[0] == continuous_residuals(spec36, bases36, [tup])[0]
         with pytest.raises(ValidationError, match="length 36"):
-            continuous_residual(spec30, discretize(spec30).bases, tup)
+            continuous_residuals(spec30, discretize(spec30).bases, [tup])[0]
 
     def test_additivity(self):
         spec = builtin_sturm_liouville(n1=8, n2=8)
         disc = discretize(spec)
         tuples = solve_complete(disc.problem, seed=0)
         best = tuples[0]
-        s1, s2, total = continuous_residual(spec, disc.bases, best)
+        s1, s2, total = continuous_residuals(spec, disc.bases, [best])[0]
         assert total == pytest.approx(s1 + s2)
 
     @pytest.mark.parametrize("mathieu", [False, True], ids=["sl", "mathieu"])
@@ -272,6 +272,24 @@ class TestContinuousResidual:
         monkeypatch.setattr(spectral, "build_basis", lambda *args: builds.append(args) or original(*args))
         assert continuous_residuals(spec, disc.bases, finite) == expected
         assert len(builds) == 2
+
+
+def test_elliptic_mode_grid_on_mathieu_12():
+    """psi is u1(s) u2(t) on the s-major mesh, and the mesh's outer edge,
+    t = xi0, lies on the ellipse x^2/alpha^2 + y^2/beta^2 = 1."""
+    alpha, beta = 4.0, 1.0
+    disc = discretize(builtin_mathieu(alpha, beta, n1=12, n2=12))
+    tup = next(t for t in solve_complete(disc.problem, seed=0) if t.value.is_finite())
+    x, y, psi = elliptic_mode_grid(alpha, beta, disc.bases, tup)
+    shape = (spectral.MODE_GRID_ANGULAR, spectral.MODE_GRID_RADIAL)
+    assert x.shape == y.shape == psi.shape == (shape[0] * shape[1],)
+    _, xi0 = mathieu_geometry(alpha, beta)
+    s = np.linspace(0.0, np.pi / 2.0, shape[0])
+    t = np.linspace(0.0, xi0, shape[1])
+    u1, u2 = (reconstruct(basis, v) for basis, v in zip(disc.bases, tup.vectors))
+    assert np.array_equal(psi.reshape(shape), np.outer(u1(s), u2(t)))
+    edge = (x.reshape(shape)[:, -1] / alpha) ** 2 + (y.reshape(shape)[:, -1] / beta) ** 2
+    assert np.max(np.abs(edge - 1.0)) <= 1e-14
 
 
 class TestBuiltins:
@@ -336,7 +354,7 @@ def test_continuous_defect_levels_at_n30(sl_solution_n30):
     """The ten best tuples of the n = 30 solve have L1 defects below 1e-6."""
     spec, disc, tuples = sl_solution_n30
     for tup in tuples[:10]:
-        _, _, total = continuous_residual(spec, disc.bases, tup)
+        _, _, total = continuous_residuals(spec, disc.bases, [tup])[0]
         assert total <= 1e-6
 
 
@@ -372,6 +390,6 @@ def test_mathieu_gate8_basis_with_seed_6004():
         mu = complex(dehomogenize(t.value)[1])
         omega = 2.0 * np.sqrt(mu) / h
         assert t.residual <= 1e-8
-        assert continuous_residual(spec, disc.bases, t)[2] <= 1e-5
+        assert continuous_residuals(spec, disc.bases, [t])[0][2] <= 1e-5
         for z in (mu, omega):
             assert abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)) and z.real > 0
