@@ -46,7 +46,7 @@ from .spectral import (
     discretize,
     reconstruct,
 )
-from .tsvd import reduced_mep, solve_complete, truncate_blocks, truncation_certificate
+from .tsvd import CompleteSet, reduced_mep, solve_complete, truncate_blocks, truncation_certificate
 
 __version__ = "0.1.0"
 
@@ -56,6 +56,7 @@ __all__ = [
     "BackendError",
     "CapacityError",
     "ChebyshevBasis",
+    "CompleteSet",
     "DiscretizedOde",
     "DomainError",
     "EigenTuple",

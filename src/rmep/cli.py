@@ -28,7 +28,8 @@ not a name bound at import), so a tracer that swaps module attributes sees
 every call.
 
 Exit codes: 0 success, 2 configuration error, 3 capacity exceeded,
-4 irregular multiparameter problem.
+4 irregular multiparameter problem, 5 LAPACK failure (an SVD or QZ that
+did not converge).
 """
 
 from __future__ import annotations
@@ -43,13 +44,14 @@ from pathlib import Path
 import numpy as np
 
 from . import alternating, mep, serialization, spectral, tsvd
-from .errors import CapacityError, DomainError, IrregularMepError, ValidationError
+from .errors import BackendError, CapacityError, DomainError, IrregularMepError, ValidationError
 from .model import dehomogenize, pencil_coefficients, random_planted_problem
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_IRREGULAR = 4
+EXIT_BACKEND = 5
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -163,20 +165,20 @@ def _write_csv(path: Path, no_timestamp: bool, header, rows) -> None:
         writer.writerows([f"{x:.17g}" if isinstance(x, float) else x for x in row] for row in rows)
 
 
-def _tuple_table(k: int, tuples) -> tuple[list, list]:
-    """complete_set.csv's header and rows: j, re/im of each lambda_s, gamma,
-    rho, rho_1..rho_k.  An infinite tuple (gamma at or below the threshold)
-    shows its raw alphas and rho = inf.  rho and rho_i are the residuals
-    that `solve_complete` stored, so the rho column is the order of the rows."""
+def _tuple_table(complete, stop=None) -> tuple[list, list]:
+    """complete_set.csv's header and rows for the first `stop` tuples of a
+    `tsvd.CompleteSet` (all by default), from its arrays: j, re/im of each
+    lambda_s, gamma, rho, rho_1..rho_k.  An infinite tuple (gamma at or below
+    the threshold) shows its raw alphas and rho = inf.  rho and rho_i are the
+    stored residuals, so the rho column is the order of the rows."""
+    k = complete.problem.k
     header = ["j", *(f"{part}_lambda{s}" for s in range(1, k + 1) for part in ("re", "im")), "gamma", "rho",
               *(f"rho_{i}" for i in range(1, k + 1))]
-    rows = []
-    for j, tup in enumerate(tuples, start=1):
-        if tup.value.is_finite():
-            values, rho = dehomogenize(tup.value), (tup.residual, *tup.block_residuals)
-        else:
-            values, rho = tup.value.alphas, (np.inf,) * (k + 1)
-        rows.append([j, *(part for v in values for part in (v.real, v.imag)), tup.value.gamma, *rho])
+    # The finite tuples come first, so their values head the alphas.
+    values = np.concatenate((complete.lambdas, complete.rows[complete.finite.sum():, 1:]))[:stop]
+    rho = np.column_stack((complete.total, complete.rho))[:stop]
+    rows = [[j, *(part for v in vals for part in (v.real, v.imag)), gamma, *r]
+            for j, (vals, gamma, r) in enumerate(zip(values, complete.rows[:stop, 0].real, rho), start=1)]
     return header, rows
 
 
@@ -229,11 +231,11 @@ def _cmd_solve_one(args: argparse.Namespace) -> int:
 def _cmd_solve_complete(args: argparse.Namespace) -> int:
     problem = _load_problem(args.input)
     out = _output_dir(args.out)
-    tuples = tsvd.solve_complete(problem, seed=args.seed)
-    _write_csv(out / "complete_set.csv", args.no_timestamp, *_tuple_table(problem.k, tuples))
-    finite = sum(1 for t in tuples if t.value.is_finite())
-    best = next((t.residual for t in tuples if t.value.is_finite()), float("nan"))
-    print(f"solve-complete: {len(tuples)} tuples ({finite} finite), best rho = {best:.3e}")
+    complete = tsvd.solve_complete(problem, seed=args.seed)
+    _write_csv(out / "complete_set.csv", args.no_timestamp, *_tuple_table(complete))
+    finite = int(complete.finite.sum())
+    best = complete.total[0] if finite else float("nan")
+    print(f"solve-complete: {len(complete)} tuples ({finite} finite), best rho = {best:.3e}")
     return EXIT_OK
 
 
@@ -271,8 +273,7 @@ def _bench_trial(m: int, n: int, k: int, sigma: float, child_seed) -> dict:
     # The reference needs only values, so no vectors are computed for it.
     finite, c = pencil_coefficients(mep.solve_from_determinants(mep.operator_determinants(reference), seed=solver_seed))
     ref_vals = -c[finite, 1:]
-    comp_vals = [dehomogenize(t.value) for t in tsvd.solve_complete(problem, seed=solver_seed) if t.value.is_finite()]
-    comp_vals = np.array(comp_vals).reshape(-1, k)
+    comp_vals = tsvd.solve_complete(problem, seed=solver_seed).lambdas
     ref_idx, comp_idx = _greedy_match(ref_vals, comp_vals)
     errs = _relative_errors(ref_vals[ref_idx], comp_vals[comp_idx])
     total = n**k
@@ -328,11 +329,12 @@ def _cmd_ode(args: argparse.Namespace) -> int:
         spec = spectral.builtin_sturm_liouville(n1=args.n1, n2=args.n2, oversampling=args.oversampling)
     out = _output_dir(args.out)
     disc = spectral.discretize(spec)
-    tuples = tsvd.solve_complete(disc.problem, seed=args.seed)
-    finite = [t for t in tuples if t.value.is_finite()][: args.top]
+    complete = tsvd.solve_complete(disc.problem, seed=args.seed)
+    # The finite tuples come first; only the written ones get vectors.
+    finite = complete[: min(args.top, int(complete.finite.sum()))]
     name = "mathieu" if mathieu else "sl"
     # complete_set.csv's columns for (lambda, mu), then the continuous defects.
-    header, rows = _tuple_table(2, finite)
+    header, rows = _tuple_table(complete, len(finite))
     header[1:5] = ["re_lambda", "im_lambda", "re_mu", "im_mu"]
     header += ["varsigma_1", "varsigma_2", "varsigma"]
     for row, defects in zip(rows, spectral.continuous_residuals(spec, disc.bases, finite)):
@@ -380,6 +382,9 @@ def main(argv=None) -> int:
     except IrregularMepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IRREGULAR
+    except BackendError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BACKEND
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Thin, validated wrappers around LAPACK (via numpy/scipy) that fix the
 conventions the solvers rely on: descending singular values with a thin U
-and a full V factor, and homogeneous (alpha, beta) pencil eigenvalues with
-right and left eigenvectors.  Real input stays float64 and runs the
+and a full V factor (or the values alone, `singular_values`), and
+homogeneous (alpha, beta) pencil eigenvalues with right and left
+eigenvectors.  Real input stays float64 and runs the
 d-prefixed LAPACK routines; complex input runs the z-prefixed ones.
 `smallest_singular_vector` finds one singular vector by warm-started
 inverse iteration instead of a full SVD, and checks by a Cholesky that the
@@ -41,6 +42,7 @@ __all__ = [
     "GepResult",
     "as_matrix",
     "svd",
+    "singular_values",
     "smallest_singular_vector",
     "unit_scaled",
     "gep",
@@ -123,14 +125,24 @@ def svd(a) -> SvdResult:
     """Singular value decomposition with descending singular values, of one
     matrix or of each matrix in a (T, m, n) stack; real input gives real
     factors."""
+    u, s, vh = _lapack_svd(a, compute_uv=True)
+    return SvdResult(u=u, singular_values=s, v=vh.conj().swapaxes(-1, -2))
+
+
+def singular_values(a) -> np.ndarray:
+    """`svd`'s singular values alone, computed without U or V."""
+    return _lapack_svd(a, compute_uv=False)
+
+
+def _lapack_svd(a, compute_uv):
+    """np.linalg.svd of validated float64 or complex128 input."""
     a = np.asarray(a, dtype=_working_dtype(a))
     _checked(a, "matrix", ndim=3 if a.ndim == 3 else 2)
     try:
         # Only a wide matrix needs full_matrices for V to be square.
-        u, s, vh = np.linalg.svd(a, full_matrices=a.shape[-2] < a.shape[-1])
+        return np.linalg.svd(a, full_matrices=a.shape[-2] < a.shape[-1], compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise BackendError(f"SVD did not converge for shape {a.shape}", shape=a.shape) from exc
-    return SvdResult(u=u, singular_values=s, v=vh.conj().swapaxes(-1, -2))
 
 
 def smallest_singular_vector(a, start=None) -> np.ndarray:

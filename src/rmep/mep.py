@@ -41,16 +41,16 @@ underflow and overflow.
 The lifted pencil supplies only the values: `solve_from_determinants`
 returns the homogeneous tuples as the rows of an array, normalized by
 `model.normalize_homogeneous`.  Each tuple's vectors come from its own
-pencils instead: `tuples_from_pencils` returns, for every row of
-coefficients c, the smallest right singular vector x_i of sum_j c_j S_ij and
-that pencil's smallest singular value, as arrays, one batched SVD per block
-over all tuples.  `solve_mep` and `tsvd.solve_complete` take c from
-`model.pencil_coefficients`: (1, -lambda_1, ..., -lambda_k) for a finite
-tuple and (gamma, -alpha_1, ..., -alpha_k) for an infinite one.  So a square
-problem gets the null vectors of its tuples' pencils, which need no
-factoring of z and exist also where z is not a Kronecker product (multiple
-eigenvalues); `tsvd.solve_complete` forms the pencils of the rectangular
-blocks and takes each tuple's residual from the singular values.
+pencils instead: `tuples_from_pencils`, the one vector route of the
+package, returns for every row of coefficients c the smallest right
+singular vector x_i of sum_j c_j S_ij, as arrays, one batched SVD per block
+over all rows.  Its callers take c from `model.pencil_coefficients`:
+(1, -lambda_1, ..., -lambda_k) for a finite tuple and (gamma, -alpha_1,
+..., -alpha_k) for an infinite one.  `solve_mep` calls it on every tuple, so
+a square problem gets the null vectors of its tuples' pencils, which need
+no factoring of z and exist also where z is not a Kronecker product
+(multiple eigenvalues).  `tsvd.CompleteSet` calls it on the pencils of the
+rectangular blocks, for only the tuples that are read.
 """
 
 from __future__ import annotations
@@ -149,28 +149,19 @@ def solve_mep(problem: MepProblem, seed: int = 0) -> list[EigenTuple]:
     scaled = (unit_scaled(blk.coeffs.copy()) for blk in problem.blocks)
     problem = MepProblem(blocks=tuple(EquationBlock(a=c[0], b=tuple(c[1:])) for c in scaled))
     rows = solve_from_determinants(operator_determinants(problem), seed=seed)
-    vectors, _ = tuples_from_pencils(problem, pencil_coefficients(rows)[1])
+    vectors = tuples_from_pencils(problem, pencil_coefficients(rows)[1])
     return [
         EigenTuple(HomogeneousEigenvalue(gamma=row[0].real, alphas=row[1:]), tuple(x[t] for x in vectors))
         for t, row in enumerate(rows)
     ]
 
 
-def tuples_from_pencils(problem: RmepProblem, c):
-    """(vectors, sigmas) of the pencils sum_j c_tj S_ij, one pencil per row t
-    of the T x (k+1) coefficients `c`: per block i, the (T, n_i) smallest
-    right singular vectors and the (T,) smallest singular values.  One
-    batched SVD per block serves all T rows; it runs in real arithmetic when
-    the blocks and every row of `c` are real."""
-    c = np.asarray(c)
-    if not np.any(c.imag):
-        c = c.real
-    vectors, sigmas = [], []
-    for blk in problem.blocks:
-        res = svd(blk.pencil(c))
-        vectors.append(res.v[:, :, -1])
-        sigmas.append(res.singular_values[:, -1])
-    return vectors, sigmas
+def tuples_from_pencils(problem: RmepProblem, c) -> list[np.ndarray]:
+    """The smallest right singular vectors of the pencils sum_j c_tj S_ij,
+    one pencil per row t of the T x (k+1) coefficients `c`: per block i, a
+    (T, n_i) array.  One batched SVD per block serves all T rows, in real
+    arithmetic when the blocks and `c` are real."""
+    return [svd(blk.pencil(c)).v[:, :, -1] for blk in problem.blocks]
 
 
 def _column_vdots(w, x, out):

@@ -293,12 +293,14 @@ def pencil_coefficients(rows: np.ndarray):
     `finite` marks the rows with gamma > GAMMA_THRESHOLD; row t of the
     (N, k+1) array c is (1, -lambda_1, ..., -lambda_k) with lambda = alpha /
     gamma there, and (gamma, -alpha_1, ..., -alpha_k) elsewhere.  This is the
-    batched form of `is_finite` with `dehomogenize` or `coefficients`.
+    batched form of `is_finite` with `dehomogenize` or `coefficients`.  c is
+    float64 when every row is real, so that a real problem's pencils are
+    formed in real arithmetic; the choice is made once, for all rows.
     """
     gamma = rows[:, 0].real
     finite = gamma > GAMMA_THRESHOLD
     c = np.column_stack((np.where(finite, 1.0, gamma), -rows[:, 1:] / np.where(finite, gamma, 1.0)[:, None]))
-    return finite, c
+    return finite, (c if np.any(c.imag) else c.real)
 
 
 def normalized_residual(problem: RmepProblem, t: EigenTuple):

@@ -11,10 +11,9 @@ perturbed problem into the square multiparameter problem
 
 whose N = n_1*...*n_k tuples are the complete set of approximate
 eigen-tuples for the rectangular problem.  `solve_complete` takes their
-values from it and each tuple's vectors from its own pencils on the
-original blocks, one batched SVD per block; the smallest singular values of
-the same SVDs give every tuple's normalized residual, so the whole set stays
-in arrays until one EigenTuple per tuple is built at the end.  When additionally
+values from it, ranks them on the original blocks by the smallest singular
+values of their pencils alone and returns a `CompleteSet`, which builds
+EigenTuples, vectors included, only for the tuples that are read.  When additionally
 ||V_11||_2 < 1, the minimal cost is attained and explicit coupling matrices
 X_is with A^_i = sum_s B^_is X_is exist; they are built from a column-pivoted
 QR of V_12.
@@ -22,13 +21,14 @@ QR of V_12.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import mep
-from .linalg import svd
+from .linalg import singular_values, svd
 from .model import (
     EigenTuple,
     EquationBlock,
@@ -45,6 +45,7 @@ __all__ = [
     "truncate_blocks",
     "truncation_certificate",
     "reduced_mep",
+    "CompleteSet",
     "solve_complete",
 ]
 
@@ -153,43 +154,82 @@ def reduced_mep(truncations: list[BlockTruncation]) -> MepProblem:
     return MepProblem(blocks=tuple(blocks))
 
 
-def solve_complete(problem: RmepProblem, seed: int = 0) -> list[EigenTuple]:
-    """All N approximate eigen-tuples, ordered by ascending total residual.
+class CompleteSet(Sequence):
+    """The complete set of `solve_complete`, ranked, held as arrays.
+
+    Row j of each array belongs to the j-th tuple in ascending total
+    residual, the finite tuples first and the infinite ones after them in
+    the lifted pencil's order: `rows` (N, k+1) holds the normalized
+    homogeneous values (gamma, alpha_1, ..., alpha_k), `finite` (N,) marks
+    gamma > GAMMA_THRESHOLD, `rho` (N, k) and `total` (N,) hold the
+    normalized residuals (inf in infinite rows), and `coefficients` (N, k+1)
+    the pencil coefficients of `model.pencil_coefficients`.  `lambdas` gives
+    the finite values without building any tuple.  `len`, indexing, slicing
+    and iteration build EigenTuples on demand: the tuples of a slice, or of
+    the whole set, take their vectors from one `mep.tuples_from_pencils`
+    call, so a tuple's vectors are bitwise the same however it is reached.
+    """
+
+    def __init__(self, problem: RmepProblem, rows, finite, rho, total, coefficients):
+        self.problem = problem
+        self.rows, self.finite, self.rho, self.total, self.coefficients = rows, finite, rho, total, coefficients
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._tuples(range(len(self))[index])
+        return self._tuples([range(len(self))[index]])[0]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        """(lambda_1, ..., lambda_k) of each finite tuple, in order, as the
+        rows of an array: bitwise `dehomogenize` of each tuple's value."""
+        rows = self.rows[self.finite]
+        return rows[:, 1:] / rows[:, :1].real
+
+    def _tuples(self, positions) -> list[EigenTuple]:
+        positions = list(positions)
+        if not positions:
+            return []
+        vectors = mep.tuples_from_pencils(self.problem, self.coefficients[positions])
+        out = []
+        for j, t in enumerate(positions):
+            value = HomogeneousEigenvalue(gamma=self.rows[t, 0].real, alphas=self.rows[t, 1:])
+            residuals = (float(self.total[t]), tuple(self.rho[t].tolist())) if self.finite[t] else (None, None)
+            out.append(EigenTuple(value, tuple(x[j] for x in vectors), *residuals))
+        return out
+
+
+def solve_complete(problem: RmepProblem, seed: int = 0) -> CompleteSet:
+    """All N approximate eigen-tuples, ranked by ascending total residual.
 
     The reduced square problem supplies the eigenvalues, as the rows that
-    `model.normalize_homogeneous` normalizes.  Each tuple's vectors are then
-    derived against the original rectangular blocks as the smallest right
-    singular vectors of its pencils, one batched SVD per block over all
-    tuples (`mep.tuples_from_pencils`), with the coefficients of
-    `model.pencil_coefficients`: for a finite tuple the pencils are
-    A_i - sum_s lambda_s B_is, whose singular vectors are the
-    unit vectors minimizing the residual being reported, and they stay
-    accurate when the lifted pencil is so ill conditioned that its
-    eigenvectors lose most digits.  The smallest singular value sigma_i of
-    each such pencil is ||A_i x_i - sum_s lambda_s B_is x_i||, so a finite
-    tuple stores
+    `model.normalize_homogeneous` normalizes.  A finite tuple is ranked on
+    the original blocks through its pencils A_i - sum_s lambda_s B_is (from
+    `model.pencil_coefficients`), whose smallest singular value sigma_i is
+    the least ||A_i x_i - sum_s lambda_s B_is x_i|| over unit x_i:
 
-        rho_i = sigma_i / (||A_i||_2 + sum_s |lambda_s| ||B_is||_2)
+        rho_i = sigma_i / (||A_i||_2 + sum_s |lambda_s| ||B_is||_2),
 
-    as `block_residuals` and their sum as `residual`: `normalized_residual`'s
-    metric to a few eps, without forming the products again.  Tuples with
-    gamma at/below the infinite-eigenvalue threshold use
-    gamma A_i - sum_s alpha_s B_is and sort last with residuals None.
+    `normalized_residual`'s metric to a few eps, from one values-only batched
+    SVD per block (`linalg.singular_values`).  Tuples with gamma at/below the
+    infinite-eigenvalue threshold sort last with rho = inf.  The returned
+    `CompleteSet` computes vectors only for the tuples that are read.
     """
     reduced = reduced_mep(truncate_blocks(problem))
     rows = mep.solve_from_determinants(mep.operator_determinants(reduced), seed=seed)
     finite, c = pencil_coefficients(rows)
-    vectors, sigmas = mep.tuples_from_pencils(problem, c)
-    # One column per block; the values in infinite rows are never used.
-    rho = np.column_stack([
-        sigma / (norm_a + np.abs(c[:, 1:]) @ norms_b) for sigma, (norm_a, norms_b) in zip(sigmas, problem.spectral_norms)
-    ])
+    rho = np.full((len(rows), problem.k), np.inf)
+    if finite.any():
+        cf = c[finite]
+        for i, (blk, (norm_a, norms_b)) in enumerate(zip(problem.blocks, problem.spectral_norms)):
+            rho[finite, i] = singular_values(blk.pencil(cf))[:, -1] / (norm_a + np.abs(cf[:, 1:]) @ norms_b)
     total = rho.sum(axis=1)
-    order = np.flatnonzero(finite)
-    order = np.concatenate((order[np.argsort(total[order], kind="stable")], np.flatnonzero(~finite)))
-    tuples = []
-    for t in order.tolist():
-        value = HomogeneousEigenvalue(gamma=rows[t, 0].real, alphas=rows[t, 1:])
-        residuals = (float(total[t]), tuple(rho[t].tolist())) if finite[t] else (None, None)
-        tuples.append(EigenTuple(value, tuple(x[t] for x in vectors), *residuals))
-    return tuples
+    # Stable, so the infinite tuples (total inf) keep the lifted pencil's order.
+    order = np.argsort(total, kind="stable")
+    return CompleteSet(problem, rows[order], finite[order], rho[order], total[order], c[order])

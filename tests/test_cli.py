@@ -10,6 +10,7 @@ import pytest
 
 import rmep.alternating
 import rmep.cli
+import rmep.mep
 import rmep.spectral
 import rmep.tsvd
 from rmep.cli import _build_parser, _relative_errors, main
@@ -537,6 +538,71 @@ def test_ode_sl_small(tmp_path, monkeypatch):
     assert header[-3:] == ["varsigma_1", "varsigma_2", "varsigma"]
     for row, t, d in zip(data, tuples[:4], defects[0], strict=True):
         assert bits(row[1:]) == bits(tuple_fields(t, 2) + list(d))
+
+
+def spy_rows(monkeypatch):
+    """Record the row count of every `mep.tuples_from_pencils` call and the
+    shape of every pencil stack its SVDs see."""
+    calls, svds = [], []
+    tuples_from_pencils, svd = rmep.mep.tuples_from_pencils, rmep.mep.svd
+    monkeypatch.setattr(rmep.mep, "tuples_from_pencils", lambda p, c: calls.append(len(c)) or tuples_from_pencils(p, c))
+    monkeypatch.setattr(rmep.mep, "svd", lambda a: svds.append(a.shape) or svd(a))
+    return calls, svds
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench-random", "--m", "8", "--n", "2", "--k", "2", "--sigmas", "0,0.1", "--trials", "2", "--seed", "3"],
+    ["solve-complete", "p.json"],
+])
+def test_commands_that_read_no_vectors_compute_none(tmp_path, monkeypatch, argv):
+    p, _ = random_planted_problem([8, 8], [2, 2], 0.05, seed=4)
+    save_json(p, tmp_path / "p.json")
+    calls, svds = spy_rows(monkeypatch)
+    argv = [str(tmp_path / a) if a == "p.json" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out"), "--no-timestamp"]) == 0
+    assert calls == [] and svds == []
+
+
+def test_ode_sl_computes_vectors_for_the_written_rows_only(tmp_path, monkeypatch):
+    calls, svds = spy_rows(monkeypatch)
+    assert main(["ode-sl", "--n1", "8", "--n2", "7", "--top", "3", "--out", str(tmp_path), "--no-timestamp"]) == 0
+    header, data = read_csv(tmp_path / "sl_eigenvalues.csv")
+    assert len(data) == 3
+    # One batched call, one SVD per block, each over the three written tuples.
+    assert calls == [3]
+    assert [shape[0] for shape in svds] == [3, 3] and [shape[2] for shape in svds] == [8, 7]
+
+
+@pytest.mark.parametrize("argv", [["ode-sl", "--n1", "4", "--n2", "4"],
+                                  ["ode-mathieu", "--alpha", "4", "--beta", "1", "--n1", "8", "--n2", "8"]])
+def test_ode_top_beyond_the_set_writes_the_finite_rows(tmp_path, monkeypatch, argv):
+    solves = spy(monkeypatch, rmep.tsvd, "solve_complete")
+    assert main(argv + ["--top", "100", "--out", str(tmp_path), "--no-timestamp"]) == 0
+    (complete,) = solves
+    name = argv[0].split("-")[1]
+    _, data = read_csv(tmp_path / f"{name}_eigenvalues.csv")
+    assert len(data) == complete.finite.sum() <= len(complete) < 100
+    assert all(np.isfinite(float(r[6])) for r in data)
+    assert (tmp_path / f"{name}_u1_{len(data):02d}.csv").exists()
+    assert not (tmp_path / f"{name}_u1_{len(data) + 1:02d}.csv").exists()
+
+
+def test_backend_error_exit_code(tmp_path, capsys, monkeypatch):
+    # The values-only SVD that ranks the complete set fails to converge.
+    svd = np.linalg.svd
+
+    def failing_svd(a, *args, compute_uv=True, **kwargs):
+        if not compute_uv:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    p, _ = random_planted_problem([8, 8], [2, 2], 0.0, seed=4)
+    save_json(p, tmp_path / "p.json")
+    assert main(["solve-complete", str(tmp_path / "p.json"), "--out", str(tmp_path), "--no-timestamp"]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: SVD did not converge for shape (4, 8, 2)")
+    assert not (tmp_path / "complete_set.csv").exists()
 
 
 def test_ode_mathieu_small(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmep import linalg, mep
+from rmep import linalg, mep, tsvd
 from rmep.linalg import gep, svd
 from rmep.model import (
     EquationBlock,
@@ -13,7 +14,7 @@ from rmep.model import (
     random_planted_problem,
 )
 from rmep.mep import solve_mep
-from rmep.spectral import builtin_sturm_liouville, discretize
+from rmep.spectral import builtin_mathieu, builtin_sturm_liouville, discretize
 from rmep.tsvd import (
     reduced_mep,
     solve_complete,
@@ -216,6 +217,49 @@ class TestSolveComplete:
             assert t.residual == sum(t.block_residuals)
 
 
+def tuple_bits(t):
+    """Every number a tuple carries, as exact bytes."""
+    return (t.value.gamma, t.value.alphas.tobytes(), t.residual, t.block_residuals,
+            tuple(x.tobytes() for x in t.vectors))
+
+
+COMPLETE_SET_PROBLEMS = {
+    "planted-complex": lambda: random_planted_problem([9, 8], [4, 3], 0.05, seed=21)[0],
+    "infinite-rows": shared_b_problem,
+    "sl-real": lambda: discretize(builtin_sturm_liouville(n1=6, n2=6)).problem,
+    # 63 finite tuples, one infinite, and complex rows beside real ones.
+    "mathieu-mixed": lambda: discretize(builtin_mathieu(4.0, 1.0, n1=8, n2=8)).problem,
+}
+
+
+class TestCompleteSet:
+    @pytest.mark.parametrize("name", COMPLETE_SET_PROBLEMS)
+    def test_indexing_slicing_and_iteration_agree_bitwise(self, name):
+        p = COMPLETE_SET_PROBLEMS[name]()
+        complete = solve_complete(p, seed=0)
+        n = len(complete)
+        assert n == p.total_dim
+        full = [tuple_bits(t) for t in complete]
+        assert len(full) == n
+        for window in (slice(0, n), slice(1, 3), slice(n - 2, None), slice(None, None, -2), slice(2, 2)):
+            assert [tuple_bits(t) for t in complete[window]] == full[window]
+        for i in (0, 1, n - 1, -1, -n):
+            assert tuple_bits(complete[i]) == full[i]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                complete[i]
+
+    @pytest.mark.parametrize("name", COMPLETE_SET_PROBLEMS)
+    def test_arrays_match_the_tuples(self, name):
+        complete = solve_complete(COMPLETE_SET_PROBLEMS[name](), seed=0)
+        tuples = list(complete)
+        finite = [t for t in tuples if t.value.is_finite()]
+        assert complete.finite.tolist() == [t.residual is not None for t in tuples]
+        assert complete.lambdas.tobytes() == np.array([dehomogenize(t.value) for t in finite]).tobytes()
+        assert complete.total[: len(finite)].tolist() == [t.residual for t in finite]
+        assert np.all(np.isinf(complete.total[len(finite):])) and np.all(np.isinf(complete.rho[len(finite):]))
+
+
 def complex_cast(problem):
     """The same problem with every block stored as complex128."""
     blocks = (EquationBlock(a=blk.a.astype(np.complex128), b=tuple(b.astype(np.complex128) for b in blk.b))
@@ -236,19 +280,21 @@ class TestRealArithmetic:
         deltas = mep.operator_determinants(reduced_mep(truncations))
         assert all(d.dtype == np.float64 for d in deltas.matrices)
         dtypes = []
-        for name in ("gep", "svd"):
-            original = getattr(mep, name)
+        for module, name in ((mep, "gep"), (tsvd, "singular_values"), (mep, "svd")):
+            original = getattr(module, name)
 
             def spy(*args, original=original):
                 dtypes.extend(np.asarray(a).dtype for a in args)
                 return original(*args)
 
-            monkeypatch.setattr(mep, name, spy)
+            monkeypatch.setattr(module, name, spy)
         lapack = linalg._lapack
         monkeypatch.setattr(linalg, "_lapack", lambda name, x: dtypes.append((name, x.dtype)) or lapack(name, x))
-        tuples = solve_complete(p, seed=0)
-        # The combination, the mass matrix, its LU and the refit pencils are all real.
-        assert dtypes == [np.float64, np.float64, ("getrf", np.float64), ("getrs", np.float64), np.float64, np.float64]
+        tuples = list(solve_complete(p, seed=0))
+        # The combination, the mass matrix, its LU, the refit pencils of the
+        # values-only pass and those of the vector pass are all real.
+        assert dtypes == [np.float64, np.float64, ("getrf", np.float64), ("getrs", np.float64), np.float64, np.float64,
+                          np.float64, np.float64]
         assert len(tuples) == 36 and not np.any(homogeneous_rows(tuples).imag)
         assert all(not np.any(x.imag) for t in tuples for x in t.vectors)
 
