@@ -45,7 +45,7 @@ import numpy as np
 
 from . import alternating, mep, serialization, spectral, tsvd
 from .errors import BackendError, CapacityError, DomainError, IrregularMepError, ValidationError
-from .model import dehomogenize, pencil_coefficients, random_planted_problem
+from .model import dehomogenize, pencil_coefficients, planted_parts
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -267,13 +267,23 @@ def _greedy_match(ref, computed):
     return np.array(pairs, dtype=int).reshape(-1, 2).T
 
 
-def _bench_trial(m: int, n: int, k: int, sigma: float, child_seed) -> dict:
-    problem, reference = random_planted_problem([m] * k, [n] * k, sigma, child_seed)
+def _planted_trial(m: int, n: int, k: int, child_seed) -> tuple:
+    """The half of a bench-random trial that does not depend on sigma: the
+    planted parts of `child_seed` and the finite eigenvalues of their
+    reference."""
+    parts = planted_parts([m] * k, [n] * k, child_seed)
     solver_seed = int(child_seed.generate_state(1)[0])
     # The reference needs only values, so no vectors are computed for it.
-    finite, c = pencil_coefficients(mep.solve_from_determinants(mep.operator_determinants(reference), seed=solver_seed))
-    ref_vals = -c[finite, 1:]
-    comp_vals = tsvd.solve_complete(problem, seed=solver_seed).lambdas
+    finite, c = pencil_coefficients(mep.solve_from_determinants(mep.operator_determinants(parts.reference),
+                                                                seed=solver_seed))
+    return parts, -c[finite, 1:]
+
+
+def _bench_trial(m: int, n: int, k: int, sigma: float, child_seed, shared=None) -> dict:
+    """One trial's error statistics at `sigma`; `shared` is the trial's
+    `_planted_trial`, computed here when not given."""
+    parts, ref_vals = _planted_trial(m, n, k, child_seed) if shared is None else shared
+    comp_vals = tsvd.solve_complete(parts.at(sigma), seed=int(child_seed.generate_state(1)[0])).lambdas
     ref_idx, comp_idx = _greedy_match(ref_vals, comp_vals)
     errs = _relative_errors(ref_vals[ref_idx], comp_vals[comp_idx])
     total = n**k
@@ -298,17 +308,22 @@ def _cmd_bench_random(args: argparse.Namespace) -> int:
         raise ValidationError(f"bench-random needs --trials >= 1, got {args.trials}")
     out = _output_dir(args.out)
     m, n, k, trials = args.m, args.n, args.k, args.trials
+    # Serial: the per-trial work is Python holding the interpreter lock.
+    # Every sigma gets the same children, so each child's planted draw and
+    # reference solve are made once and shared by its sigmas.
+    stats = [[] for _ in sigmas]
+    for child in np.random.SeedSequence(args.seed).spawn(trials):
+        shared = _planted_trial(m, n, k, child)
+        for sigma, per_sigma in zip(sigmas, stats):
+            per_sigma.append(_bench_trial(m, n, k, sigma, child, shared))
     rows = []
-    for sigma in sigmas:
-        children = np.random.SeedSequence(args.seed).spawn(trials)
-        # Serial: the per-trial work is Python holding the interpreter lock.
-        stats = [_bench_trial(m, n, k, sigma, c) for c in children]
+    for sigma, per_sigma in zip(sigmas, stats):
         row = {"sigma": sigma, "trials": trials}
         for s in range(k):
-            row[f"mean_max_rel_err_lambda{s + 1}"] = float(np.mean([st["max"][s] for st in stats]))
-            row[f"mean_min_rel_err_lambda{s + 1}"] = float(np.mean([st["min"][s] for st in stats]))
-            row[f"mean_mean_rel_err_lambda{s + 1}"] = float(np.mean([st["mean"][s] for st in stats]))
-        row["mean_unmatched"] = float(np.mean([st["unmatched"] for st in stats]))
+            row[f"mean_max_rel_err_lambda{s + 1}"] = float(np.mean([st["max"][s] for st in per_sigma]))
+            row[f"mean_min_rel_err_lambda{s + 1}"] = float(np.mean([st["min"][s] for st in per_sigma]))
+            row[f"mean_mean_rel_err_lambda{s + 1}"] = float(np.mean([st["mean"][s] for st in per_sigma]))
+        row["mean_unmatched"] = float(np.mean([st["unmatched"] for st in per_sigma]))
         rows.append(row)
         print(f"bench-random: sigma={sigma} mean-of-mean={row['mean_mean_rel_err_lambda1']:.4e}")
     _write_csv(out / "bench.csv", args.no_timestamp, list(rows[0]), [list(row.values()) for row in rows])

@@ -213,11 +213,14 @@ def unit_scaled(a: np.ndarray) -> np.ndarray:
     place by the power of two that brings its largest entry modulus into
     [1/2, 1), and return it.  np.ldexp on the real and imaginary parts makes
     the scaling exact (an entry that drops below the normal range rounds),
-    also for subnormal input, and a zero array stays zero."""
-    exponent = math.frexp(np.abs(a).max())[1]
+    also for subnormal input, and a zero array stays zero.  A finite complex
+    entry whose modulus overflows takes its exponent from its largest part,
+    plus one, so the largest modulus lands in [1/4, 1)."""
     # One pass over a float64 view of both parts: separate passes over the
     # strided .real and .imag views took twice as long.
     parts = (a.T if a.flags.f_contiguous else a).view(np.float64)
+    peak = np.abs(a).max()
+    exponent = math.frexp(peak)[1] if math.isfinite(peak) else math.frexp(np.abs(parts).max())[1] + 1
     np.ldexp(parts, -exponent, out=parts)
     return a
 

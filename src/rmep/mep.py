@@ -83,6 +83,12 @@ class OperatorDeterminants:
     matrices: tuple[np.ndarray, ...]
 
 
+def _kron(a, b) -> np.ndarray:
+    """np.kron of two matrices, bitwise, as one broadcast product: np.kron's
+    general-rank set-up costs more than the product itself at small blocks."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _operator_determinant(columns) -> np.ndarray:
     """Expansion sum_pi sign(pi) * kron(columns[pi(1)][1], ..., columns[pi(k)][k]).
 
@@ -90,7 +96,7 @@ def _operator_determinant(columns) -> np.ndarray:
     """
     total = None
     for perm in permutations(range(len(columns))):
-        term = reduce(np.kron, [columns[j][i] for i, j in enumerate(perm)])
+        term = reduce(_kron, [columns[j][i] for i, j in enumerate(perm)])
         if total is None:
             total = np.array(term)  # the identity permutation comes first
         elif _permutation_sign(perm) > 0:

@@ -43,6 +43,8 @@ __all__ = [
     "pencil_coefficients",
     "normalized_residual",
     "homogeneous_residual",
+    "PlantedParts",
+    "planted_parts",
     "random_planted_problem",
 ]
 
@@ -334,8 +336,49 @@ def homogeneous_residual(problem: RmepProblem, t: EigenTuple) -> float:
     return sum(float(np.linalg.norm(blk.pencil(c, x)) ** 2) for blk, x in zip(problem.blocks, t.vectors))
 
 
-def _complex_normal(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@dataclass(frozen=True)
+class PlantedParts:
+    """What `planted_parts` draws for one seed, before any noise level is
+    chosen: the square reference (A*_i, B*_is) and, per block i, the lifted
+    cores Q_i S*_ij and their unscaled noise draws, each one (k+1, m_i, n_i)
+    array.  `at(sigma)` assembles the rectangular problem at one noise level."""
+
+    reference: MepProblem
+    lifted: tuple[np.ndarray, ...]
+    noise: tuple[np.ndarray, ...]
+
+    def at(self, sigma: float) -> RmepProblem:
+        """A_i = Q_i A*_i + (sigma/m_i) E_i and B_is = Q_i B*_is + (sigma/m_i) F_is."""
+        if not (np.isfinite(sigma) and sigma >= 0):
+            raise ValidationError(f"sigma must be finite and nonnegative, got {sigma}")
+        noisy = (lifted + sigma / lifted.shape[1] * noise for lifted, noise in zip(self.lifted, self.noise))
+        return RmepProblem(blocks=tuple(EquationBlock(a=s[0], b=tuple(s[1:])) for s in noisy))
+
+
+def planted_parts(m, n, seed) -> PlantedParts:
+    """The draw of `random_planted_problem` for one seed; it does not
+    depend on the noise level."""
+    m = tuple(int(v) for v in np.atleast_1d(m))
+    n = tuple(int(v) for v in np.atleast_1d(n))
+    if len(m) != len(n) or not m:
+        raise ValidationError("m and n must be equal-length nonempty sequences")
+    k = len(m)
+    for mi, ni in zip(m, n):
+        if mi <= ni:
+            raise ValidationError(f"planted problems need m_i > n_i, got {mi} <= {ni}")
+    rng = np.random.default_rng(seed)
+    ref_blocks, lifted, noise = [], [], []
+    for mi, ni in zip(m, n):
+        core = [_complex_normal(rng, (ni, ni)) for _ in range(k + 1)]
+        q = np.linalg.qr(_complex_normal(rng, (mi, ni)))[0]
+        ref_blocks.append(EquationBlock(a=core[0], b=tuple(core[1:])))
+        lifted.append(np.stack([q @ c for c in core]))
+        noise.append(np.stack([_complex_normal(rng, (mi, ni)) for _ in core]))
+    return PlantedParts(MepProblem(blocks=tuple(ref_blocks)), tuple(lifted), tuple(noise))
 
 
 def random_planted_problem(m, n, sigma: float, seed):
@@ -353,25 +396,10 @@ def random_planted_problem(m, n, sigma: float, seed):
     At sigma = 0 every eigen-tuple of the returned reference MepProblem
     solves the rectangular problem exactly.
 
-    Returns (problem, reference).  Deterministic per seed.
+    Returns (problem, reference): `planted_parts(m, n, seed).at(sigma)` and
+    that draw's reference.  Deterministic per seed.  Sigma only scales noise
+    that is drawn without it, so for one seed the reference is bitwise the
+    same at every sigma, and so are Q_i and the noise directions.
     """
-    m = tuple(int(v) for v in np.atleast_1d(m))
-    n = tuple(int(v) for v in np.atleast_1d(n))
-    if len(m) != len(n) or not m:
-        raise ValidationError("m and n must be equal-length nonempty sequences")
-    k = len(m)
-    for mi, ni in zip(m, n):
-        if mi <= ni:
-            raise ValidationError(f"planted problems need m_i > n_i, got {mi} <= {ni}")
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValidationError(f"sigma must be finite and nonnegative, got {sigma}")
-    rng = np.random.default_rng(seed)
-    ref_blocks = []
-    blocks = []
-    for mi, ni in zip(m, n):
-        core = [_complex_normal(rng, (ni, ni)) for _ in range(k + 1)]
-        q = np.linalg.qr(_complex_normal(rng, (mi, ni)))[0]
-        noisy = [q @ c + _complex_normal(rng, (mi, ni), scale=sigma / mi) for c in core]
-        ref_blocks.append(EquationBlock(a=core[0], b=tuple(core[1:])))
-        blocks.append(EquationBlock(a=noisy[0], b=tuple(noisy[1:])))
-    return RmepProblem(blocks=tuple(blocks)), MepProblem(blocks=tuple(ref_blocks))
+    parts = planted_parts(m, n, seed)
+    return parts.at(sigma), parts.reference

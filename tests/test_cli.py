@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -212,6 +213,8 @@ def test_bench_random_rejects_bad_input(tmp_path, capsys, flags, message):
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_bench_random_checks_every_sigma_before_the_first_trial(tmp_path, capsys, monkeypatch, sigmas, source):
     trials = spy(monkeypatch, rmep.cli, "_bench_trial")
+    draws = spy(monkeypatch, rmep.cli, "planted_parts")
+    solves = spy(monkeypatch, rmep.mep, "solve_from_determinants")
     argv = ["bench-random", "--m", "8", "--n", "2", "--trials", "2", "--seed", "1", "--out", str(tmp_path / "out")]
     if source == "flag":
         argv += ["--sigmas", ",".join(map(str, sigmas))]
@@ -220,7 +223,37 @@ def test_bench_random_checks_every_sigma_before_the_first_trial(tmp_path, capsys
         argv += ["--config", str(tmp_path / "cfg.json")]
     assert main(argv) == 2
     assert f"--sigmas must be finite and nonnegative, got {sigmas[-1]}" in capsys.readouterr().err
-    assert trials == [] and not (tmp_path / "out").exists()
+    assert trials == draws == solves == [] and not (tmp_path / "out").exists()
+
+
+def test_bench_random_solves_each_reference_once_for_every_sigma(tmp_path, monkeypatch):
+    m, n, k, sigmas, seed = 8, 2, 2, [0.0, 0.1, 0.2], 5
+    trials = spy(monkeypatch, rmep.cli, "_bench_trial")
+    draws = spy(monkeypatch, rmep.cli, "planted_parts")
+    solves = spy(monkeypatch, rmep.mep, "solve_from_determinants")
+    completes = spy(monkeypatch, rmep.tsvd, "solve_complete")
+    argv = ["bench-random", "--m", str(m), "--n", str(n), "--k", str(k), "--sigmas", "0,0.1,0.2", "--trials", "3",
+            "--seed", str(seed), "--out", str(tmp_path), "--no-timestamp"]
+    assert main(argv) == 0
+    # 3 draws and 3 reference solves; each of the 9 trials solves its noisy problem.
+    assert len(draws) == 3 and len(trials) == len(completes) == 9 and len(solves) == 3 + 9
+    monkeypatch.undo()
+    # The rows of independent trials, each drawing and solving its own
+    # reference, as perfbench's serial reference calls them.
+    children = np.random.SeedSequence(seed).spawn(3)
+    rows = []
+    for sigma in sigmas:
+        stats = [rmep.cli._bench_trial(m, n, k, sigma, child) for child in children]
+        row = [sigma, 3]
+        for s in range(k):
+            row += [float(np.mean([st[key][s] for st in stats])) for key in ("max", "min", "mean")]
+        rows.append(row + [float(np.mean([st["unmatched"] for st in stats]))])
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["sigma", "trials", *(f"mean_{key}_rel_err_lambda{s}" for s in range(1, k + 1)
+                                          for key in ("max", "min", "mean")), "mean_unmatched"])
+    writer.writerows([f"{x:.17g}" if isinstance(x, float) else x for x in row] for row in rows)
+    assert (tmp_path / "bench.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_missing_input_is_config_error(tmp_path):

@@ -194,6 +194,18 @@ class TestSmallestSingularVector:
         s = svd(up).singular_values
         assert abs(np.linalg.norm(up @ x) - s[-1]) <= 1e-12 * s[0]
 
+    def test_overflowing_complex_modulus_is_scaled(self):
+        # |1.5e308 (1 + i)| overflows although both parts are finite, so the
+        # scale comes from the largest part: the modulus lands in [1/4, 1).
+        a = np.array([[1.5e308 + 1.5e308j, 1], [0.5, 2], [1, 1]])
+        up = linalg.unit_scaled(a.copy())
+        assert 0.25 <= np.abs(up).max() < 1.0
+        assert np.log2(up[1, 1].real / a[1, 1].real).is_integer()
+        x = smallest_singular_vector(a)
+        s = svd(up).singular_values
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-15 and abs(abs(x[1]) - 1.0) <= 1e-15
+        assert np.linalg.norm(up @ x) ** 2 <= s[-1] ** 2 + 2 * MINIMIZER_SLACK * EPS * np.sum(s**2)
+
     def test_zero_matrix_returns_start(self):
         start = np.array([3.0, 4.0j])
         x = smallest_singular_vector(np.zeros((3, 2)), start)

@@ -15,6 +15,12 @@ def mep_from(blocks):
     return MepProblem(blocks=tuple(EquationBlock(a=a, b=tuple(bs)) for a, *bs in blocks))
 
 
+def problems_real_and_complex(seed, n, k):
+    """A random square complex problem and the problem of its real parts."""
+    p = random_problem(np.random.default_rng(seed), n, n, k, square=True)
+    return p, mep_from([(blk.a.real, *(b.real for b in blk.b)) for blk in p.blocks])
+
+
 def annihilating_problem():
     """Every matrix of the first block annihilates e_1, so every D_j
     annihilates e_1 (x) y: det(A - lambda M) = 0 for every lambda."""
@@ -126,29 +132,30 @@ class TestOperatorDeterminants:
         assert np.allclose(d.matrices[0], vals[1] * vals[5] - vals[2] * vals[4])
 
     def test_k2_formula(self):
-        rng = np.random.default_rng(2)
-        p = random_problem(rng, 2, 2, 2, square=True)
-        (a1, (b11, b12)), (a2, (b21, b22)) = ((blk.a, blk.b) for blk in p.blocks)
-        d = operator_determinants(p)
-        assert np.allclose(d.matrices[0], np.kron(b11, b22) - np.kron(b12, b21))
-        assert np.allclose(d.matrices[1], np.kron(a1, b22) - np.kron(b12, a2))
-        assert np.allclose(d.matrices[2], np.kron(b11, a2) - np.kron(a1, b21))
+        # the expansion's products are np.kron's, bitwise, real and complex
+        for p in problems_real_and_complex(2, 2, 2):
+            (a1, (b11, b12)), (a2, (b21, b22)) = ((blk.a, blk.b) for blk in p.blocks)
+            d = operator_determinants(p)
+            assert np.array_equal(d.matrices[0], np.kron(b11, b22) - np.kron(b12, b21))
+            assert np.array_equal(d.matrices[1], np.kron(a1, b22) - np.kron(b12, a2))
+            assert np.array_equal(d.matrices[2], np.kron(b11, a2) - np.kron(a1, b21))
+            assert np.iscomplexobj(d.matrices[0]) == np.iscomplexobj(b11)
 
     def test_k3_matches_permutation_expansion(self):
-        rng = np.random.default_rng(3)
-        p = random_problem(rng, 2, 2, 3, square=True)
-        d = operator_determinants(p)
-        b = [blk.b for blk in p.blocks]
-        # explicit 3x3 operator determinant of the B-array
-        expected = (
-            np.kron(b[0][0], np.kron(b[1][1], b[2][2]))
-            - np.kron(b[0][0], np.kron(b[1][2], b[2][1]))
-            - np.kron(b[0][1], np.kron(b[1][0], b[2][2]))
-            + np.kron(b[0][1], np.kron(b[1][2], b[2][0]))
-            + np.kron(b[0][2], np.kron(b[1][0], b[2][1]))
-            - np.kron(b[0][2], np.kron(b[1][1], b[2][0]))
-        )
-        assert np.allclose(d.matrices[0], expected)
+        for p in problems_real_and_complex(3, 2, 3):
+            d = operator_determinants(p)
+            b = [blk.b for blk in p.blocks]
+            kron3 = lambda x, y, z: np.kron(np.kron(x, y), z)  # left to right, as the expansion multiplies
+            # explicit 3x3 operator determinant of the B-array, terms in permutation order
+            expected = (
+                kron3(b[0][0], b[1][1], b[2][2])
+                - kron3(b[0][0], b[1][2], b[2][1])
+                - kron3(b[0][1], b[1][0], b[2][2])
+                + kron3(b[0][1], b[1][2], b[2][0])
+                + kron3(b[0][2], b[1][0], b[2][1])
+                - kron3(b[0][2], b[1][1], b[2][0])
+            )
+            assert np.array_equal(d.matrices[0], expected)
 
     def test_diagonal_blocks_oracle(self):
         # with all-diagonal blocks the tuples decouple into 2x2 linear systems
@@ -280,6 +287,19 @@ class TestSolveMep:
             assert all(np.array_equal(x, y) for s, t in zip(sols, ref) for x, y in zip(s.vectors, t.vectors))
         else:
             assert np.abs(got - rows).max() <= 1e-14
+
+    def test_overflowing_complex_modulus_is_scaled(self):
+        # 7 * 2^1021 (1 + i) has finite parts but a modulus beyond the float
+        # range; the scaled copy is the same as that of the problem at 2^-1021.
+        blocks = [[m.copy() for m in (blk.a, *blk.b)]
+                  for blk in random_problem(np.random.default_rng(16), 3, 3, 2, square=True).blocks]
+        blocks[0][0][0, 0] = 7 * (1 + 1j)
+        big = mep_from([[2.0**1021 * m for m in blk] for blk in blocks])
+        assert np.isinf(np.abs(big.blocks[0].a[0, 0]))
+        ref, sols = solve_mep(mep_from(blocks), seed=0), solve_mep(big, seed=0)
+        assert all(np.array_equal(s.value.alphas, t.value.alphas) and s.value.gamma == t.value.gamma
+                   for s, t in zip(sols, ref))
+        assert all(np.array_equal(x, y) for s, t in zip(sols, ref) for x, y in zip(s.vectors, t.vectors))
 
     def test_shifted_mass_fallback(self):
         # blocks sharing (B_1, B_2) make D_0 = B_1 (x) B_2 - B_2 (x) B_1 singular

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmep.errors import InfiniteEigenvalueError, ValidationError
 from rmep.linalg import svd
@@ -15,6 +17,7 @@ from rmep.model import (
     homogenize,
     normalize_homogeneous,
     normalized_residual,
+    planted_parts,
     random_planted_problem,
 )
 from rmep.spectral import builtin_sturm_liouville, discretize
@@ -337,3 +340,25 @@ class TestRandomPlantedProblem:
         for blk in p.blocks:
             s = svd(blk.stacked()).singular_values
             assert s[5] <= 1e3 * EPS * np.linalg.norm(blk.stacked(), 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 2), sigma=st.floats(0.0, 10.0), other=st.floats(0.0, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_noise_level_scales_a_draw_made_without_it(self, data, k, sigma, other, seed):
+        # bench-random draws each trial once and assembles it at every sigma.
+        n = data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+        m = [ni + data.draw(st.integers(1, 3)) for ni in n]
+        problem, reference = random_planted_problem(m, n, sigma, seed)
+        _, other_reference = random_planted_problem(m, n, other, seed)
+        parts = planted_parts(m, n, seed)
+        raw = lambda p: [blk.coeffs.tobytes() for blk in p.blocks]
+        assert raw(reference) == raw(other_reference) == raw(parts.reference)
+        assert raw(parts.at(sigma)) == raw(problem)
+        # The generator's documented draw, block by block, in one expression.
+        rng = np.random.default_rng(seed)
+        for blk, ref_blk, mi, ni in zip(problem.blocks, reference.blocks, m, n):
+            core = [crandn(rng, ni, ni) for _ in range(k + 1)]
+            q = np.linalg.qr(crandn(rng, mi, ni))[0]
+            noisy = [q @ c + sigma / mi * crandn(rng, mi, ni) for c in core]
+            assert ref_blk.coeffs.tobytes() == np.stack(core).tobytes()
+            assert blk.coeffs.tobytes() == np.stack(noisy).tobytes()
