@@ -7,9 +7,10 @@ homogeneous (alpha, beta) pencil eigenvalues with right and left
 eigenvectors.  Real input stays float64 and runs the
 d-prefixed LAPACK routines; complex input runs the z-prefixed ones.
 `smallest_singular_vector` finds one singular vector by warm-started
-inverse iteration instead of a full SVD, and checks by a Cholesky that the
-result is the minimizer.  `unit_scaled`, an exact power-of-two scaling, is
-the one scaling rule of both solvers.
+inverse iteration on A^H A, shifted to just below its smallest eigenvalue,
+instead of a full SVD; the Cholesky factor of the shifted matrix proves
+that the result is the minimizer.  `unit_scaled`, an exact power-of-two
+scaling, is the one scaling rule of both solvers.
 
 `gep` first solves the pencil (A, B) as the standard problem B^{-1} A: one
 LU of B, `scipy.linalg.eig` (`dgeev` or `zgeev`) on B^{-1} A for right and
@@ -53,16 +54,11 @@ EPS = float(np.finfo(np.float64).eps)
 # at which a standard-form pair is accepted; QZ's own pairs stay within a few eps.
 # It is also the relative size below which a QZ pair (alpha, beta) counts as zero.
 GEP_BACKWARD_RTOL = 1e3 * EPS
-# Inverse iteration for a smallest singular vector stops once successive unit
-# iterates differ by at most the tolerance, or after the step cap.  x is then
-# off by about the tolerance and ||R x||^2 by about its square, within the
-# slack below; the last, shifted step does the rest.
-INVERSE_ITERATION_TOL = 1e-8
+# Step cap of the shifted inverse iteration in `smallest_singular_vector`.
 INVERSE_ITERATION_STEPS = 200
-# x is kept only if R^H R - s I, s = ||R x||^2 - slack with slack =
-# MINIMIZER_SLACK * eps * ||R||_F^2, has a Cholesky factor: then no squared
-# singular value of R lies below s.  Exact minimizers of random, graded and
-# rank-deficient R up to n = 200 pass with a slack of 0.25.
+# slack = MINIMIZER_SLACK * eps * ||A||_F^2: an iterate x is accepted once
+# ||A x||^2 <= s + slack, where a Cholesky factor of A^H A - s I proves that
+# sigma_min^2 >= s, so ||A x||^2 <= sigma_min^2 + slack.
 MINIMIZER_SLACK = 4.0
 
 
@@ -148,27 +144,29 @@ def _lapack_svd(a, compute_uv):
 def smallest_singular_vector(a, start=None) -> np.ndarray:
     """Unit right singular vector of a tall matrix for its smallest singular value.
 
-    Inverse iteration on R^H R, with R the triangular factor of A = QR,
-    started from `start` (default n^-1/2 (1, ..., 1)).  Each step is one
-    `zpotrs` (both triangular solves), a normalization and a phase alignment
-    to the previous iterate; it stops when successive iterates differ by at
-    most INVERSE_ITERATION_TOL or after INVERSE_ITERATION_STEPS steps.  A
-    start near the answer takes few steps.
+    Shifted inverse iteration on the Gram matrix G = A^H A, started from
+    `start` (default n^-1/2 (1, ..., 1)).  The shift is s = lambda - slack/2,
+    with lambda the smallest eigenvalue of G as `eigvalsh` computes it and
+    slack = MINIMIZER_SLACK * eps * ||A||_F^2; when s < 0, the shift
+    s = -eps * slack is tried first.  A Cholesky factor of G - s I proves
+    that no squared singular value lies below s.  Each step is one `zpotrs`
+    with that factor (both triangular solves), a normalization and a phase
+    alignment to the previous iterate.  The first iterate x with
+    ||A x||^2 <= s + slack is accepted; one more step is returned if it
+    still meets that bound, else x.  From almost any start that takes two
+    steps, since the shift lies within the slack of sigma_min^2.  No step-size test stops it: where
+    several singular values lie within the slack (graded or rank-deficient
+    A), the iterate keeps turning inside that cluster.
 
-    That iterate need not be the minimizer: a start with no component along
-    the smallest singular vector (the default start on a reflection-
-    symmetric A, say) stops at once at another singular vector.  So x is
-    kept only if R^H R - s I has a Cholesky factor, with s a rounding slack
-    below ||R x||^2; then no singular value lies below sqrt(s), and one
-    inverse-iteration step with that factor, its shift within the slack of
-    sigma_min^2, brings x to rounding.  Otherwise, or when the solves
-    overflow, the SVD of R gives x.  So ||A x||^2 exceeds sigma_min^2 by at
-    most MINIMIZER_SLACK * eps * ||A||_F^2, and x is the SVD's vector to
-    rounding, up to a unit phase, unless the two smallest singular values
-    tie within that slack.  For a unit `start`, ||A x|| never exceeds
+    A failed Cholesky (lambda computed above sigma_min^2 by more than
+    slack/2), or INVERSE_ITERATION_STEPS steps without acceptance, gives x
+    from the thin SVD of A.  So ||A x||^2 exceeds sigma_min^2 by at most
+    MINIMIZER_SLACK * eps * ||A||_F^2, and x is the SVD's vector to
+    rounding, up to a unit phase, unless the two smallest squared singular
+    values tie within that slack.  For a unit `start`, ||A x|| never exceeds
     ||A start|| beyond rounding.  It works in complex arithmetic, also on
-    real A.  A copy of A is scaled by `unit_scaled` before the QR, so a
-    subnormal A enters it at full precision, and R after it.
+    real A.  A copy of A is scaled by `unit_scaled` first, so G neither
+    underflows nor overflows and a subnormal A keeps its full precision.
     """
     a = unit_scaled(as_matrix(a).astype(np.complex128, copy=False))
     n = a.shape[1]
@@ -179,33 +177,11 @@ def smallest_singular_vector(a, start=None) -> np.ndarray:
     if not 0.0 < norm < np.inf:
         raise ValidationError(f"start must be a nonzero finite vector of length {n}")
     x /= norm
-    # The QR is numpy's, not scipy's: the two load separate OpenBLAS builds,
-    # each with its own thread pool, and BLAS-3 calls alternating between
-    # them at millisecond intervals make the pools compete for the cores (a
-    # 90x80 solve_one took 3.9 s with scipy's QR against 0.42 s, 2 threads on
-    # 2 vCPUs).  Only the BLAS-2 triangular solves of zpotrs go through scipy;
-    # the product and Cholesky of the minimality check stay in numpy too.
-    # Scaling R keeps R^H R and the solves clear of underflow and overflow.
-    r = unit_scaled(np.asfortranarray(np.linalg.qr(a, mode="r")))
-    # R = 0 (an exact solution) makes every unit vector optimal.
-    if not r.any():
+    # One column, or A = 0 (an exact solution), makes every unit vector optimal.
+    if n == 1 or not a.any():
         return x
-    # Tiny pivots are raised to a floor so that a singular R does not divide by zero.
-    diag = np.einsum("ii->i", r)
-    diag[np.abs(diag) < EPS] = EPS
-    for _ in range(INVERSE_ITERATION_STEPS):
-        y = _inverse_step(r, x)
-        if y is None:
-            # The solves overflow when several pivots sit at the floor and
-            # couple through R's off-diagonal entries.
-            break
-        step = y - x
-        x = y
-        if np.vdot(step, step).real <= INVERSE_ITERATION_TOL**2:
-            break
-    factor = None if y is None else _shifted_factor(r, x)
-    x = None if factor is None else _inverse_step(factor, x, lower=1)
-    return np.linalg.svd(r)[2][-1].conj() if x is None else x
+    x = _shifted_inverse_iteration(a, x)
+    return np.linalg.svd(a, full_matrices=False)[2][-1].conj() if x is None else x
 
 
 def unit_scaled(a: np.ndarray) -> np.ndarray:
@@ -225,30 +201,54 @@ def unit_scaled(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _inverse_step(factor, x, lower=0):
-    """Solve with the Cholesky factor of a positive definite matrix, then
-    normalize and turn to the phase of x; None on overflow or underflow."""
-    y, _ = sla.lapack.zpotrs(factor, x, lower=lower)
-    norm = math.sqrt(np.vdot(y, y).real)
-    if not 0.0 < norm < math.inf:
+def _shifted_inverse_iteration(a, x):
+    """`smallest_singular_vector`'s iteration from the unit vector x; None
+    when the Cholesky at the shift fails or the step cap is reached."""
+    # The product, eigvalsh and Cholesky are numpy's, not scipy's: the two
+    # load separate OpenBLAS builds, each with its own thread pool, and
+    # BLAS-3 calls alternating between them at millisecond intervals make
+    # the pools compete for the cores (a 90x80 solve_one took 3.9 s with
+    # scipy's QR against 0.42 s, 2 threads on 2 vCPUs).  Only the BLAS-2
+    # triangular solves of zpotrs go through scipy.
+    g = a.conj().T @ a
+    diag = np.einsum("ii->i", g)
+    unshifted = diag.copy()
+    slack = MINIMIZER_SLACK * EPS * unshifted.real.sum()
+    lowest = np.linalg.eigvalsh(g)[0] - slack / 2
+    # G keeps a column-graded A's singular values far below sqrt(eps) ||A||,
+    # which a negative shift of rounding size would swamp; -eps * slack
+    # swamps only those below about eps ||A||_F and bounds the solves'
+    # growth by 1 / (eps * slack), so they cannot overflow.
+    for shift in (lowest,) if lowest >= 0 else (-EPS * slack, lowest):
+        np.subtract(unshifted, shift, out=diag)
+        try:
+            factor = np.asfortranarray(np.linalg.cholesky(g))
+            break
+        except np.linalg.LinAlgError:
+            pass
+    else:
         return None
+    bound = shift + slack
+    for _ in range(INVERSE_ITERATION_STEPS):
+        x = _inverse_step(factor, x)
+        if _squared_norm(a @ x) <= bound:
+            y = _inverse_step(factor, x)
+            return y if _squared_norm(a @ y) <= bound else x
+    return None
+
+
+def _inverse_step(factor, x):
+    """Solve with the lower Cholesky factor of a positive definite matrix,
+    then normalize and turn to the phase of x."""
+    y, _ = sla.lapack.zpotrs(factor, x, lower=1)
     overlap = np.vdot(x, y)
-    y *= (overlap.conjugate() / abs(overlap) if overlap != 0 else 1.0) / norm
+    y *= (overlap.conjugate() / abs(overlap) if overlap != 0 else 1.0) / math.sqrt(_squared_norm(y))
     return y
 
 
-def _shifted_factor(r, x):
-    """Lower Cholesky factor of R^H R - s I, s = ||R x||^2 - slack, or None
-    when that matrix is not positive definite."""
-    g = r.conj().T @ r
-    diag = np.einsum("ii->i", g)
-    rx = r @ x
-    slack = MINIMIZER_SLACK * EPS * diag.real.sum()
-    diag -= np.vdot(rx, rx).real - slack
-    try:
-        return np.asfortranarray(np.linalg.cholesky(g))
-    except np.linalg.LinAlgError:
-        return None
+def _squared_norm(y):
+    """||y||^2 of a complex vector."""
+    return np.vdot(y, y).real
 
 
 def gep(a, b) -> GepResult:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rmep import linalg
@@ -124,11 +124,10 @@ class TestSmallestSingularVector:
         assert abs(np.linalg.norm(a @ x) - res.singular_values[-1]) <= 1e-12 * res.singular_values[0]
         assert abs(abs(np.vdot(res.v[:, -1], x)) - 1) < 1e-12
 
-    def test_step_cap_fires_on_close_singular_values(self, monkeypatch, svd_calls):
-        # sigma_{n-1} / sigma_n = 1 + 1e-5: each step turns x by about 1e-5
-        # within the pair's span, so the step tolerance is never met.  The
-        # capped iterate is still a mixture of the pair, about 1e-5 above
-        # sigma_n^2, so it fails the minimizer check and the SVD answers.
+    def test_close_singular_values_need_no_svd(self, monkeypatch, svd_calls):
+        # sigma_{n-1} / sigma_n = 1 + 1e-5, a pair that unshifted inverse
+        # iteration barely separates.  The shift lies within the slack of
+        # sigma_n^2, so the first step is accepted and one more is taken.
         rng = np.random.default_rng(14)
         s = np.concatenate((np.geomspace(10.0, 2.0, 6), [1.0 + 1e-5, 1.0]))
         a = with_singular_values(rng, 12, s)
@@ -143,20 +142,54 @@ class TestSmallestSingularVector:
 
         monkeypatch.setattr(linalg.sla.lapack, "zpotrs", spy)
         x = smallest_singular_vector(a, x_prev)
-        assert len(calls) == INVERSE_ITERATION_STEPS
+        assert len(calls) == 2
         assert abs(np.linalg.norm(x) - 1) < 1e-14
         assert np.linalg.norm(a @ x) <= np.linalg.norm(a @ x_prev)
         assert abs(np.linalg.norm(a @ x) - s[-1]) <= s[-2] - s[-1]
-        assert len(svd_calls) == 1
+        assert not svd_calls
         assert abs(np.linalg.norm(a @ x) - s[-1]) <= 1e-12 * s[0]
 
     def test_symmetric_block_default_start(self, svd_calls):
         # The default start is the sigma = 3 vector of this reflection-
-        # symmetric block, so inverse iteration stops on it at once.
+        # symmetric block.  The shifted solve amplifies the rounding-sized
+        # component along the sigma = 1 vector by about 1e15 per step.
         a = np.array([[2.0, 1.0], [1.0, 2.0], [0.0, 0.0]])
         x = smallest_singular_vector(a)
-        assert len(svd_calls) == 1
+        assert not svd_calls
         assert abs(np.linalg.norm(a @ x) - 1.0) < 1e-14
+
+    def test_cholesky_failure_falls_back_to_svd(self, monkeypatch, svd_calls):
+        # eigvalsh reports the largest eigenvalue of G first, so the shift
+        # lies above sigma_min^2 and G - s I has no Cholesky factor.
+        rng = np.random.default_rng(17)
+        a = crandn(rng, 9, 6)
+        s = svd(a).singular_values
+        svd_calls.clear()
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(linalg.np.linalg, "eigvalsh", lambda g: eigvalsh(g)[::-1])
+        x = smallest_singular_vector(a)
+        assert len(svd_calls) == 1
+        assert abs(np.linalg.norm(x) - 1) < 1e-14
+        assert abs(np.linalg.norm(a @ x) - s[-1]) <= 1e-12 * s[0]
+
+    def test_step_cap_falls_back_to_svd(self, monkeypatch, svd_calls):
+        # A solve that returns its right-hand side leaves x at the start, the
+        # largest singular vector, which never meets the acceptance bound.
+        rng = np.random.default_rng(18)
+        a = crandn(rng, 9, 6)
+        res = svd(a)
+        svd_calls.clear()
+        calls = []
+
+        def identity_solve(factor, b, lower=0):
+            calls.append(1)
+            return b.copy(), 0
+
+        monkeypatch.setattr(linalg.sla.lapack, "zpotrs", identity_solve)
+        x = smallest_singular_vector(a, res.v[:, 0])
+        assert len(calls) == INVERSE_ITERATION_STEPS
+        assert len(svd_calls) == 1
+        assert abs(np.linalg.norm(a @ x) - res.singular_values[-1]) <= 1e-12 * res.singular_values[0]
 
     @pytest.mark.parametrize("j", [0, -2])
     def test_warm_start_at_another_singular_vector(self, j):
@@ -211,14 +244,26 @@ class TestSmallestSingularVector:
         x = smallest_singular_vector(np.zeros((3, 2)), start)
         assert np.array_equal(x, start / 5.0)
 
-    def test_overflowing_solves_fall_back_to_svd(self, svd_calls):
-        # R = N, the nilpotent shift: every pivot sits at the floor and the
-        # coupled triangular solves grow like eps^-30 and overflow.
+    def test_nilpotent_block_needs_no_svd(self, svd_calls):
+        # A = N, the nilpotent shift: its first column is zero, so G is
+        # singular and sigma_min = 0.
         n = 30
         a = np.triu(np.ones((n, n)), 1)
         x = smallest_singular_vector(a)
-        assert len(svd_calls) == 1
+        assert not svd_calls
         assert abs(abs(x[0]) - 1) < 1e-12
+        assert np.linalg.norm(a @ x) <= 1e-12 * np.linalg.norm(a, 2)
+
+    @pytest.mark.parametrize("scale", [1e-120, 1e-160])
+    def test_tiny_column_keeps_the_solves_finite(self, scale, svd_calls):
+        # G's last diagonal entry is about scale^2, below the slack: with
+        # G factored unshifted, the solves would grow past overflow.
+        rng = np.random.default_rng(21)
+        a = crandn(rng, 7, 5)
+        a[:, -1] *= scale
+        x = smallest_singular_vector(a)
+        assert not svd_calls
+        assert abs(np.linalg.norm(x) - 1) < 1e-14
         assert np.linalg.norm(a @ x) <= 1e-12 * np.linalg.norm(a, 2)
 
     @pytest.mark.parametrize("a, start", [(np.ones((2, 3)), None), (np.eye(2), np.zeros(2)), (np.eye(2), np.ones(3))])
@@ -226,15 +271,28 @@ class TestSmallestSingularVector:
         with pytest.raises(ValidationError):
             smallest_singular_vector(a, start)
 
-    @settings(max_examples=60, deadline=None)
-    @given(m_extra=st.integers(0, 6), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-    def test_warm_start_property(self, m_extra, n, seed):
+    # The fixture's call list is cleared in each example.
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(m_extra=st.integers(0, 6), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["random", "graded", "rank-deficient"]))
+    @example(m_extra=0, n=6, seed=0, kind="graded")
+    def test_warm_start_property(self, svd_calls, m_extra, n, seed, kind):
+        # Graded columns and rank-deficient products put several singular
+        # values within the slack of sigma_min.
         rng = np.random.default_rng(seed)
-        a = crandn(rng, n + m_extra, n)
+        if kind == "rank-deficient":
+            rank = int(rng.integers(1, n)) if n > 1 else 1
+            a = crandn(rng, n + m_extra, rank) @ crandn(rng, rank, n)
+        else:
+            a = crandn(rng, n + m_extra, n)
+            if kind == "graded":
+                a *= np.geomspace(1.0, 1e-12, n)
         x0 = crandn(rng, n)
         x0 /= np.linalg.norm(x0)
         s = svd(a).singular_values
+        svd_calls.clear()
         x = smallest_singular_vector(a, x0)
+        assert not svd_calls
         assert abs(np.linalg.norm(x) - 1) < 1e-14
         # Inverse iteration never raises the Rayleigh quotient (up to rounding).
         assert np.linalg.norm(a @ x) <= np.linalg.norm(a @ x0) + 10 * n * EPS * s[0]
