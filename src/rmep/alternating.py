@@ -32,16 +32,20 @@ it.  Consequently the objective is non-increasing across sweeps, which the
 trace records and the tests check.  The minimizing state also yields the
 smallest perturbation of the problem data that makes the tuple an exact
 solution; its squared Frobenius cost equals the objective value.
+
+A run stops at the first sweep whose scale-free first-order (KKT) residual
+is at most `AlternatingConfig.kkt_tol`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import smallest_singular_vector
+from .linalg import smallest_singular_vector, unit_scaled
 from .model import (
     EigenTuple,
     EquationBlock,
@@ -64,10 +68,6 @@ __all__ = [
 
 STATUS_TOL = "tol-met"
 STATUS_BUDGET = "budget-exhausted"
-STATUS_STAGNATED = "stagnated"
-# Normalized KKT residual above which a run that met the objective-change
-# rule is reported as stagnated rather than converged.
-STAGNATION_KKT = 1e-4
 # Extrapolation step: starts at BETA_START, grows by BETA_GROW after a kept
 # move up to BETA_MAX, and halves after a rejected one down to BETA_MIN.
 BETA_START, BETA_GROW, BETA_MAX, BETA_MIN = 1.0, 1.5, 8.0, 0.5
@@ -78,6 +78,8 @@ class AlternatingConfig:
     """Options for `solve_one`.
 
     initial_lambdas -- starting eigenvalue guess (defaults to all zeros);
+    max_iters       -- sweep budget of each run;
+    kkt_tol         -- a run stops at the first sweep with `kkt_residual` <= kkt_tol;
     restarts        -- number of extra runs from random complex guesses, the
                        best final objective wins;
     seed            -- drives the restart guesses only.
@@ -85,15 +87,15 @@ class AlternatingConfig:
 
     initial_lambdas: tuple[complex, ...] | None = None
     max_iters: int = 1000
-    rel_tol: float = 1e-6
+    kkt_tol: float = 1e-5
     restarts: int = 0
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if not 0 < self.rel_tol < np.inf:
-            raise ValidationError(f"rel_tol must be positive and finite, got {self.rel_tol}")
+        if not 0 < self.kkt_tol < np.inf:
+            raise ValidationError(f"kkt_tol must be positive and finite, got {self.kkt_tol}")
         if self.restarts < 0:
             raise ValidationError("restarts must be >= 0")
 
@@ -165,16 +167,13 @@ def kkt_residual(problem: RmepProblem, v: HomogeneousEigenvalue, xs, h) -> float
 
     with w_i = ||R_i x_i||^2, w = v^H H v and xi_i = ||A_i||_2^2 + sum_s ||B_is||_2^2.
     """
+    xis = [norm_a**2 + sum(nb**2 for nb in norms_b) for norm_a, norms_b in problem.spectral_norms]
     total = 0.0
-    xis = []
-    for i in range(problem.k):
-        norm_a, norms_b = problem.spectral_norms[i]
-        xi = norm_a**2 + sum(nb**2 for nb in norms_b)
-        xis.append(xi)
-        r = problem.blocks[i].pencil(v.coefficients)
-        rx = r @ xs[i]
+    for blk, x, xi in zip(problem.blocks, xs, xis):
+        r = blk.pencil(v.coefficients)
+        rx = r @ x
         omega = float(np.linalg.norm(rx) ** 2)
-        total += np.linalg.norm(r.conj().T @ rx - xs[i] * omega) / xi
+        total += np.linalg.norm(r.conj().T @ rx - x * omega) / xi
     vv = np.concatenate(([v.gamma], v.alphas))
     omega = float((vv.conj() @ (h @ vv)).real)
     total += np.linalg.norm(h @ vv - vv * omega) / sum(xis)
@@ -229,33 +228,27 @@ def _run(problem, value, cfg):
         kept = xs
         trace.objectives.append(theta)
         trace.kkt.append(kkt_residual(problem, value, xs, h))
-        n = len(trace.objectives)
-        if n >= 2 and abs(trace.objectives[-1] - trace.objectives[-2]) <= (trace.objectives[-1] + 1.0) * cfg.rel_tol:
+        if trace.kkt[-1] <= cfg.kkt_tol:
             trace.status = STATUS_TOL
             break
-    else:
-        trace.status = STATUS_BUDGET
-    if trace.status == STATUS_TOL and trace.final_kkt > STAGNATION_KKT:
-        # The cheap objective-change rule can fire long before first-order
-        # optimality holds; report that instead of claiming convergence.
-        trace.status = STATUS_STAGNATED
     return value, xs, trace
 
 
 def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None):
-    """Alternate both half-steps until the relative objective change rule
-
-        |theta_{j+1} - theta_j| <= (theta_{j+1} + 1) * rel_tol
-
-    fires or the sweep budget runs out.  From the second sweep on, each
-    sweep also tries one extrapolation of the vectors past the previous
+    """Alternate both half-steps until the first sweep whose KKT residual
+    (`kkt_residual`) is at most `cfg.kkt_tol` (status tol-met), or for
+    `cfg.max_iters` sweeps (budget-exhausted).  From the second sweep on,
+    each sweep also tries one extrapolation of the vectors past the previous
     sweep's state and keeps it only when it lowers theta, so the objective
-    still never rises (see the module docstring).  Returns (tuple,
-    perturbation, trace); the returned EigenTuple carries the finite
-    residual and its per-block terms (`normalized_residual`) when gamma
-    clears the infinite-eigenvalue threshold, and `trace.likely_infimum` is
-    set when it does not (the optimum is then approached but not attained by
-    any finite eigenvalue tuple).
+    still never rises (see the module docstring).  The runs see a copy of
+    the problem scaled by one power of two, so the tuple, KKT trace and
+    status do not depend on the scale of the data; theta and the
+    perturbation are in the problem's units (theta overflows once the
+    entries pass about 2^511).  Returns (tuple, perturbation, trace); the
+    tuple carries the finite residual and its per-block terms
+    (`normalized_residual`) when gamma clears the infinite-eigenvalue
+    threshold, and `trace.likely_infimum` is set when it does not (the
+    optimum is then approached but not attained by any finite tuple).
     """
     cfg = cfg or AlternatingConfig()
     if cfg.initial_lambdas is None:
@@ -267,18 +260,21 @@ def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None):
     guesses = [init]
     if cfg.restarts:
         rng = np.random.default_rng(cfg.seed)
-        for _ in range(cfg.restarts):
-            guesses.append(rng.standard_normal(problem.k) + 1j * rng.standard_normal(problem.k))
-    best = None
-    for guess in guesses:
-        value, xs, trace = _run(problem, homogenize(guess), cfg)
-        if best is None or trace.objectives[-1] < best[2].objectives[-1]:
-            best = (value, xs, trace)
-    value, xs, trace = best
+        guesses += [rng.standard_normal(problem.k) + 1j * rng.standard_normal(problem.k) for _ in range(cfg.restarts)]
+    # One power of two for all blocks: per-block powers would reweight them in theta.
+    # `coeffs` is freed once the blocks copy it; the cached 2-norms scale exactly.
+    coeffs = [blk.coeffs.copy() for blk in problem.blocks]
+    e = unit_scaled(*coeffs)
+    scaled = RmepProblem(blocks=tuple(EquationBlock(a=c[0], b=tuple(c[1:])) for c in coeffs))
+    del coeffs
+    object.__setattr__(scaled, "spectral_norms", tuple((math.ldexp(na, -e), tuple(math.ldexp(nb, -e) for nb in nbs))
+                                                       for na, nbs in problem.spectral_norms))
+    value, xs, trace = min((_run(scaled, homogenize(g), cfg) for g in guesses), key=lambda run: run[2].objectives[-1])
+    trace.objectives = np.ldexp(trace.objectives, 2 * e).tolist()
     pset = reconstruct_perturbation(problem, value, xs)
     tup = EigenTuple(value=value, vectors=tuple(xs))
     if value.is_finite():
-        rho, total = normalized_residual(problem, tup)
+        rho, total = normalized_residual(scaled, tup)
         tup = replace(tup, residual=total, block_residuals=tuple(rho.tolist()))
     else:
         trace.likely_infimum = True

@@ -73,7 +73,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = command("solve-one", _cmd_solve_one, "one approximate eigen-tuple (alternating scheme)", seed=solve_one.seed)
     p.add_argument("input", type=Path, help="problem file (.json or binary)")
     p.add_argument("--max-iters", type=int, default=solve_one.max_iters, help="sweep budget")
-    p.add_argument("--rel-tol", type=float, default=solve_one.rel_tol, help="relative objective-change tolerance")
+    p.add_argument("--kkt-tol", type=float, default=solve_one.kkt_tol, help="stop at this normalized KKT residual")
     p.add_argument("--restarts", type=int, default=solve_one.restarts, help="extra runs from random guesses")
 
     p = command("solve-complete", _cmd_solve_complete, "complete set of approximate eigen-tuples")
@@ -199,7 +199,7 @@ def _parse_float(text: str, option: str) -> float:
 
 
 def _cmd_solve_one(args: argparse.Namespace) -> int:
-    cfg = alternating.AlternatingConfig(max_iters=args.max_iters, rel_tol=args.rel_tol, restarts=args.restarts,
+    cfg = alternating.AlternatingConfig(max_iters=args.max_iters, kkt_tol=args.kkt_tol, restarts=args.restarts,
                                         seed=args.seed)
     problem = _load_problem(args.input)
     out = _output_dir(args.out)

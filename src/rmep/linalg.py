@@ -168,7 +168,8 @@ def smallest_singular_vector(a, start=None) -> np.ndarray:
     real A.  A copy of A is scaled by `unit_scaled` first, so G neither
     underflows nor overflows and a subnormal A keeps its full precision.
     """
-    a = unit_scaled(as_matrix(a).astype(np.complex128, copy=False))
+    a = as_matrix(a).astype(np.complex128, copy=False)
+    unit_scaled(a)
     n = a.shape[1]
     if a.shape[0] < n:
         raise ValidationError(f"expected a tall matrix, got {a.shape}")
@@ -184,21 +185,22 @@ def smallest_singular_vector(a, start=None) -> np.ndarray:
     return np.linalg.svd(a, full_matrices=False)[2][-1].conj() if x is None else x
 
 
-def unit_scaled(a: np.ndarray) -> np.ndarray:
-    """Scale `a`, a C- or Fortran-ordered array that the caller owns, in
-    place by the power of two that brings its largest entry modulus into
-    [1/2, 1), and return it.  np.ldexp on the real and imaginary parts makes
-    the scaling exact (an entry that drops below the normal range rounds),
-    also for subnormal input, and a zero array stays zero.  A finite complex
-    entry whose modulus overflows takes its exponent from its largest part,
-    plus one, so the largest modulus lands in [1/4, 1)."""
+def unit_scaled(*arrays: np.ndarray) -> int:
+    """Scale `arrays`, C- or Fortran-ordered arrays that the caller owns, in
+    place by one power of two 2^-e, the one that brings their largest entry
+    modulus into [1/2, 1), and return e.  np.ldexp on the real and imaginary
+    parts makes the scaling exact (an entry that drops below the normal
+    range rounds), also for subnormal input, and zero arrays stay zero with
+    e = 0.  A finite complex entry whose modulus overflows gives e from the
+    largest part, plus one, so the largest modulus lands in [1/4, 1)."""
     # One pass over a float64 view of both parts: separate passes over the
     # strided .real and .imag views took twice as long.
-    parts = (a.T if a.flags.f_contiguous else a).view(np.float64)
-    peak = np.abs(a).max()
-    exponent = math.frexp(peak)[1] if math.isfinite(peak) else math.frexp(np.abs(parts).max())[1] + 1
-    np.ldexp(parts, -exponent, out=parts)
-    return a
+    parts = [(a.T if a.flags.f_contiguous else a).view(np.float64) for a in arrays]
+    peak = max(np.abs(a).max() for a in arrays)
+    exponent = math.frexp(peak)[1] if math.isfinite(peak) else math.frexp(max(np.abs(p).max() for p in parts))[1] + 1
+    for p in parts:
+        np.ldexp(p, -exponent, out=p)
+    return exponent
 
 
 def _shifted_inverse_iteration(a, x):

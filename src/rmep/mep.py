@@ -152,7 +152,9 @@ def solve_mep(problem: MepProblem, seed: int = 0) -> list[EigenTuple]:
     scaled by `linalg.unit_scaled`, so tuples and vectors do not depend on
     the scale of the data.
     """
-    scaled = (unit_scaled(blk.coeffs.copy()) for blk in problem.blocks)
+    scaled = [blk.coeffs.copy() for blk in problem.blocks]
+    for c in scaled:
+        unit_scaled(c)
     problem = MepProblem(blocks=tuple(EquationBlock(a=c[0], b=tuple(c[1:])) for c in scaled))
     rows = solve_from_determinants(operator_determinants(problem), seed=seed)
     vectors = tuples_from_pencils(problem, pencil_coefficients(rows)[1])

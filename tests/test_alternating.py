@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmep.alternating import (
@@ -33,6 +33,23 @@ from conftest import EPS, crandn, frobenius_distance, random_problem
 
 def scalar_problem():
     return RmepProblem(blocks=(EquationBlock(a=[[2.0], [0.0]], b=([[1.0], [0.0]],)),))
+
+
+def scaled_problem(problem, e):
+    """The problem with every block multiplied by 2^e, exactly."""
+    scaled = (np.ldexp(blk.coeffs.real, e) + 1j * np.ldexp(blk.coeffs.imag, e) for blk in problem.blocks)
+    return RmepProblem(blocks=tuple(EquationBlock(a=c[0], b=tuple(c[1:])) for c in scaled))
+
+
+def assert_same_run(run, ref):
+    """Two solve_one results have bitwise the same value, vectors, KKT
+    trace, sweep count and status."""
+    (tup, _, trace), (tup_ref, _, trace_ref) = run, ref
+    assert tup.value.gamma == tup_ref.value.gamma
+    assert tup.value.alphas.tobytes() == tup_ref.value.alphas.tobytes()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(tup.vectors, tup_ref.vectors))
+    assert np.array(trace.kkt).tobytes() == np.array(trace_ref.kkt).tobytes()
+    assert (trace.iterations, trace.status) == (trace_ref.iterations, trace_ref.status)
 
 
 class TestBuildPencil:
@@ -182,7 +199,7 @@ class TestSolveOne:
         p = random_problem(rng, 3, 3, 2, square=True)
         sol = solve_mep(p, seed=0)[0]
         lam = dehomogenize(sol.value)
-        cfg = AlternatingConfig(initial_lambdas=tuple(lam), max_iters=3, rel_tol=1e-12)
+        cfg = AlternatingConfig(initial_lambdas=tuple(lam), max_iters=3)
         tup, _, trace = solve_one(p, cfg)
         # theta is the smallest eigenvalue of the Gram matrix; even at an exact
         # fixed point eigh cannot report it below the eps * ||H|| roundoff floor
@@ -201,21 +218,38 @@ class TestSolveOne:
             for a, b in zip(th, th[1:]):
                 assert b <= a + 1e2 * EPS * (1.0 + a)
 
-    def test_loose_tolerance_reports_stagnation(self):
-        # rel_tol = 0.5 stops after two sweeps, far from first-order optimality
+    def test_short_budget_reports_budget_exhausted(self):
+        # Two sweeps end far from first-order optimality, and the run says so.
         p = random_problem(np.random.default_rng(0), 20, 15, 2)
-        _, _, trace = solve_one(p, AlternatingConfig(rel_tol=0.5))
-        assert trace.status == "stagnated"
-        assert trace.final_kkt > 1e-4
+        cfg = AlternatingConfig(max_iters=2)
+        _, _, trace = solve_one(p, cfg)
+        assert trace.status == "budget-exhausted" and trace.iterations == 2
+        assert trace.final_kkt > cfg.kkt_tol
         th = trace.objectives
         for a, b in zip(th, th[1:]):
             assert b <= a + 1e2 * EPS * (1.0 + a)
 
-    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 0.0, -1e-6])
-    def test_rel_tol_must_be_positive_and_finite(self, rel_tol):
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        extra=st.integers(0, 4),
+        max_iters=st.integers(1, 60),
+        kkt_tol=st.sampled_from([1e-3, 1e-5, 1e-8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tol_met_exactly_when_final_kkt_meets_kkt_tol(self, n, extra, max_iters, kkt_tol, seed):
+        p = random_problem(np.random.default_rng(seed), n + extra, n, 2)
+        _, _, trace = solve_one(p, AlternatingConfig(max_iters=max_iters, kkt_tol=kkt_tol))
+        assert (trace.status == "tol-met") == (trace.final_kkt <= kkt_tol)
+        assert trace.status == "tol-met" or trace.status == "budget-exhausted" and trace.iterations == max_iters
+        # The run stops at the first sweep that meets the tolerance.
+        assert all(kkt > kkt_tol for kkt in trace.kkt[:-1])
+
+    @pytest.mark.parametrize("kkt_tol", [float("nan"), float("inf"), 0.0, -1e-6])
+    def test_kkt_tol_must_be_positive_and_finite(self, kkt_tol):
         # NaN would never meet the stop rule and inf would meet it at once
-        with pytest.raises(ValidationError, match="rel_tol"):
-            AlternatingConfig(rel_tol=rel_tol)
+        with pytest.raises(ValidationError, match="kkt_tol"):
+            AlternatingConfig(kkt_tol=kkt_tol)
 
     def test_infimum_at_infinite_eigenvalue(self):
         # B's zero second column lets gamma -> 0 drive the defect to zero, so
@@ -255,6 +289,38 @@ class TestSolveOne:
         assert all(np.array_equal(x1, x2) for x1, x2 in zip(t1.vectors, t2.vectors))
         assert np.array_equal(t1.value.alphas, t2.value.alphas) and t1.value.gamma == t2.value.gamma
         assert pset1.cost == pset2.cost
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(1, 2),
+        n=st.integers(1, 6),
+        extra=st.integers(0, 3),
+        e=st.integers(-300, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=2, n=15, extra=5, e=-10, seed=1)
+    def test_runs_are_bitwise_scale_free(self, k, n, extra, e, seed):
+        # solve_one works on one power-of-two-scaled copy, so a problem
+        # scaled by 2^e runs the same sweeps and stops at the same one.
+        p = random_problem(np.random.default_rng(seed), n + extra, n, k)
+        ref = solve_one(p)
+        run = solve_one(scaled_problem(p, e))
+        assert_same_run(run, ref)
+        assert run[0].residual == ref[0].residual and run[0].block_residuals == ref[0].block_residuals
+        assert run[2].objectives == np.ldexp(ref[2].objectives, 2 * e).tolist()
+
+    def test_run_at_2_to_the_minus_565_is_bitwise_scale_ones(self):
+        # The Gram matrices of the problem itself would underflow here: theta
+        # ~ 4^-565 is below float64's range, so the objectives read 0.
+        p = random_problem(np.random.default_rng(1), 6, 4, 2)
+        ref = solve_one(p)
+        run = solve_one(scaled_problem(p, -565))
+        assert_same_run(run, ref)
+        assert run[2].objectives == np.ldexp(ref[2].objectives, -1130).tolist()
+        # rho takes the problem's own 2-norms, which numpy's SVD computes here
+        # after a rescale of its own that is not a power of two; one of them is
+        # 1 ulp off, which the KKT residual's sums of squares absorb here.
+        assert abs(run[0].residual - ref[0].residual) <= 4 * EPS * ref[0].residual
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -307,7 +373,7 @@ class TestKktResidual:
     def test_grows_with_vector_perturbation(self):
         rng = np.random.default_rng(9)
         p = random_problem(rng, 8, 4, 1)
-        tup, _, _ = solve_one(p, AlternatingConfig(max_iters=500, rel_tol=1e-14))
+        tup, _, _ = solve_one(p, AlternatingConfig(max_iters=500, kkt_tol=1e-12))
         x = tup.vectors[0]
         d = crandn(rng, 4)
         d -= (x.conj() @ d) * x
@@ -418,7 +484,7 @@ class TestRgepSpecialization:
         thetas, accepted, rejected = _reference_loop([(a, (b,))], 25)
         assert accepted >= 1 and rejected >= 1
 
-        cfg = AlternatingConfig(max_iters=25, rel_tol=1e-300)
+        cfg = AlternatingConfig(max_iters=25, kkt_tol=1e-300)
         _, _, trace = solve_one(p, cfg)
         assert len(trace.objectives) == 25
         assert trace.extrapolations == accepted
@@ -433,7 +499,7 @@ class TestRgepSpecialization:
         thetas, accepted, rejected = _reference_loop([(blk.a, blk.b) for blk in p.blocks], 25)
         assert accepted >= 1 and rejected >= 1
 
-        cfg = AlternatingConfig(max_iters=25, rel_tol=1e-300)
+        cfg = AlternatingConfig(max_iters=25, kkt_tol=1e-300)
         _, _, trace = solve_one(p, cfg)
         assert len(trace.objectives) == 25
         assert trace.extrapolations == accepted

@@ -15,7 +15,7 @@ import rmep.mep
 import rmep.spectral
 import rmep.tsvd
 from rmep.cli import _build_parser, _relative_errors, main
-from rmep.model import EquationBlock, RmepProblem, dehomogenize, random_planted_problem
+from rmep.model import EquationBlock, MepProblem, RmepProblem, dehomogenize, random_planted_problem
 from rmep.serialization import save_binary, save_json, to_json_dict
 
 from conftest import shared_b_problem
@@ -67,9 +67,8 @@ def test_solve_one_artifacts(tmp_path, monkeypatch):
     inp = tmp_path / "problem.json"
     save_json(p, inp)
     runs = spy(monkeypatch, rmep.alternating, "solve_one")
-    # the objective-change rule stops near 2 * rel_tol on consistent problems,
-    # so drive the tolerance down to reach the roundoff floor
-    rc = main(["solve-one", str(inp), "--rel-tol", "1e-13", "--out", str(tmp_path), "--no-timestamp"])
+    # a tight KKT tolerance runs on to the roundoff floor of a consistent problem
+    rc = main(["solve-one", str(inp), "--kkt-tol", "1e-10", "--out", str(tmp_path), "--no-timestamp"])
     assert rc == 0
     header, data = read_csv(tmp_path / "trace.csv")
     assert header == ["iter", "theta1", "eps_kkt"]
@@ -80,7 +79,7 @@ def test_solve_one_artifacts(tmp_path, monkeypatch):
     assert bits(r[1] for r in data) == bits(trace.objectives)
     assert bits(r[2] for r in data) == bits(trace.kkt)
     doc = json.loads((tmp_path / "eigen_tuple.json").read_text())
-    assert doc["status"] in ("tol-met", "stagnated", "budget-exhausted")
+    assert doc["status"] in ("tol-met", "budget-exhausted")
     assert doc["lambdas"] is not None
 
 
@@ -261,14 +260,27 @@ def test_missing_input_is_config_error(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("rel_tol", ["nan", "inf"])
-def test_solve_one_rejects_non_finite_rel_tol(tmp_path, capsys, rel_tol):
+@pytest.mark.parametrize("kkt_tol", ["nan", "inf"])
+def test_solve_one_rejects_non_finite_kkt_tol(tmp_path, capsys, kkt_tol):
     p, _ = random_planted_problem([8, 8], [2, 2], 0.0, seed=4)
     inp = tmp_path / "p.json"
     save_json(p, inp)
     out = tmp_path / "out"
-    assert main(["solve-one", str(inp), "--rel-tol", rel_tol, "--out", str(out)]) == 2
-    assert "rel_tol must be positive and finite" in capsys.readouterr().err
+    assert main(["solve-one", str(inp), "--kkt-tol", kkt_tol, "--out", str(out)]) == 2
+    assert "kkt_tol must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [(["--max-iters", "0"], "max_iters must be >= 1"),
+                                            (["--restarts", "-1"], "restarts must be >= 0")],
+                         ids=["max-iters", "restarts"])
+def test_solve_one_rejects_bad_budget(tmp_path, capsys, flags, message):
+    p, _ = random_planted_problem([8, 8], [2, 2], 0.0, seed=4)
+    inp = tmp_path / "p.json"
+    save_json(p, inp)
+    out = tmp_path / "out"
+    assert main(["solve-one", str(inp), *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -319,6 +331,16 @@ def test_capacity_error_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_singular_pencil_exit_code(tmp_path, capsys):
+    # Every pencil of the zero problem is singular.
+    zero = np.zeros((2, 2))
+    save_json(MepProblem(blocks=tuple(EquationBlock(a=zero, b=(zero, zero)) for _ in range(2))), tmp_path / "p.json")
+    assert main(["solve-complete", str(tmp_path / "p.json"), "--out", str(tmp_path), "--no-timestamp"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the pencil is singular")
+    assert not (tmp_path / "complete_set.csv").exists()
+
+
 def test_deterministic_artifacts(tmp_path):
     args = [
         "bench-random", "--m", "10", "--n", "3", "--k", "2", "--sigmas", "0,0.1",
@@ -366,9 +388,12 @@ def test_config_file_defaults(tmp_path):
         # a number option takes no string either; only --sigmas parses its own
         (["ode-mathieu"], {"alpha": "4"}, "--alpha expects a number, got '4'"),
         (["bench-random", "--seed", "1"], {"sigmas": ["0.1"]}, "--sigmas expects a number, got '0.1'"),
+        # an integer too large for a float
+        (["ode-mathieu"], {"alpha": 10**400}, "--alpha expects a number, got 1000"),
     ],
     ids=["bench-seed", "bench-trials", "mathieu-alpha", "sl-n1", "trials-float", "seed-bool", "trials-string",
-         "max-iters-float", "alpha-bool", "sigmas-bool", "no-timestamp-string", "alpha-string", "sigmas-list-string"],
+         "max-iters-float", "alpha-bool", "sigmas-bool", "no-timestamp-string", "alpha-string", "sigmas-list-string",
+         "alpha-overflow"],
 )
 def test_config_values_of_wrong_type_are_config_errors(tmp_path, capsys, command, config, message):
     if "INPUT" in command:
@@ -379,6 +404,20 @@ def test_config_values_of_wrong_type_are_config_errors(tmp_path, capsys, command
     cfg.write_text(json.dumps(config))
     assert main(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("content, message", [(None, "cannot read config file"),
+                                              ("[1, 2]", "config file must hold a JSON object")],
+                         ids=["directory", "list"])
+def test_unusable_config_file_is_config_error(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    if content is None:
+        cfg.mkdir()
+    else:
+        cfg.write_text(content)
+    assert main(["ode-sl", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not list(tmp_path.glob("*.csv"))
 
 

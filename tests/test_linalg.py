@@ -223,7 +223,8 @@ class TestSmallestSingularVector:
         tiny = np.ldexp(a.real, exponent) + 1j * np.ldexp(a.imag, exponent)
         assert np.abs(tiny).max() < np.finfo(np.float64).tiny
         x = smallest_singular_vector(tiny)
-        up = linalg.unit_scaled(tiny.copy())
+        up = tiny.copy()
+        linalg.unit_scaled(up)
         s = svd(up).singular_values
         assert abs(np.linalg.norm(up @ x) - s[-1]) <= 1e-12 * s[0]
 
@@ -231,7 +232,8 @@ class TestSmallestSingularVector:
         # |1.5e308 (1 + i)| overflows although both parts are finite, so the
         # scale comes from the largest part: the modulus lands in [1/4, 1).
         a = np.array([[1.5e308 + 1.5e308j, 1], [0.5, 2], [1, 1]])
-        up = linalg.unit_scaled(a.copy())
+        up = a.copy()
+        linalg.unit_scaled(up)
         assert 0.25 <= np.abs(up).max() < 1.0
         assert np.log2(up[1, 1].real / a[1, 1].real).is_integer()
         x = smallest_singular_vector(a)
@@ -309,10 +311,25 @@ def test_unit_scaled_is_exact_and_in_place(complex_input, order):
     a = 3.0e-200 * (crandn(rng, 5, 3) if complex_input else rng.standard_normal((5, 3)))
     a = np.asarray(a, order=order)
     before = a.copy()
-    assert linalg.unit_scaled(a) is a and 0.5 <= np.abs(a).max() < 1.0
-    scale = a[0, 0].real / before[0, 0].real
-    assert np.log2(scale).is_integer() and np.array_equal(before * scale, a)
-    assert not linalg.unit_scaled(np.zeros((2, 2), dtype=a.dtype)).any()
+    e = linalg.unit_scaled(a)
+    assert 0.5 <= np.abs(a).max() < 1.0
+    assert np.array_equal(np.ldexp(before.real, -e) + 1j * np.ldexp(before.imag, -e), a)
+    zeros = np.zeros((2, 2), dtype=a.dtype)
+    assert linalg.unit_scaled(zeros) == 0 and not zeros.any()
+
+
+def test_unit_scaled_takes_one_exponent_for_several_arrays():
+    # The largest entry over all arrays sets the one exponent, also when it
+    # comes from an overflowing complex modulus.
+    rng = np.random.default_rng(21)
+    small, large = 1e-30 * crandn(rng, 4, 3), 1e30 * crandn(rng, 2, 5, 3)
+    for arrays in ((small, large), (small, np.array([[1.5e308 + 1.5e308j]]))):
+        before = [a.copy() for a in arrays]
+        e = linalg.unit_scaled(*arrays)
+        assert 0.25 <= max(np.abs(a).max() for a in arrays) < 1.0
+        assert e == max(linalg.unit_scaled(b.copy()) for b in before)
+        for a, b in zip(arrays, before):
+            assert np.array_equal(np.ldexp(b.real, -e) + 1j * np.ldexp(b.imag, -e), a)
 
 
 @pytest.fixture
@@ -409,6 +426,29 @@ class TestGep:
         res = gep(a, b)
         assert len(qz_calls) == 1
         assert max(pencil_backward_errors(a, b, res)) <= GEP_BACKWARD_RTOL
+
+    def test_overflowing_standard_form_takes_qz(self, qz_calls, monkeypatch):
+        # B is invertible, but B^{-1} A holds 1e10 / 1e-300 = inf, which goes
+        # to QZ without a standard eig call.
+        eig, eig_calls = linalg.sla.eig, []
+        monkeypatch.setattr(linalg.sla, "eig", lambda *args, **kwargs: eig_calls.append(args) or eig(*args, **kwargs))
+        res = gep(np.diag([1.0, 1e10]), np.diag([1.0, 1e-300]))
+        assert len(qz_calls) == 1 and [len(args) for args in eig_calls] == [2]
+        assert np.array_equal(res.alpha, [1.0, 1e10]) and np.array_equal(res.beta, [1.0, 1e-300])
+
+    def test_failed_standard_eig_takes_qz(self, qz_calls, monkeypatch):
+        eig, failures = linalg.sla.eig, []
+
+        def failing_once(*args, **kwargs):
+            if not failures:
+                failures.append(args)
+                raise linalg.sla.LinAlgError("eig did not converge")
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(linalg.sla, "eig", failing_once)
+        res = gep(np.diag([1.0, 2.0]), np.diag([1.0, 4.0]))
+        assert len(failures) == 1 and len(qz_calls) == 1
+        assert np.allclose(res.alpha / res.beta, [1.0, 0.5], rtol=0, atol=1e-15)
 
     def test_real_pencil_with_conjugate_pairs_takes_standard_path(self, qz_calls):
         rng = np.random.default_rng(17)

@@ -136,6 +136,29 @@ def test_binary_rejects_truncation(tmp_path):
         load_binary(path)
 
 
+def test_json_rejects_a_matrix_of_the_wrong_length():
+    doc = to_json_dict(random_problem(np.random.default_rng(7), 4, 3, 2))
+    doc["blocks"][1]["a"].pop()
+    with pytest.raises(ValidationError, match="matrix payload has 23 doubles, expected 24"):
+        from_json_dict(doc)
+
+
+def test_json_rejects_an_extra_parameter_matrix():
+    doc = to_json_dict(random_problem(np.random.default_rng(8), 4, 3, 2))
+    for block in doc["blocks"]:
+        block["b"].append(block["a"])
+    with pytest.raises(ValidationError, match="^block has 3 parameter matrices, expected 2$"):
+        from_json_dict(doc)
+
+
+def test_binary_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "p.bin"
+    save_binary(random_problem(np.random.default_rng(9), 4, 3, 2), path)
+    path.write_bytes(path.read_bytes() + bytes(16))
+    with pytest.raises(ValidationError, match="trailing bytes after the last block"):
+        load_binary(path)
+
+
 def test_json_is_plain_json(tmp_path):
     rng = np.random.default_rng(5)
     p = random_problem(rng, 3, 2, 1)
