@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import smallest_singular_vector, unit_scaled
+from .linalg import one_numpy_blas_thread, smallest_singular_vector, unit_scaled
 from .model import (
     EigenTuple,
     EquationBlock,
@@ -98,6 +98,8 @@ class AlternatingConfig:
             raise ValidationError(f"kkt_tol must be positive and finite, got {self.kkt_tol}")
         if self.restarts < 0:
             raise ValidationError("restarts must be >= 0")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -121,22 +123,26 @@ class AlternatingTrace:
         return self.kkt[-1] if self.kkt else None
 
 
-def _vector_step(problem: RmepProblem, value: HomogeneousEigenvalue, xs=None):
-    """Optimal unit vectors for fixed value.
+def _pencils(problem: RmepProblem, value: HomogeneousEigenvalue) -> list[np.ndarray]:
+    """The block pencils R_i(v) = gamma A_i - sum_s alpha_s B_is at value v."""
+    return [blk.pencil(value.coefficients) for blk in problem.blocks]
 
-    Each x_i is the right singular vector of R_i(v) = gamma A_i - sum_s
-    alpha_s B_is for its smallest singular value, found by shifted inverse
-    iteration on R_i^H R_i.  xs[i] (the previous sweep's vector), or
-    n^-1/2 (1, ..., 1) when `xs` is None, gives only the start and the
-    phase: the shift makes two steps enough from almost any start.  So
-    ||R_i x_i||^2 is the minimum to within a rounding-sized slack, and x_i
-    is the SVD's vector up to a unit phase unless the two smallest squared
-    singular values tie within that slack; the objective never rises.  The
-    result depends only on the pencil and the start, so runs repeat
-    bitwise.
+
+def _vector_step(pencils, xs=None):
+    """Optimal unit vectors for fixed value v, from its `_pencils`.
+
+    Each x_i is the right singular vector of R_i(v) for its smallest
+    singular value, found by shifted inverse iteration on R_i^H R_i.  xs[i]
+    (the previous sweep's vector), or n^-1/2 (1, ..., 1) when `xs` is None,
+    gives only the start and the phase: the shift makes two steps enough
+    from almost any start.  So ||R_i x_i||^2 is the minimum to within a
+    rounding-sized slack, and x_i is the SVD's vector up to a unit phase
+    unless the two smallest squared singular values tie within that slack;
+    the objective never rises.  The result depends only on the pencil and
+    the start, so runs repeat bitwise.
     """
-    starts = [None] * problem.k if xs is None else xs
-    return [smallest_singular_vector(blk.pencil(value.coefficients), x) for blk, x in zip(problem.blocks, starts)]
+    starts = [None] * len(pencils) if xs is None else xs
+    return [smallest_singular_vector(r, x) for r, x in zip(pencils, starts)]
 
 
 def build_gram(problem: RmepProblem, xs) -> np.ndarray:
@@ -167,10 +173,14 @@ def kkt_residual(problem: RmepProblem, v: HomogeneousEigenvalue, xs, h) -> float
 
     with w_i = ||R_i x_i||^2, w = v^H H v and xi_i = ||A_i||_2^2 + sum_s ||B_is||_2^2.
     """
+    return _kkt_residual(problem, _pencils(problem, v), v, xs, h)
+
+
+def _kkt_residual(problem, pencils, v, xs, h) -> float:
+    """`kkt_residual` with the pencils R_i(v) already formed."""
     xis = [norm_a**2 + sum(nb**2 for nb in norms_b) for norm_a, norms_b in problem.spectral_norms]
     total = 0.0
-    for blk, x, xi in zip(problem.blocks, xs, xis):
-        r = blk.pencil(v.coefficients)
+    for r, x, xi in zip(pencils, xs, xis):
         rx = r @ x
         omega = float(np.linalg.norm(rx) ** 2)
         total += np.linalg.norm(r.conj().T @ rx - x * omega) / xi
@@ -209,8 +219,10 @@ def _run(problem, value, cfg):
     trace = AlternatingTrace()
     xs = kept = None
     beta = BETA_START
+    # A sweep's KKT check and the next sweep's vector step share the pencils.
+    pencils = _pencils(problem, value)
     for _ in range(cfg.max_iters):
-        xs = _vector_step(problem, value, xs)
+        xs = _vector_step(pencils, xs)
         h = build_gram(problem, xs)
         theta, value = best_value(h)
         if kept is not None:
@@ -227,13 +239,15 @@ def _run(problem, value, cfg):
                 beta = max(beta / 2.0, BETA_MIN)
         kept = xs
         trace.objectives.append(theta)
-        trace.kkt.append(kkt_residual(problem, value, xs, h))
+        pencils = _pencils(problem, value)
+        trace.kkt.append(_kkt_residual(problem, pencils, value, xs, h))
         if trace.kkt[-1] <= cfg.kkt_tol:
             trace.status = STATUS_TOL
             break
     return value, xs, trace
 
 
+@one_numpy_blas_thread
 def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None):
     """Alternate both half-steps until the first sweep whose KKT residual
     (`kkt_residual`) is at most `cfg.kkt_tol` (status tol-met), or for

@@ -62,7 +62,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .linalg import EPS, gep, svd, unit_scaled
+from .linalg import EPS, gemm, gep, one_numpy_blas_thread, svd, unit_scaled
 from .model import EigenTuple, EquationBlock, HomogeneousEigenvalue, MepProblem, RmepProblem, normalize_homogeneous, pencil_coefficients
 
 __all__ = [
@@ -141,6 +141,7 @@ def _random_combination(matrices, rng):
     return sum(wj * dj for wj, dj in zip(w, matrices))
 
 
+@one_numpy_blas_thread
 def solve_mep(problem: MepProblem, seed: int = 0) -> list[EigenTuple]:
     """All N = n_1*...*n_k tuples of a square problem, multiplicities kept,
     each with the null vectors of its own pencils (residual None): the
@@ -190,17 +191,18 @@ def solve_from_determinants(deltas: OperatorDeterminants, seed: int = 0) -> np.n
     a = _random_combination(deltas.matrices, rng)
     pencil = gep(a, mass)
     z_all, w_all = pencil.right, pencil.left
-    # One product D_j Z per j, in one reused buffer, gives both numerators of
-    # every tuple: the two-sided w^H D_j z and the least-squares (M z)^H D_j z.
-    mz_all = mass @ z_all
+    # One product D_j Z per j, in one reused F-ordered buffer, gives both
+    # numerators of every tuple: the two-sided w^H D_j z and the
+    # least-squares (M z)^H D_j z.  The products are scipy's gemm, in the
+    # pool that ran the eigensolve.
+    mz_all = gemm(mass, z_all)
     buf = np.empty_like(mz_all)
     wmz = _column_vdots(w_all, mz_all, buf)
     mz_norms = np.sqrt(_column_vdots(mz_all, mz_all, buf).real)
     values = np.empty((z_all.shape[1], len(deltas.matrices)), dtype=np.complex128)
     least_squares = np.empty_like(values)
     for j, dj in enumerate(deltas.matrices):
-        np.matmul(dj, z_all, out=buf)
-        np.conjugate(buf, out=buf)
+        np.conjugate(gemm(dj, z_all, out=buf), out=buf)
         least_squares[:, j] = np.einsum("ij,ij->j", buf, mz_all).conj()
         buf *= w_all
         values[:, j] = buf.sum(axis=0).conj()

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfiniteEigenvalueError, ValidationError
-from .linalg import as_matrix
+from .linalg import as_matrix, unit_scaled
 
 __all__ = [
     "EquationBlock",
@@ -147,10 +147,13 @@ class RmepProblem:
     @cached_property
     def spectral_norms(self) -> tuple[tuple[float, tuple[float, ...]], ...]:
         # Residual denominators are evaluated once per tuple; cache the 2-norms,
-        # one batched norm per block.
+        # one batched norm per block, taken at unit scale and scaled back: LAPACK
+        # rescales input far from unit scale by factors that are not powers of two.
         out = []
         for blk in self.blocks:
-            norm_a, *norms_b = np.linalg.norm(blk.coeffs, 2, axis=(1, 2)).tolist()
+            coeffs = blk.coeffs.copy()
+            e = unit_scaled(coeffs)
+            norm_a, *norms_b = (math.ldexp(v, e) for v in np.linalg.norm(coeffs, 2, axis=(1, 2)).tolist())
             out.append((norm_a, tuple(norms_b)))
         return tuple(out)
 

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import mep
-from .linalg import singular_values, svd
+from .linalg import one_numpy_blas_thread, singular_values, svd
 from .model import (
     EigenTuple,
     EquationBlock,
@@ -205,6 +205,7 @@ class CompleteSet(Sequence):
         return out
 
 
+@one_numpy_blas_thread
 def solve_complete(problem: RmepProblem, seed: int = 0) -> CompleteSet:
     """All N approximate eigen-tuples, ranked by ascending total residual.
 

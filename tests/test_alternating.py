@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from rmep.alternating import (
     AlternatingConfig,
     AlternatingTrace,
+    _pencils,
     _vector_step,
     best_value,
     build_gram,
@@ -78,7 +79,7 @@ class TestBestVectors:
         a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         p = RmepProblem(blocks=(EquationBlock(a=a, b=(np.zeros((3, 2)),)),))
         v = HomogeneousEigenvalue(gamma=1.0, alphas=[0.0])
-        (x,) = _vector_step(p, v)
+        (x,) = _vector_step(_pencils(p, v))
         assert abs(abs(x[1]) - 1.0) < 1e-13
 
     def test_symmetric_pencil_first_sweep(self):
@@ -87,14 +88,14 @@ class TestBestVectors:
         a = np.array([[2.0, 1.0], [1.0, 2.0], [0.0, 0.0]])
         p = RmepProblem(blocks=(EquationBlock(a=a, b=(np.zeros((3, 2)),)),))
         v = HomogeneousEigenvalue(gamma=1.0, alphas=[0.0])
-        (x,) = _vector_step(p, v)
+        (x,) = _vector_step(_pencils(p, v))
         assert abs(np.linalg.norm(a @ x) - 1.0) < 1e-14
 
     def test_achieves_smallest_singular_value(self):
         rng = np.random.default_rng(2)
         p = random_problem(rng, 5, 3, 2)
         v = homogenize(crandn(rng, 2))
-        xs = _vector_step(p, v)
+        xs = _vector_step(_pencils(p, v))
         for i, x in enumerate(xs):
             r = p.blocks[i].pencil(v.coefficients)
             smin = svd(r).singular_values[-1]
@@ -105,8 +106,8 @@ class TestBestVectors:
         # first sweep must return the same choice every time
         p = RmepProblem(blocks=(EquationBlock(a=np.eye(3), b=(np.zeros((3, 3)),)),))
         v = HomogeneousEigenvalue(gamma=1.0, alphas=[0.0])
-        (x1,) = _vector_step(p, v)
-        (x2,) = _vector_step(p, v)
+        (x1,) = _vector_step(_pencils(p, v))
+        (x2,) = _vector_step(_pencils(p, v))
         assert np.array_equal(x1, x2)
         assert abs(np.linalg.norm(np.eye(3) @ x1) - 1.0) < 1e-14
 
@@ -115,7 +116,7 @@ class TestBestVectors:
         rng = np.random.default_rng(3)
         p = random_problem(rng, 6, 3, 2)
         v = homogenize(crandn(rng, 2))
-        xs = _vector_step(p, v)
+        xs = _vector_step(_pencils(p, v))
         base = sum(np.linalg.norm(p.blocks[i].pencil(v.coefficients) @ x) ** 2 for i, x in enumerate(xs))
         for _ in range(200):
             ys = [crandn(rng, 3) for _ in range(2)]
@@ -250,6 +251,12 @@ class TestSolveOne:
         # NaN would never meet the stop rule and inf would meet it at once
         with pytest.raises(ValidationError, match="kkt_tol"):
             AlternatingConfig(kkt_tol=kkt_tol)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # before the check, numpy's ValueError (-1) or SeedSequence's TypeError (1.5)
+        with pytest.raises(ValidationError, match="seed"):
+            AlternatingConfig(seed=seed, restarts=1)
 
     def test_infimum_at_infinite_eigenvalue(self):
         # B's zero second column lets gamma -> 0 drive the defect to zero, so
@@ -402,7 +409,7 @@ class TestReconstructPerturbation:
         p = random_problem(rng, 6, 4, 2)
         lam = crandn(rng, 2)
         value = homogenize(lam)
-        xs = _vector_step(p, value)
+        xs = _vector_step(_pencils(p, value))
         pset = reconstruct_perturbation(p, value, xs)
         for blk, x in zip(pset.blocks, xs):
             r = blk.a @ x - sum(l * (bi @ x) for l, bi in zip(lam, blk.b))

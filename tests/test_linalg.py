@@ -1,9 +1,16 @@
+import ctypes
+import importlib
+import os
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rmep import linalg
+from rmep import alternating, cli, linalg, mep, tsvd
 from rmep.errors import ValidationError
 from rmep.linalg import (
     GEP_BACKWARD_RTOL,
@@ -15,7 +22,7 @@ from rmep.linalg import (
     svd,
 )
 
-from conftest import EPS, crandn, match_multisets
+from conftest import EPS, crandn, match_multisets, random_problem
 
 
 class TestSvd:
@@ -534,3 +541,142 @@ def test_as_matrix_rejects_vectors():
     with pytest.raises(ValidationError):
         as_matrix(np.ones(3))
 
+
+@pytest.mark.parametrize("a_order", ["C", "F"])
+@pytest.mark.parametrize("z_order", ["C", "F"])
+@pytest.mark.parametrize("dtypes", [(np.float64, np.float64), (np.float64, np.complex128), (np.complex128, np.complex128)])
+def test_gemm_matches_matmul_in_any_layout(a_order, z_order, dtypes):
+    rng = np.random.default_rng(21)
+    a, z = (np.asarray(crandn(rng, 7, 7) if dt is np.complex128 else rng.standard_normal((7, 7)), order=order)
+            for dt, order in zip(dtypes, (a_order, z_order)))
+    expected = a @ z
+    assert np.allclose(linalg.gemm(a, z), expected, rtol=0, atol=1e2 * EPS * np.abs(expected).max())
+    out = np.empty((7, 7), dtype=expected.dtype, order="F")
+    assert linalg.gemm(a, z, out=out) is out  # written in place, no copy
+    assert np.array_equal(out, linalg.gemm(a, z))
+
+
+def _bundled_openblas(package):
+    """(set, get) of the thread count of the OpenBLAS that a package's wheel
+    bundles, if the process has loaded it, else None."""
+    root = Path(importlib.import_module(package).__file__).parent
+    for path in [*root.parent.glob(f"{package}.libs/libscipy_openblas*"), *root.glob(".dylibs/libscipy_openblas*")]:
+        try:
+            lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        get = next(getattr(lib, name) for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
+                   if hasattr(lib, name))
+        set_ = lib.openblas_set_num_threads_local
+        set_.argtypes, set_.restype, get.argtypes, get.restype = [ctypes.c_int], ctypes.c_int, [], ctypes.c_int
+        return set_, get
+    return None
+
+
+@pytest.fixture
+def pools():
+    """(numpy's, scipy's) bundled OpenBLAS as (set, get) pairs, both set to
+    the caller's count of 2 threads for the test and put back after;
+    scipy's is None when it bundles none."""
+    if linalg._numpy_thread_setter() is None:
+        pytest.skip("numpy bundles no OpenBLAS: numpy and scipy share one BLAS, so there is no second pool")
+    libs = _bundled_openblas("numpy"), _bundled_openblas("scipy")
+    before = [lib[0](2) for lib in libs if lib is not None]
+    yield libs
+    for lib, count in zip([lib for lib in libs if lib is not None], before):
+        lib[0](count)
+
+
+def _counts(pools):
+    return tuple(None if lib is None else lib[1]() for lib in pools)
+
+
+def test_every_solve_entry_point_holds_numpy_pool():
+    for entry in (tsvd.solve_complete, mep.solve_mep, alternating.solve_one, cli.main):
+        assert entry.__code__ is linalg.one_numpy_blas_thread(len).__code__, entry.__name__
+
+
+def test_decorated_solve_runs_numpy_on_one_thread_and_scipy_on_the_callers(pools, monkeypatch):
+    seen = []
+    gep_of = mep.gep
+    monkeypatch.setattr(mep, "gep", lambda a, b: seen.append(_counts(pools)) or gep_of(a, b))
+    mep.solve_mep(random_problem(np.random.default_rng(22), 3, 3, 2, square=True))
+    assert seen == [(1, None if pools[1] is None else 2)]
+    assert _counts(pools) == (2, None if pools[1] is None else 2)
+
+
+def test_counts_restored_after_an_exception(pools):
+    problem = random_problem(np.random.default_rng(23), 4, 3, 2)
+    with pytest.raises(ValidationError, match="initial_lambdas"):
+        alternating.solve_one(problem, alternating.AlternatingConfig(initial_lambdas=(1.0,)))
+    assert _counts(pools) == (2, None if pools[1] is None else 2)
+
+
+def test_overlapping_solves_in_two_threads_restore_the_count(pools):
+    # The bundled build's count is process-wide: the pool stays at one thread
+    # while any decorated call runs, and the caller's count comes back when
+    # the last one leaves, whichever thread leaves first.
+    entered = [threading.Event(), threading.Event()]
+    leave = [threading.Event(), threading.Event()]
+    seen = {}
+
+    @linalg.one_numpy_blas_thread
+    def hold(i):
+        entered[i].set()
+        leave[i].wait(10)
+        seen[i] = _counts(pools)[0]
+
+    threads = [threading.Thread(target=hold, args=(i,)) for i in range(2)]
+    threads[0].start()
+    entered[0].wait(10)
+    threads[1].start()
+    entered[1].wait(10)
+    leave[0].set()
+    threads[0].join(10)
+    leave[1].set()
+    threads[1].join(10)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == {0: 1, 1: 1}
+    reader = []
+    other = threading.Thread(target=lambda: reader.append(_counts(pools)[0]))
+    other.start()
+    other.join(10)
+    assert reader == [2] and _counts(pools)[0] == 2
+
+
+def test_many_threads_holding_the_pool_at_once_restore_the_count(pools):
+    # More threads than cores, switching often: a lost update of the holder
+    # count would leave the pool at one thread, or lift it during a call.
+    inside = []
+
+    @linalg.one_numpy_blas_thread
+    def hold():
+        inside.append(_counts(pools)[0])
+
+    def work():
+        for _ in range(200):
+            hold()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert inside == [1] * 1600
+    assert _counts(pools)[0] == 2
+
+
+def test_solve_runs_unchanged_without_a_bundled_openblas(pools, monkeypatch):
+    monkeypatch.setattr(linalg, "_numpy_thread_setter", lambda: None)
+    seen = []
+    gep_of = mep.gep
+    monkeypatch.setattr(mep, "gep", lambda a, b: seen.append(_counts(pools)[0]) or gep_of(a, b))
+    p = random_problem(np.random.default_rng(24), 3, 3, 2, square=True)
+    assert len(mep.solve_mep(p)) == 9
+    assert seen == [2]

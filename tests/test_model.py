@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,17 @@ class TestProblemTypes:
             for blk, (norm_a, norms_b) in zip(p.blocks, p.spectral_norms):
                 assert norm_a == float(np.linalg.norm(blk.a, 2))
                 assert norms_b == tuple(float(np.linalg.norm(b, 2)) for b in blk.b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(e=st.integers(-600, 600))
+    def test_spectral_norms_exact_under_power_of_two_scaling(self, e):
+        # numpy's 2-norm alone was 1 ulp off at 2^-565, 2^-500 and 2^565
+        p = random_problem(np.random.default_rng(1), 6, 4, 2)
+        scale = math.ldexp(1.0, e)  # exact on these normal entries
+        scaled = RmepProblem(blocks=tuple(EquationBlock(a=blk.a * scale, b=tuple(b * scale for b in blk.b))
+                                          for blk in p.blocks))
+        expected = tuple((math.ldexp(na, e), tuple(math.ldexp(nb, e) for nb in nbs)) for na, nbs in p.spectral_norms)
+        assert scaled.spectral_norms == expected
 
     def test_total_dim(self):
         rng = np.random.default_rng(0)
