@@ -13,9 +13,12 @@ exact block minimizers:
     It is computed by inverse iteration on R^H R, shifted to just below
     its smallest eigenvalue and warm-started from the previous sweep's x_i;
     the Cholesky factor of the shifted matrix proves that no singular value
-    lies lower, and the SVD of R answers when the Cholesky fails or the
-    step cap is reached.  So ||R_i x_i||^2 is the minimum to within a
-    rounding-sized slack (`linalg.smallest_singular_vector`);
+    lies lower.  The shift comes from two Rayleigh-quotient-iteration steps
+    from x_i, or from `eigvalsh` in the first sweep and when those steps
+    fail or give a shift with no Cholesky factor; the SVD of R answers
+    when that Cholesky fails too or the step cap is reached.  So
+    ||R_i x_i||^2 is the minimum to within a rounding-sized slack
+    (`linalg.smallest_singular_vector`);
   * for fixed x, theta is the Rayleigh quotient of the (k+1) x (k+1)
     positive semidefinite Gram matrix H = sum_i S_i^H S_i with
     S_i = [A_i x_i, -B_i1 x_i, ..., -B_ik x_i], so the optimal v is the
@@ -133,12 +136,13 @@ def _vector_step(pencils, xs=None):
 
     Each x_i is the right singular vector of R_i(v) for its smallest
     singular value, found by shifted inverse iteration on R_i^H R_i.  xs[i]
-    (the previous sweep's vector), or n^-1/2 (1, ..., 1) when `xs` is None,
-    gives only the start and the phase: the shift makes two steps enough
-    from almost any start.  So ||R_i x_i||^2 is the minimum to within a
-    rounding-sized slack, and x_i is the SVD's vector up to a unit phase
-    unless the two smallest squared singular values tie within that slack;
-    the objective never rises.  The result depends only on the pencil and
+    (the previous sweep's vector) starts two Rayleigh-quotient steps that
+    give the shift, with `eigvalsh` as the fallback; when `xs` is None,
+    `eigvalsh` gives the shift and n^-1/2 (1, ..., 1) the start.  The shift
+    makes two inverse steps enough from almost any start.  So ||R_i x_i||^2
+    is the minimum to within a rounding-sized slack, and x_i is the SVD's
+    vector up to a unit phase unless the two smallest squared singular
+    values tie within that slack; the objective never rises.  The result depends only on the pencil and
     the start, so runs repeat bitwise.
     """
     starts = [None] * len(pencils) if xs is None else xs

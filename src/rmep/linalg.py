@@ -9,9 +9,12 @@ d-prefixed LAPACK routines; complex input runs the z-prefixed ones.
 `smallest_singular_vector` finds one singular vector by warm-started
 inverse iteration on A^H A, shifted to just below its smallest eigenvalue,
 instead of a full SVD; the Cholesky factor of the shifted matrix proves
-that the result is the minimizer.  `unit_scaled`, an exact power-of-two
-scaling, is the one scaling rule of both solvers.  `one_numpy_blas_thread`
-holds numpy's own OpenBLAS pool at one thread while a solve runs.
+that the result is the minimizer.  A warm start takes the shift from two
+Rayleigh-quotient-iteration steps, a cold one (or a failed warm one) from
+`eigvalsh`, and the SVD answers when that fails too.  `unit_scaled`, an
+exact power-of-two scaling, is the one scaling rule of both solvers.
+`one_numpy_blas_thread` holds numpy's own OpenBLAS pool at one thread
+while a solve runs.
 
 `gep` first solves the pencil (A, B) as the standard problem B^{-1} A: one
 LU of B, `scipy.linalg.eig` (`dgeev` or `zgeev`) on B^{-1} A for right and
@@ -221,27 +224,35 @@ def smallest_singular_vector(a, start=None) -> np.ndarray:
 
     Shifted inverse iteration on the Gram matrix G = A^H A, started from
     `start` (default n^-1/2 (1, ..., 1)).  The shift is s = lambda - slack/2,
-    with lambda the smallest eigenvalue of G as `eigvalsh` computes it and
-    slack = MINIMIZER_SLACK * eps * ||A||_F^2; when s < 0, the shift
-    s = -eps * slack is tried first.  A Cholesky factor of G - s I proves
-    that no squared singular value lies below s.  Each step is one `zpotrs`
-    with that factor (both triangular solves), a normalization and a phase
-    alignment to the previous iterate.  The first iterate x with
-    ||A x||^2 <= s + slack is accepted; one more step is returned if it
-    still meets that bound, else x.  From almost any start that takes two
-    steps, since the shift lies within the slack of sigma_min^2.  No step-size test stops it: where
-    several singular values lie within the slack (graded or rank-deficient
-    A), the iterate keeps turning inside that cluster.
+    with slack = MINIMIZER_SLACK * eps * ||A||_F^2 and lambda an estimate of
+    G's smallest eigenvalue; when s < 0, the shift s = -eps * slack is tried
+    first.  A Cholesky factor of G - s I proves that no squared singular
+    value lies below s.  With a `start`, two Rayleigh-quotient-iteration
+    steps (`np.linalg.solve` with G - ||A y||^2 I) give y, or y = start if
+    ||A y|| is larger, and lambda = ||A y||^2.  Without one, or when a solve
+    fails, a step is zero or not finite, or G - s I has no Cholesky factor
+    (the steps found a larger singular value), lambda is G's smallest
+    eigenvalue as `eigvalsh` computes it and y = start: from the uniform
+    start the steps find a larger singular value on almost every call.
+    Each step from y is one `zpotrs` with the factor (both triangular
+    solves), a normalization and a phase alignment to the previous iterate.
+    The first iterate x with ||A x||^2 <= s + slack is accepted; one more
+    step is returned if it still meets that bound, else x.  From almost any
+    start that takes two steps, since the shift lies within the slack of
+    sigma_min^2.  No step-size test stops it: where several singular values
+    lie within the slack (graded or rank-deficient A), the iterate keeps
+    turning inside that cluster.
 
-    A failed Cholesky (lambda computed above sigma_min^2 by more than
-    slack/2), or INVERSE_ITERATION_STEPS steps without acceptance, gives x
-    from the thin SVD of A.  So ||A x||^2 exceeds sigma_min^2 by at most
-    MINIMIZER_SLACK * eps * ||A||_F^2, and x is the SVD's vector to
-    rounding, up to a unit phase, unless the two smallest squared singular
-    values tie within that slack.  For a unit `start`, ||A x|| never exceeds
-    ||A start|| beyond rounding.  It works in complex arithmetic, also on
-    real A.  A copy of A is scaled by `unit_scaled` first, so G neither
-    underflows nor overflows and a subnormal A keeps its full precision.
+    A failed Cholesky at the `eigvalsh` shift (lambda computed above
+    sigma_min^2 by more than slack/2), or INVERSE_ITERATION_STEPS steps
+    without acceptance, gives x from the thin SVD of A.  So ||A x||^2
+    exceeds sigma_min^2 by at most MINIMIZER_SLACK * eps * ||A||_F^2, and x
+    is the SVD's vector to rounding, up to a unit phase, unless the two
+    smallest squared singular values tie within that slack.  For a unit
+    `start`, ||A x|| never exceeds ||A start|| beyond rounding.  It works in
+    complex arithmetic, also on real A.  A copy of A is scaled by
+    `unit_scaled` first, so G neither underflows nor overflows and a
+    subnormal A keeps its full precision.
     """
     a = as_matrix(a).astype(np.complex128, copy=False)
     unit_scaled(a)
@@ -256,7 +267,7 @@ def smallest_singular_vector(a, start=None) -> np.ndarray:
     # One column, or A = 0 (an exact solution), makes every unit vector optimal.
     if n == 1 or not a.any():
         return x
-    x = _shifted_inverse_iteration(a, x)
+    x = _shifted_inverse_iteration(a, x, start is not None)
     return np.linalg.svd(a, full_matrices=False)[2][-1].conj() if x is None else x
 
 
@@ -278,32 +289,28 @@ def unit_scaled(*arrays: np.ndarray) -> int:
     return exponent
 
 
-def _shifted_inverse_iteration(a, x):
-    """`smallest_singular_vector`'s iteration from the unit vector x; None
-    when the Cholesky at the shift fails or the step cap is reached."""
-    # The product, eigvalsh and Cholesky are numpy's, and only the BLAS-2
-    # triangular solves of zpotrs scipy's: BLAS-3 calls alternating between
-    # the two OpenBLAS pools make them compete for the cores (a 90x80
-    # solve_one took 3.9 s with scipy's QR against 0.42 s, 2 threads on 2
-    # vCPUs).  `solve_one` holds numpy's pool at one thread meanwhile.
+def _shifted_inverse_iteration(a, x, warm):
+    """`smallest_singular_vector`'s iteration from the unit vector x, the
+    caller's start when `warm`; None when no Cholesky factor is found or
+    the step cap is reached."""
+    # The product, solves, eigvalsh and Cholesky are numpy's, and only the
+    # BLAS-2 triangular solves of zpotrs scipy's: BLAS-3 calls alternating
+    # between the two OpenBLAS pools make them compete for the cores (a
+    # 90x80 solve_one took 3.9 s with scipy's QR against 0.42 s, 2 threads
+    # on 2 vCPUs).  `solve_one` holds numpy's pool at one thread meanwhile.
     g = a.conj().T @ a
-    diag = np.einsum("ii->i", g)
-    unshifted = diag.copy()
+    unshifted = np.diagonal(g).copy()
     slack = MINIMIZER_SLACK * EPS * unshifted.real.sum()
-    lowest = np.linalg.eigvalsh(g)[0] - slack / 2
-    # G keeps a column-graded A's singular values far below sqrt(eps) ||A||,
-    # which a negative shift of rounding size would swamp; -eps * slack
-    # swamps only those below about eps ||A||_F and bounds the solves'
-    # growth by 1 / (eps * slack), so they cannot overflow.
-    for shift in (lowest,) if lowest >= 0 else (-EPS * slack, lowest):
-        np.subtract(unshifted, shift, out=diag)
-        try:
-            factor = np.asfortranarray(np.linalg.cholesky(g))
-            break
-        except np.linalg.LinAlgError:
-            pass
+    start = _rayleigh_quotient_start(a, g, unshifted, x) if warm else None
+    found = start and _shifted_factor(g, unshifted, start[0] - slack / 2, slack)
+    if found:
+        x = start[1]
     else:
-        return None
+        lowest = np.linalg.eigvalsh(_shifted(g, unshifted, 0.0))[0]
+        found = _shifted_factor(g, unshifted, lowest - slack / 2, slack)
+        if found is None:
+            return None
+    shift, factor = found
     bound = shift + slack
     for _ in range(INVERSE_ITERATION_STEPS):
         x = _inverse_step(factor, x)
@@ -313,12 +320,59 @@ def _shifted_inverse_iteration(a, x):
     return None
 
 
+def _shifted(g, unshifted, shift):
+    """G - shift I, written over G, whose diagonal is `unshifted`."""
+    np.subtract(unshifted, shift, out=np.einsum("ii->i", g))
+    return g
+
+
+def _rayleigh_quotient_start(a, g, unshifted, x):
+    """(||A y||^2, y) after two Rayleigh-quotient-iteration steps y from the
+    unit vector x, each a solve with G - ||A y||^2 I, or (||A x||^2, x) if
+    that is lower; None when a solve fails or its step is zero or not finite."""
+    quotient = first = _squared_norm(a @ x)
+    y = x
+    for _ in range(2):
+        try:
+            step = np.linalg.solve(_shifted(g, unshifted, quotient), y)
+        except np.linalg.LinAlgError:
+            return None
+        y = _aligned(step, y)
+        if y is None:
+            return None
+        quotient = _squared_norm(a @ y)
+    return (quotient, y) if quotient <= first else (first, x)
+
+
+def _shifted_factor(g, unshifted, lowest, slack):
+    """(s, lower Cholesky factor of G - s I) at s = `lowest`, or first at
+    s = -eps * slack when `lowest` < 0; None when neither has one."""
+    # G keeps a column-graded A's singular values far below sqrt(eps) ||A||,
+    # which a negative shift of rounding size would swamp; -eps * slack
+    # swamps only those below about eps ||A||_F and bounds the solves'
+    # growth by 1 / (eps * slack), so they cannot overflow.
+    for shift in (lowest,) if lowest >= 0 else (-EPS * slack, lowest):
+        try:
+            return shift, np.asfortranarray(np.linalg.cholesky(_shifted(g, unshifted, shift)))
+        except np.linalg.LinAlgError:
+            pass
+    return None
+
+
 def _inverse_step(factor, x):
     """Solve with the lower Cholesky factor of a positive definite matrix,
     then normalize and turn to the phase of x."""
-    y, _ = sla.lapack.zpotrs(factor, x, lower=1)
+    return _aligned(sla.lapack.zpotrs(factor, x, lower=1)[0], x)
+
+
+def _aligned(y, x):
+    """y scaled in place to unit norm and the phase of x; None when y is
+    zero or its squared norm is not finite."""
+    squared = _squared_norm(y)
+    if not 0.0 < squared < math.inf:
+        return None
     overlap = np.vdot(x, y)
-    y *= (overlap.conjugate() / abs(overlap) if overlap != 0 else 1.0) / math.sqrt(_squared_norm(y))
+    y *= (overlap.conjugate() / abs(overlap) if overlap != 0 else 1.0) / math.sqrt(squared)
     return y
 
 

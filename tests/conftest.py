@@ -1,9 +1,19 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rmep.model import EquationBlock, MepProblem, RmepProblem
 
 EPS = float(np.finfo(float).eps)
+
+# With CI set (GitHub Actions sets it), the property tests draw the same
+# examples on every run and print the blob that replays a failure, so a
+# failure in the workflow reproduces locally under CI=1.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def crandn(rng, *shape):

@@ -28,6 +28,7 @@ from rmep.model import (
     normalized_residual,
     random_planted_problem,
 )
+from rmep.tsvd import solve_complete
 
 from conftest import EPS, crandn, frobenius_distance, random_problem
 
@@ -245,6 +246,22 @@ class TestSolveOne:
         assert trace.status == "tol-met" or trace.status == "budget-exhausted" and trace.iterations == max_iters
         # The run stops at the first sweep that meets the tolerance.
         assert all(kkt > kkt_tol for kkt in trace.kkt[:-1])
+
+    @settings(max_examples=12, deadline=None)
+    @given(shape=st.sampled_from([(6, 4), (9, 5), (12, 8)]), seed=st.integers(0, 2**32 - 1))
+    @example(shape=(12, 8), seed=0)
+    def test_start_from_a_complete_set_tuple_never_loses_its_objective(self, shape, seed):
+        # The paper's two scenarios: a tuple of the complete set is a start
+        # for solve_one.  Its vectors are optimal for its value, so the first
+        # sweep's exact half-steps can only lower theta(t), and so on.
+        p = random_problem(np.random.default_rng(seed), *shape, 2)
+        scale = sum(np.sum(np.abs(blk.coeffs) ** 2) for blk in p.blocks)
+        for t in solve_complete(p)[:6]:
+            if not t.value.is_finite():
+                continue
+            _, _, trace = solve_one(p, AlternatingConfig(initial_lambdas=tuple(dehomogenize(t.value))))
+            assert trace.objectives[0] <= homogeneous_residual(p, t) + 1e-12 * scale
+            assert trace.objectives[-1] <= trace.objectives[0]
 
     @pytest.mark.parametrize("kkt_tol", [float("nan"), float("inf"), 0.0, -1e-6])
     def test_kkt_tol_must_be_positive_and_finite(self, kkt_tol):

@@ -106,18 +106,65 @@ def with_singular_values(rng, m, s):
     return (u * s) @ v.conj().T
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Record each np.linalg.svd call made through the linalg module."""
+def counted(monkeypatch, name):
+    """Record each np.linalg.<name> call made through the linalg module."""
     calls = []
-    np_svd = np.linalg.svd
+    original = getattr(np.linalg, name)
 
     def spy(*args, **kwargs):
         calls.append(1)
-        return np_svd(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(linalg.np.linalg, "svd", spy)
+    monkeypatch.setattr(linalg.np.linalg, name, spy)
     return calls
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    return counted(monkeypatch, "svd")
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    return counted(monkeypatch, "eigvalsh")
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    return counted(monkeypatch, "solve")
+
+
+def property_matrix(rng, m_extra, n, kind):
+    """A random complex (n + m_extra) x n matrix of one of the property
+    tests' kinds: graded columns and rank-deficient products put several
+    singular values within the slack of sigma_min."""
+    if kind == "rank-deficient":
+        rank = int(rng.integers(1, n)) if n > 1 else 1
+        return crandn(rng, n + m_extra, rank) @ crandn(rng, rank, n)
+    a = crandn(rng, n + m_extra, n)
+    if kind == "graded":
+        a *= np.geomspace(1.0, 1e-12, n)
+    return a
+
+
+def assert_minimizer(a, x0, x, s):
+    """x is a unit vector no worse than the unit start x0 that minimizes
+    ||A x||^2 within the kernel's slack; s are A's singular values."""
+    n = len(x)
+    assert abs(np.linalg.norm(x) - 1) < 1e-14
+    # Inverse iteration never raises the Rayleigh quotient (up to rounding).
+    assert np.linalg.norm(a @ x) <= np.linalg.norm(a @ x0) + 10 * n * EPS * s[0]
+    if n >= 2 and s[-1] <= 0.9 * s[-2]:
+        assert abs(np.linalg.norm(a @ x) - s[-1]) <= 1e-12 * s[0]
+    # Whatever the gap, x minimizes ||A x||^2 within the check's slack.
+    assert np.linalg.norm(a @ x) ** 2 <= s[-1] ** 2 + 2 * MINIMIZER_SLACK * EPS * np.sum(s**2)
+
+
+def near(rng, v, size):
+    """The unit vector along v plus a random perturbation of norm `size`."""
+    d = crandn(rng, len(v))
+    x = v + size * d / np.linalg.norm(d)
+    return x / np.linalg.norm(x)
 
 
 class TestSmallestSingularVector:
@@ -286,29 +333,96 @@ class TestSmallestSingularVector:
            kind=st.sampled_from(["random", "graded", "rank-deficient"]))
     @example(m_extra=0, n=6, seed=0, kind="graded")
     def test_warm_start_property(self, svd_calls, m_extra, n, seed, kind):
-        # Graded columns and rank-deficient products put several singular
-        # values within the slack of sigma_min.
         rng = np.random.default_rng(seed)
-        if kind == "rank-deficient":
-            rank = int(rng.integers(1, n)) if n > 1 else 1
-            a = crandn(rng, n + m_extra, rank) @ crandn(rng, rank, n)
-        else:
-            a = crandn(rng, n + m_extra, n)
-            if kind == "graded":
-                a *= np.geomspace(1.0, 1e-12, n)
+        a = property_matrix(rng, m_extra, n, kind)
         x0 = crandn(rng, n)
         x0 /= np.linalg.norm(x0)
         s = svd(a).singular_values
         svd_calls.clear()
         x = smallest_singular_vector(a, x0)
         assert not svd_calls
-        assert abs(np.linalg.norm(x) - 1) < 1e-14
-        # Inverse iteration never raises the Rayleigh quotient (up to rounding).
-        assert np.linalg.norm(a @ x) <= np.linalg.norm(a @ x0) + 10 * n * EPS * s[0]
-        if n >= 2 and s[-1] <= 0.9 * s[-2]:
-            assert abs(np.linalg.norm(a @ x) - s[-1]) <= 1e-12 * s[0]
-        # Whatever the gap, x minimizes ||A x||^2 within the check's slack.
-        assert np.linalg.norm(a @ x) ** 2 <= s[-1] ** 2 + 2 * MINIMIZER_SLACK * EPS * np.sum(s**2)
+        assert_minimizer(a, x0, x, s)
+
+    # The fixture's call list is cleared in each example.
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(m_extra=st.integers(0, 6), n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["random", "graded", "rank-deficient"]), size=st.floats(-8.0, -1.0).map(lambda e: 10**e))
+    @example(m_extra=0, n=6, seed=0, kind="graded", size=1e-8)
+    def test_near_converged_warm_start_property(self, svd_calls, m_extra, n, seed, kind, size):
+        # The starts that sweeps pass: the minimizer of the previous sweep's
+        # pencil, which the Rayleigh-quotient steps take from.
+        rng = np.random.default_rng(seed)
+        a = property_matrix(rng, m_extra, n, kind)
+        res = svd(a)
+        x0 = near(rng, res.v[:, -1], size)
+        svd_calls.clear()
+        x = smallest_singular_vector(a, x0)
+        assert not svd_calls
+        assert_minimizer(a, x0, x, res.singular_values)
+
+    def test_warm_start_near_the_minimizer_needs_no_eigvalsh(self, svd_calls, eigvalsh_calls, solve_calls):
+        # Two Rayleigh-quotient steps converge to sigma_min^2, and the
+        # Cholesky at their quotient certifies it.
+        rng = np.random.default_rng(22)
+        a = crandn(rng, 9, 6)
+        res = svd(a)
+        svd_calls.clear()
+        x0 = near(rng, res.v[:, -1], 1e-3)
+        x = smallest_singular_vector(a, x0)
+        assert (len(solve_calls), len(eigvalsh_calls), len(svd_calls)) == (2, 0, 0)
+        assert_minimizer(a, x0, x, res.singular_values)
+
+    def test_warm_start_at_the_largest_vector_falls_back_to_eigvalsh(self, svd_calls, eigvalsh_calls, solve_calls):
+        # The Rayleigh-quotient steps stay at sigma_max^2, where G - s I has
+        # no Cholesky factor, so the shift comes from eigvalsh.
+        rng = np.random.default_rng(23)
+        a = crandn(rng, 9, 6)
+        res = svd(a)
+        svd_calls.clear()
+        x0 = res.v[:, 0]
+        x = smallest_singular_vector(a, x0)
+        assert (len(solve_calls), len(eigvalsh_calls), len(svd_calls)) == (2, 1, 0)
+        assert_minimizer(a, x0, x, res.singular_values)
+
+    @pytest.mark.parametrize("step", ["raises", "zero", "inf", "nan"])
+    def test_failed_rayleigh_step_falls_back_to_eigvalsh(self, monkeypatch, svd_calls, eigvalsh_calls, step):
+        rng = np.random.default_rng(24)
+        a = crandn(rng, 9, 6)
+        res = svd(a)
+        svd_calls.clear()
+
+        def failed_solve(g, y):
+            if step == "raises":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full_like(y, {"zero": 0.0, "inf": np.inf, "nan": np.nan}[step])
+
+        monkeypatch.setattr(linalg.np.linalg, "solve", failed_solve)
+        x0 = near(rng, res.v[:, -1], 1e-3)
+        x = smallest_singular_vector(a, x0)
+        assert (len(eigvalsh_calls), len(svd_calls)) == (1, 0)
+        assert_minimizer(a, x0, x, res.singular_values)
+
+    def test_rayleigh_step_that_raises_the_quotient_keeps_the_start(self, monkeypatch, svd_calls, eigvalsh_calls):
+        # Solves that return the largest singular vector leave the start, the
+        # minimizer, as the lower quotient; its shift is certified.
+        rng = np.random.default_rng(25)
+        a = crandn(rng, 9, 6)
+        res = svd(a)
+        svd_calls.clear()
+        monkeypatch.setattr(linalg.np.linalg, "solve", lambda g, y: res.v[:, 0].copy())
+        x0 = res.v[:, -1]
+        x = smallest_singular_vector(a, x0)
+        assert (len(eigvalsh_calls), len(svd_calls)) == (0, 0)
+        assert_minimizer(a, x0, x, res.singular_values)
+
+    def test_cold_start_takes_eigvalsh_and_no_solve(self, svd_calls, eigvalsh_calls, solve_calls):
+        rng = np.random.default_rng(26)
+        a = crandn(rng, 9, 6)
+        res = svd(a)
+        svd_calls.clear()
+        x = smallest_singular_vector(a)
+        assert (len(solve_calls), len(eigvalsh_calls), len(svd_calls)) == (0, 1, 0)
+        assert_minimizer(a, np.full(6, 6**-0.5), x, res.singular_values)
 
 
 @pytest.mark.parametrize("complex_input, order", [(False, "C"), (True, "C"), (True, "F")],
