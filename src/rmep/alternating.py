@@ -47,8 +47,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ValidationError
-from .linalg import one_numpy_blas_thread, smallest_singular_vector, unit_scaled
+from .errors import ValidationError, check_integer
+from .linalg import smallest_singular_vector, unit_scaled
 from .model import (
     EigenTuple,
     EquationBlock,
@@ -95,14 +95,11 @@ class AlternatingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
+        check_integer("max_iters", self.max_iters, 1)
         if not 0 < self.kkt_tol < np.inf:
             raise ValidationError(f"kkt_tol must be positive and finite, got {self.kkt_tol}")
-        if self.restarts < 0:
-            raise ValidationError("restarts must be >= 0")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        check_integer("restarts", self.restarts, 0)
+        check_integer("seed", self.seed, 0)
 
 
 @dataclass
@@ -251,7 +248,6 @@ def _run(problem, value, cfg):
     return value, xs, trace
 
 
-@one_numpy_blas_thread
 def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None):
     """Alternate both half-steps until the first sweep whose KKT residual
     (`kkt_residual`) is at most `cfg.kkt_tol` (status tol-met), or for

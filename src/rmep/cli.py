@@ -45,7 +45,6 @@ import numpy as np
 
 from . import alternating, mep, serialization, spectral, tsvd
 from .errors import BackendError, CapacityError, DomainError, IrregularMepError, ValidationError
-from .linalg import one_numpy_blas_thread
 from .model import dehomogenize, pencil_coefficients, planted_parts
 
 EXIT_OK = 0
@@ -376,7 +375,6 @@ def _cmd_ode(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@one_numpy_blas_thread
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)

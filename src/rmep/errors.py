@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its integer check."""
+
+import numbers
 
 
 class RmepError(Exception):
@@ -42,3 +44,12 @@ class IrregularMepError(RmepError):
 
 class DomainError(RmepError, ValueError):
     """A function was evaluated outside its defining interval."""
+
+
+def check_integer(name, value, minimum):
+    """ValidationError unless `value` is an integer (int or numpy integer)
+    of at least `minimum`."""
+    if not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}")

@@ -13,8 +13,6 @@ that the result is the minimizer.  A warm start takes the shift from two
 Rayleigh-quotient-iteration steps, a cold one (or a failed warm one) from
 `eigvalsh`, and the SVD answers when that fails too.  `unit_scaled`, an
 exact power-of-two scaling, is the one scaling rule of both solvers.
-`one_numpy_blas_thread` holds numpy's own OpenBLAS pool at one thread
-while a solve runs.
 
 `gep` first solves the pencil (A, B) as the standard problem B^{-1} A: one
 LU of B, `scipy.linalg.eig` (`dgeev` or `zgeev`) on B^{-1} A for right and
@@ -24,26 +22,22 @@ original pencil of at most GEP_BACKWARD_RTOL; otherwise (or when B is
 exactly singular) the pencil goes through QZ.  The check forms A Z and B Z
 for all right vectors in one pass, and A^T and B^T times the left ones in
 another, with scipy's gemm, so all of the pencil's O(N^3) work runs in
-scipy's OpenBLAS.  The standard path returns beta = 1.  The path is chosen
+scipy's OpenBLAS; its Frobenius norms take no BLAS call, so a numpy that
+bundles its own OpenBLAS never wakes that second pool to spin against
+scipy's.  The standard path returns beta = 1.  The path is chosen
 by the backward error, not by a condition estimate of B: a mass matrix with
 rcond 6e-14 can still give backward errors at the QZ level.  `gep` also
 decides whether the pencil is singular (det(A - lambda B) = 0 for every
 lambda) and raises IrregularMepError then; only QZ's pairs are judged,
 since the standard path is kept only for an invertible B.
-Apart from `one_numpy_blas_thread`, which sets a thread count, the
-functions are pure, and returned arrays are freshly allocated (`gemm`
+The functions are pure, and returned arrays are freshly allocated (`gemm`
 writes into an `out` it is given).
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
@@ -101,60 +95,6 @@ def gemm(a, z, out=None):
                                   for x in (a, z))
     extra = {} if out is None else {"c": out, "overwrite_c": True}
     return routine(1.0, a, z, trans_a=trans_a, trans_b=trans_z, **extra)
-
-
-@functools.cache
-def _numpy_thread_setter():
-    """`openblas_set_num_threads_local` of numpy's bundled OpenBLAS, if the
-    process has loaded it, else None: a numpy built on a system BLAS shares
-    it with scipy, so there is no second pool."""
-    root = Path(np.__file__).parent
-    for path in [*root.parent.glob("numpy.libs/libscipy_openblas*"), *root.glob(".dylibs/libscipy_openblas*")]:
-        try:
-            setter = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0)).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-        return setter
-    return None
-
-
-# Module state, as the count it guards is process-wide: the calls holding
-# numpy's pool at one thread, and the count to restore when the last returns.
-_cap_lock = threading.Lock()
-_cap_holders = 0
-_cap_restore = 1
-
-
-def one_numpy_blas_thread(func):
-    """Decorator: run `func` with numpy's bundled OpenBLAS on one thread.
-
-    A solve's O(N^3) work runs in scipy's OpenBLAS pool; numpy's, at its
-    default count, only adds a worker that spins while scipy's needs the
-    cores (`ode-sl --n1 24 --n2 24` ran 10-19% faster with it at one
-    thread, 2 vCPUs).  Scipy's pool keeps the caller's count: capping both
-    cost 46% at n = 40.  The bundled build's count is process-wide, so the
-    first call to enter sets it and the last to leave restores it, also on
-    an exception.  Where numpy bundles no OpenBLAS, `func` runs unchanged.
-    """
-    @functools.wraps(func)
-    def capped(*args, **kwargs):
-        global _cap_holders, _cap_restore
-        set_threads = _numpy_thread_setter()
-        if set_threads is None:
-            return func(*args, **kwargs)
-        with _cap_lock:
-            if _cap_holders == 0:
-                _cap_restore = set_threads(1)
-            _cap_holders += 1
-        try:
-            return func(*args, **kwargs)
-        finally:
-            with _cap_lock:
-                _cap_holders -= 1
-                if _cap_holders == 0:
-                    set_threads(_cap_restore)
-    return capped
 
 
 def _checked(arr, name, ndim=2):
@@ -297,7 +237,7 @@ def _shifted_inverse_iteration(a, x, warm):
     # BLAS-2 triangular solves of zpotrs scipy's: BLAS-3 calls alternating
     # between the two OpenBLAS pools make them compete for the cores (a
     # 90x80 solve_one took 3.9 s with scipy's QR against 0.42 s, 2 threads
-    # on 2 vCPUs).  `solve_one` holds numpy's pool at one thread meanwhile.
+    # on 2 vCPUs).  So this kernel's BLAS-3 work stays in numpy's pool.
     g = a.conj().T @ a
     unshifted = np.diagonal(g).copy()
     slack = MINIMIZER_SLACK * EPS * unshifted.real.sum()
@@ -394,7 +334,9 @@ def gep(a, b) -> GepResult:
     b = _checked(np.asarray(b, dtype=dtype), "B")
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValidationError(f"pencil matrices must be square and equal-shaped, got {a.shape}, {b.shape}")
-    scale_a, scale_b = np.linalg.norm(a, "fro"), np.linalg.norm(b, "fro")
+    # Frobenius norms without np.linalg.norm, whose threaded dot in numpy's
+    # pool would spin on through scipy's LU and eig below.
+    scale_a, scale_b = (math.hypot(*_column_norms(x)) for x in (a, b))
     with np.errstate(all="ignore"):  # overflow from a near-singular B fails the check below
         result = _standard(a, b, scale_a, scale_b)
     return result if result is not None else _qz(a, b, scale_a, scale_b)

@@ -61,8 +61,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
-from .linalg import EPS, gemm, gep, one_numpy_blas_thread, svd, unit_scaled
+from .errors import CapacityError, ValidationError, check_integer
+from .linalg import EPS, gemm, gep, svd, unit_scaled
 from .model import EigenTuple, EquationBlock, HomogeneousEigenvalue, MepProblem, RmepProblem, normalize_homogeneous, pencil_coefficients
 
 __all__ = [
@@ -141,18 +141,18 @@ def _random_combination(matrices, rng):
     return sum(wj * dj for wj, dj in zip(w, matrices))
 
 
-@one_numpy_blas_thread
 def solve_mep(problem: MepProblem, seed: int = 0) -> list[EigenTuple]:
     """All N = n_1*...*n_k tuples of a square problem, multiplicities kept,
     each with the null vectors of its own pencils (residual None): the
     normalized rows of `solve_from_determinants`, with the pencils of
     `model.pencil_coefficients`.
 
-    Deterministic for a fixed seed (which draws the mass matrix's weights,
-    then the tuple-splitting combination).  A copy of each block is first
-    scaled by `linalg.unit_scaled`, so tuples and vectors do not depend on
-    the scale of the data.
+    Deterministic for a fixed seed, an integer >= 0 (which draws the mass
+    matrix's weights, then the tuple-splitting combination).  A copy of each
+    block is first scaled by `linalg.unit_scaled`, so tuples and vectors do
+    not depend on the scale of the data.
     """
+    check_integer("seed", seed, 0)
     scaled = [blk.coeffs.copy() for blk in problem.blocks]
     for c in scaled:
         unit_scaled(c)

@@ -251,7 +251,7 @@ def reconstruct(basis: ChebyshevBasis, coeffs):
             raise DomainError(f"evaluation point outside [{a}, {b}]")
         ref = 2.0 * (t - a) / (b - a) - 1.0
         vals, _ = _chebyshev_tables(np.atleast_1d(np.clip(ref, -1.0, 1.0)), basis.n)
-        out = vals @ c
+        out = np.einsum("ij,j->i", vals, c)  # not @: numpy's threaded zgemv spins on into the next solve
         return complex(out[0]) if t.ndim == 0 else out
 
     return u
@@ -294,8 +294,10 @@ def continuous_residuals(spec: OdeSpec, bases, tuples):
                 warnings.warn("zero coefficient vector; the zero function is not an eigenfunction", stacklevel=2)
                 out.append(0.0)
                 continue
-            u = fine.values @ coeffs
-            upp = fine.second_derivs @ coeffs
+            # Not @, a zgemv that numpy's OpenBLAS threads from 4,096 entries:
+            # its pool would spin on into the next solve.
+            u = np.einsum("ij,j->i", fine.values, coeffs)
+            upp = np.einsum("ij,j->i", fine.second_derivs, coeffs)
             defect = upp + (lam * pv + mu * qv + fv) * u
             out.append(float(fine.weights @ np.abs(defect)))
         results.append((out[0], out[1], out[0] + out[1]))

@@ -28,7 +28,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import mep
-from .linalg import one_numpy_blas_thread, singular_values, svd
+from .errors import check_integer
+from .linalg import singular_values, svd
 from .model import (
     EigenTuple,
     EquationBlock,
@@ -205,7 +206,6 @@ class CompleteSet(Sequence):
         return out
 
 
-@one_numpy_blas_thread
 def solve_complete(problem: RmepProblem, seed: int = 0) -> CompleteSet:
     """All N approximate eigen-tuples, ranked by ascending total residual.
 
@@ -220,8 +220,10 @@ def solve_complete(problem: RmepProblem, seed: int = 0) -> CompleteSet:
     `normalized_residual`'s metric to a few eps, from one values-only batched
     SVD per block (`linalg.singular_values`).  Tuples with gamma at/below the
     infinite-eigenvalue threshold sort last with rho = inf.  The returned
-    `CompleteSet` computes vectors only for the tuples that are read.
+    `CompleteSet` computes vectors only for the tuples that are read.  The
+    seed, an integer >= 0, draws the lifted pencil's random combinations.
     """
+    check_integer("seed", seed, 0)
     reduced = reduced_mep(truncate_blocks(problem))
     rows = mep.solve_from_determinants(mep.operator_determinants(reduced), seed=seed)
     finite, c = pencil_coefficients(rows)

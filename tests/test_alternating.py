@@ -269,6 +269,13 @@ class TestSolveOne:
         with pytest.raises(ValidationError, match="kkt_tol"):
             AlternatingConfig(kkt_tol=kkt_tol)
 
+    @pytest.mark.parametrize("option", ["max_iters", "restarts"])
+    @pytest.mark.parametrize("value", [2.5, "2"])
+    def test_counts_must_be_integers(self, option, value):
+        # before the check, range's TypeError inside solve_one
+        with pytest.raises(ValidationError, match=f"{option} must be an integer"):
+            AlternatingConfig(**{option: value})
+
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         # before the check, numpy's ValueError (-1) or SeedSequence's TypeError (1.5)

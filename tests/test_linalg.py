@@ -1,16 +1,16 @@
 import ctypes
 import importlib
 import os
-import sys
-import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rmep import alternating, cli, linalg, mep, tsvd
+from rmep import linalg, spectral, tsvd
 from rmep.errors import ValidationError
 from rmep.linalg import (
     GEP_BACKWARD_RTOL,
@@ -687,110 +687,43 @@ def _bundled_openblas(package):
     return None
 
 
-@pytest.fixture
-def pools():
-    """(numpy's, scipy's) bundled OpenBLAS as (set, get) pairs, both set to
-    the caller's count of 2 threads for the test and put back after;
-    scipy's is None when it bundles none."""
-    if linalg._numpy_thread_setter() is None:
-        pytest.skip("numpy bundles no OpenBLAS: numpy and scipy share one BLAS, so there is no second pool")
-    libs = _bundled_openblas("numpy"), _bundled_openblas("scipy")
-    before = [lib[0](2) for lib in libs if lib is not None]
-    yield libs
-    for lib, count in zip([lib for lib in libs if lib is not None], before):
-        lib[0](count)
+def _cpu_per_wall(work):
+    """Process CPU time over wall time of work(): above 1 when a second
+    thread, such as a spinning BLAS worker, ran alongside."""
+    time.sleep(0.5)  # the workers of earlier BLAS calls stop spinning
+    wall, cpu = time.perf_counter(), time.process_time()
+    work()
+    return (time.process_time() - cpu) / (time.perf_counter() - wall)
 
 
-def _counts(pools):
-    return tuple(None if lib is None else lib[1]() for lib in pools)
-
-
-def test_every_solve_entry_point_holds_numpy_pool():
-    for entry in (tsvd.solve_complete, mep.solve_mep, alternating.solve_one, cli.main):
-        assert entry.__code__ is linalg.one_numpy_blas_thread(len).__code__, entry.__name__
-
-
-def test_decorated_solve_runs_numpy_on_one_thread_and_scipy_on_the_callers(pools, monkeypatch):
-    seen = []
-    gep_of = mep.gep
-    monkeypatch.setattr(mep, "gep", lambda a, b: seen.append(_counts(pools)) or gep_of(a, b))
-    mep.solve_mep(random_problem(np.random.default_rng(22), 3, 3, 2, square=True))
-    assert seen == [(1, None if pools[1] is None else 2)]
-    assert _counts(pools) == (2, None if pools[1] is None else 2)
-
-
-def test_counts_restored_after_an_exception(pools):
-    problem = random_problem(np.random.default_rng(23), 4, 3, 2)
-    with pytest.raises(ValidationError, match="initial_lambdas"):
-        alternating.solve_one(problem, alternating.AlternatingConfig(initial_lambdas=(1.0,)))
-    assert _counts(pools) == (2, None if pools[1] is None else 2)
-
-
-def test_overlapping_solves_in_two_threads_restore_the_count(pools):
-    # The bundled build's count is process-wide: the pool stays at one thread
-    # while any decorated call runs, and the caller's count comes back when
-    # the last one leaves, whichever thread leaves first.
-    entered = [threading.Event(), threading.Event()]
-    leave = [threading.Event(), threading.Event()]
-    seen = {}
-
-    @linalg.one_numpy_blas_thread
-    def hold(i):
-        entered[i].set()
-        leave[i].wait(10)
-        seen[i] = _counts(pools)[0]
-
-    threads = [threading.Thread(target=hold, args=(i,)) for i in range(2)]
-    threads[0].start()
-    entered[0].wait(10)
-    threads[1].start()
-    entered[1].wait(10)
-    leave[0].set()
-    threads[0].join(10)
-    leave[1].set()
-    threads[1].join(10)
-    assert not any(t.is_alive() for t in threads)
-    assert seen == {0: 1, 1: 1}
-    reader = []
-    other = threading.Thread(target=lambda: reader.append(_counts(pools)[0]))
-    other.start()
-    other.join(10)
-    assert reader == [2] and _counts(pools)[0] == 2
-
-
-def test_many_threads_holding_the_pool_at_once_restore_the_count(pools):
-    # More threads than cores, switching often: a lost update of the holder
-    # count would leave the pool at one thread, or lift it during a call.
-    inside = []
-
-    @linalg.one_numpy_blas_thread
-    def hold():
-        inside.append(_counts(pools)[0])
-
-    def work():
-        for _ in range(200):
-            hold()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+def test_complete_set_path_leaves_numpy_pool_idle():
+    # Numpy's pool at 2 threads and scipy's at 1: CPU over wall time above 1
+    # means numpy's workers were busy during work that scipy's thread does.
+    numpy_pool, scipy_pool = _bundled_openblas("numpy"), _bundled_openblas("scipy")
+    if numpy_pool is None or scipy_pool is None:
+        pytest.skip("numpy or scipy bundles no OpenBLAS: there are no two pools to tell apart")
+    before = numpy_pool[0](2), scipy_pool[0](1)
     try:
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(30)
+        rng = np.random.default_rng(25)
+        big, factored = rng.standard_normal((600, 600)), rng.standard_normal((600, 600))
+        canary = _cpu_per_wall(lambda: (np.linalg.norm(big), sla.lu_factor(factored)))
+        if canary < 1.5:
+            pytest.skip(f"a spinning numpy pool does not show in CPU time here: canary CPU/wall {canary:.2f} < 1.5")
+        problem = spectral.discretize(spectral.builtin_sturm_liouville(n1=20, n2=20)).problem
+        solve = _cpu_per_wall(lambda: tsvd.solve_complete(problem))
+        spec = spectral.builtin_sturm_liouville(n1=24, n2=24)
+        disc = spectral.discretize(spec)
+        top = tsvd.solve_complete(disc.problem)[:3]
+
+        def evaluate():
+            for _ in range(20):
+                spectral.continuous_residuals(spec, disc.bases, top)
+                for t in top:
+                    for basis, x in zip(disc.bases, t.vectors):
+                        spectral.sample_eigenfunction(basis, x)
+        evaluations = _cpu_per_wall(evaluate)
     finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert inside == [1] * 1600
-    assert _counts(pools)[0] == 2
-
-
-def test_solve_runs_unchanged_without_a_bundled_openblas(pools, monkeypatch):
-    monkeypatch.setattr(linalg, "_numpy_thread_setter", lambda: None)
-    seen = []
-    gep_of = mep.gep
-    monkeypatch.setattr(mep, "gep", lambda a, b: seen.append(_counts(pools)[0]) or gep_of(a, b))
-    p = random_problem(np.random.default_rng(24), 3, 3, 2, square=True)
-    assert len(mep.solve_mep(p)) == 9
-    assert seen == [2]
+        numpy_pool[0](before[0])
+        scipy_pool[0](before[1])
+    assert solve <= 1.2, f"solve_complete CPU/wall {solve:.2f} (canary {canary:.2f})"
+    assert evaluations <= 1.2, f"evaluations CPU/wall {evaluations:.2f} (canary {canary:.2f})"

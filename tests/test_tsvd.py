@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmep import linalg, mep, tsvd
+from rmep.errors import ValidationError
 from rmep.linalg import gep, svd
 from rmep.model import (
     EquationBlock,
@@ -215,6 +216,14 @@ class TestSolveComplete:
             per_block, _ = normalized_residual(p, t)
             assert np.max(np.abs(np.array(t.block_residuals) - per_block)) <= 8 * EPS
             assert t.residual == sum(t.block_residuals)
+
+    @pytest.mark.parametrize("solve", [solve_complete, solve_mep])
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, solve, seed):
+        # before the check, numpy's ValueError (-1) or SeedSequence's TypeError (1.5)
+        p, _ = random_planted_problem([4, 4], [2, 2], 0.0, seed=0)
+        with pytest.raises(ValidationError, match="seed"):
+            solve(p if solve is solve_complete else reduced_mep(truncate_blocks(p)), seed=seed)
 
 
 def tuple_bits(t):
