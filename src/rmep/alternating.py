@@ -24,17 +24,17 @@ exact block minimizers:
     S_i = [A_i x_i, -B_i1 x_i, ..., -B_ik x_i], so the optimal v is the
     eigenvector of its smallest eigenvalue.
 
-Every sweep after the first then tries one extrapolation of the vectors,
+Every sweep after the first then searches an extrapolation of the vectors,
 x_e,i = normalize(x_i + beta (x_i - phi_i x'_i)), with x' the state the
 previous sweep kept and phi_i the unit phase of <x'_i, x_i>, and takes the
-optimal v for x_e from H(x_e).  The move is kept only when it lowers theta;
-beta grows after a kept move and shrinks after a rejected one (Rajih, Comon
-& Harshman, SIMAX 2008).  Each sweep starts from the state the previous one
-kept, whose theta is its objective, and neither exact half-step can raise
-it.  Consequently the objective is non-increasing across sweeps, which the
-trace records and the tests check.  The minimizing state also yields the
-smallest perturbation of the problem data that makes the tuple an exact
-solution; its squared Frobenius cost equals the objective value.
+optimal v for x_e from H(x_e) (Rajih, Comon & Harshman, SIMAX 2008); beta
+doubles while the trials lower theta, and the best trial is kept (Bro,
+1998).  Each sweep starts from the state the previous one kept, whose theta
+is its objective, and neither exact half-step can raise it.  Consequently
+the objective is non-increasing across sweeps, which the trace records and
+the tests check.  The minimizing state also yields the smallest
+perturbation of the problem data that makes the tuple an exact solution;
+its squared Frobenius cost equals the objective value.
 
 A run stops at the first sweep whose scale-free first-order (KKT) residual
 is at most `AlternatingConfig.kkt_tol`.
@@ -56,6 +56,7 @@ from .model import (
     PerturbationSet,
     RmepProblem,
     homogenize,
+    normalize_homogeneous,
     normalized_residual,
 )
 
@@ -71,9 +72,9 @@ __all__ = [
 
 STATUS_TOL = "tol-met"
 STATUS_BUDGET = "budget-exhausted"
-# Extrapolation step: starts at BETA_START, grows by BETA_GROW after a kept
-# move up to BETA_MAX, and halves after a rejected one down to BETA_MIN.
-BETA_START, BETA_GROW, BETA_MAX, BETA_MIN = 1.0, 1.5, 8.0, 0.5
+# Extrapolation step: a sweep's search doubles it up to BETA_MAX (8 trials at most)
+# and the next search starts from the kept one; a failed first trial halves it down to BETA_MIN.
+BETA_START, BETA_MAX, BETA_MIN = 1.0, 64.0, 0.5
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,10 @@ class AlternatingTrace:
         return self.kkt[-1] if self.kkt else None
 
 
-def _pencils(problem: RmepProblem, value: HomogeneousEigenvalue) -> list[np.ndarray]:
-    """The block pencils R_i(v) = gamma A_i - sum_s alpha_s B_is at value v."""
-    return [blk.pencil(value.coefficients) for blk in problem.blocks]
+def _pencils(problem: RmepProblem, v) -> list[np.ndarray]:
+    """The block pencils R_i(v) = gamma A_i - sum_s alpha_s B_is at value v or at its unit row."""
+    c = v.coefficients if isinstance(v, HomogeneousEigenvalue) else np.concatenate((v[:1], -v[1:]))
+    return [blk.pencil(c) for blk in problem.blocks]
 
 
 def _vector_step(pencils, xs=None):
@@ -150,20 +152,24 @@ def build_gram(problem: RmepProblem, xs) -> np.ndarray:
     """H(x) = sum_i S_i(x_i)^H S_i(x_i), Hermitian PSD of size (k+1)."""
     if len(xs) != problem.k:
         raise ValidationError("need one vector per equation block")
-    # Row j of signs @ (S_i x_i) is column j of S_i(x_i).
-    signs = np.diag([1.0] + [-1.0] * problem.k)
     h = np.zeros((problem.k + 1, problem.k + 1), dtype=np.complex128)
     for blk, x in zip(problem.blocks, xs):
-        s = blk.pencil(signs, x).T
-        h += s.conj().T @ s
+        s = blk.coeffs @ x  # row j is column j of S_i(x_i) once the B rows change sign
+        s[1:] *= -1
+        h += s.conj() @ s.T
     return (h + h.conj().T) / 2.0
 
 
 def best_value(h: np.ndarray):
     """Smallest eigenpair of the Gram matrix as (theta, homogeneous value)."""
+    theta, v = _smallest_eigenpair(h)
+    return theta, HomogeneousEigenvalue.from_vector(v)
+
+
+def _smallest_eigenpair(h):
+    """`best_value` with the value as an eigenvector of H, not yet normalized."""
     w, v = np.linalg.eigh(h)
-    theta = float(max(w[0], 0.0))
-    return theta, HomogeneousEigenvalue.from_vector(v[:, 0])
+    return float(max(w[0], 0.0)), v[:, 0]
 
 
 def kkt_residual(problem: RmepProblem, v: HomogeneousEigenvalue, xs, h) -> float:
@@ -174,18 +180,21 @@ def kkt_residual(problem: RmepProblem, v: HomogeneousEigenvalue, xs, h) -> float
 
     with w_i = ||R_i x_i||^2, w = v^H H v and xi_i = ||A_i||_2^2 + sum_s ||B_is||_2^2.
     """
-    return _kkt_residual(problem, _pencils(problem, v), v, xs, h)
+    return _kkt_residual(_pencils(problem, v), np.concatenate(([v.gamma], v.alphas)), xs, h, _xis(problem))
 
 
-def _kkt_residual(problem, pencils, v, xs, h) -> float:
-    """`kkt_residual` with the pencils R_i(v) already formed."""
-    xis = [norm_a**2 + sum(nb**2 for nb in norms_b) for norm_a, norms_b in problem.spectral_norms]
+def _xis(problem):
+    """xi_i = ||A_i||_2^2 + sum_s ||B_is||_2^2 of every block."""
+    return [norm_a**2 + sum(nb**2 for nb in norms_b) for norm_a, norms_b in problem.spectral_norms]
+
+
+def _kkt_residual(pencils, vv, xs, h, xis) -> float:
+    """`kkt_residual` at the unit row vv, with the pencils R_i(v) and the xi_i already formed."""
     total = 0.0
     for r, x, xi in zip(pencils, xs, xis):
         rx = r @ x
         omega = float(np.linalg.norm(rx) ** 2)
         total += np.linalg.norm(r.conj().T @ rx - x * omega) / xi
-    vv = np.concatenate(([v.gamma], v.alphas))
     omega = float((vv.conj() @ (h @ vv)).real)
     total += np.linalg.norm(h @ vv - vv * omega) / sum(xis)
     return float(total)
@@ -220,43 +229,47 @@ def _run(problem, value, cfg):
     trace = AlternatingTrace()
     xs = kept = None
     beta = BETA_START
+    xis = _xis(problem)
     # A sweep's KKT check and the next sweep's vector step share the pencils.
     pencils = _pencils(problem, value)
     for _ in range(cfg.max_iters):
         xs = _vector_step(pencils, xs)
         h = build_gram(problem, xs)
-        theta, value = best_value(h)
+        theta, vec = _smallest_eigenpair(h)
         if kept is not None:
-            # ||y|| >= 1 for unit x and x_old, since beta > 0.
-            ys = [x + beta * (x - x_old * np.exp(1j * np.angle(np.vdot(x_old, x)))) for x, x_old in zip(xs, kept)]
-            xe = [y / np.linalg.norm(y) for y in ys]
-            he = build_gram(problem, xe)
-            theta_e, value_e = best_value(he)
-            if theta_e < theta:
-                xs, h, theta, value = xe, he, theta_e, value_e
-                trace.extrapolations += 1
-                beta = min(beta * BETA_GROW, BETA_MAX)
-            else:
-                beta = max(beta / 2.0, BETA_MIN)
+            # ||x + step d|| >= 1 for unit x and x_old, since step > 0.
+            ds = [x - x_old * np.exp(1j * np.angle(np.vdot(x_old, x))) for x, x_old in zip(xs, kept)]
+            base, step, best = xs, beta, None
+            while step <= BETA_MAX:
+                xe = [y / np.linalg.norm(y) for y in (x + step * d for x, d in zip(base, ds))]
+                he = build_gram(problem, xe)
+                theta_e, vec_e = _smallest_eigenpair(he)
+                if not theta_e < theta:
+                    break
+                xs, h, theta, vec, best = xe, he, theta_e, vec_e, step
+                step *= 2
+            beta = max(beta / 2.0, BETA_MIN) if best is None else best
+            trace.extrapolations += best is not None
         kept = xs
         trace.objectives.append(theta)
-        pencils = _pencils(problem, value)
-        trace.kkt.append(_kkt_residual(problem, pencils, value, xs, h))
+        row = normalize_homogeneous(vec[None])[0]
+        pencils = _pencils(problem, row)
+        trace.kkt.append(_kkt_residual(pencils, row, xs, h, xis))
         if trace.kkt[-1] <= cfg.kkt_tol:
             trace.status = STATUS_TOL
             break
-    return value, xs, trace
+    return HomogeneousEigenvalue.from_vector(vec), xs, trace
 
 
 def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None):
     """Alternate both half-steps until the first sweep whose KKT residual
     (`kkt_residual`) is at most `cfg.kkt_tol` (status tol-met), or for
     `cfg.max_iters` sweeps (budget-exhausted).  From the second sweep on,
-    each sweep also tries one extrapolation of the vectors past the previous
-    sweep's state and keeps it only when it lowers theta, so the objective
-    still never rises (see the module docstring).  The runs see a copy of
-    the problem scaled by one power of two, so the tuple, KKT trace and
-    status do not depend on the scale of the data; theta and the
+    each sweep also searches an extrapolation of the vectors past the
+    previous sweep's state and keeps one only when it lowers theta, so the
+    objective still never rises (see the module docstring).  The runs see a
+    copy of the problem scaled by one power of two, so the tuple, KKT trace
+    and status do not depend on the scale of the data; theta and the
     perturbation are in the problem's units (theta overflows once the
     entries pass about 2^511).  Returns (tuple, perturbation, trace); the
     tuple carries the finite residual and its per-block terms

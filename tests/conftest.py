@@ -1,4 +1,8 @@
+import ctypes
+import importlib
 import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,32 @@ EPS = float(np.finfo(float).eps)
 settings.register_profile("ci", derandomize=True, print_blob=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+def _bundled_openblas(package):
+    """(set, get) of the thread count of the OpenBLAS that a package's wheel
+    bundles, if the process has loaded it, else None."""
+    root = Path(importlib.import_module(package).__file__).parent
+    for path in [*root.parent.glob(f"{package}.libs/libscipy_openblas*"), *root.glob(".dylibs/libscipy_openblas*")]:
+        try:
+            lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        get = next(getattr(lib, name) for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
+                   if hasattr(lib, name))
+        set_ = lib.openblas_set_num_threads_local
+        set_.argtypes, set_.restype, get.argtypes, get.restype = [ctypes.c_int], ctypes.c_int, [], ctypes.c_int
+        return set_, get
+    return None
+
+
+def _cpu_per_wall(work):
+    """Process CPU time over wall time of work(): above 1 when a second
+    thread, such as a spinning BLAS worker, ran alongside."""
+    time.sleep(0.5)  # the workers of earlier BLAS calls stop spinning
+    wall, cpu = time.perf_counter(), time.process_time()
+    work()
+    return (time.process_time() - cpu) / (time.perf_counter() - wall)
 
 
 def crandn(rng, *shape):

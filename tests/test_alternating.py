@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rmep import alternating
 from rmep.alternating import (
     AlternatingConfig,
     AlternatingTrace,
@@ -30,7 +32,7 @@ from rmep.model import (
 )
 from rmep.tsvd import solve_complete
 
-from conftest import EPS, crandn, frobenius_distance, random_problem
+from conftest import EPS, _bundled_openblas, _cpu_per_wall, crandn, frobenius_distance, random_problem
 
 
 def scalar_problem():
@@ -395,6 +397,112 @@ class TestSolveOne:
         assert abs(rotated - theta) <= 1e-7 * theta + 4 * EPS * scale
 
 
+def _record_search(monkeypatch):
+    """Spy on `solve_one`'s sweeps.  Returns a list that gets one entry per
+    sweep: the state the sweep starts from (None in the first), the vector
+    step's state, and every `build_gram` call of the sweep as (state, theta),
+    the vector step's first."""
+    sweeps = []
+    vector_step, gram = alternating._vector_step, alternating.build_gram
+
+    def spy_vector_step(pencils, xs=None):
+        sweeps.append((xs, vector_step(pencils, xs), []))
+        return sweeps[-1][1]
+
+    def spy_gram(problem, xs):
+        h = gram(problem, xs)
+        sweeps[-1][2].append((xs, best_value(h)[0]))
+        return h
+
+    monkeypatch.setattr(alternating, "_vector_step", spy_vector_step)
+    monkeypatch.setattr(alternating, "build_gram", spy_gram)
+    return sweeps
+
+
+def _trial_steps(kept, base, calls):
+    """The step beta of each trial state of a sweep, matched against
+    normalize(x + beta (x - phi x_old)) at beta = 2^j."""
+    steps = []
+    for xe, _ in calls[1:]:
+        for beta in 2.0 ** np.arange(-4, 10):
+            ys = [x + beta * (x - x_old * np.exp(1j * np.angle(np.vdot(x_old, x)))) for x, x_old in zip(base, kept)]
+            if all(np.allclose(y / np.linalg.norm(y), e, rtol=0, atol=1e-12) for y, e in zip(ys, xe)):
+                steps.append(float(beta))
+                break
+        else:
+            raise AssertionError("a trial state is no extrapolation x + beta (x - phi x_old) at beta = 2^j")
+    return steps
+
+
+def _searches(sweeps):
+    """(steps, kept) of every sweep after the first, checked against the
+    doubling rule: the steps double from the first, the kept trials are the
+    leading ones that each lower theta below the best state so far, the
+    search stops at the first failed trial or past BETA_MAX, and the next
+    sweep starts from the last kept step, or from half the step (down to
+    BETA_MIN) when no trial was kept."""
+    out, first = [], alternating.BETA_START
+    for kept, base, calls in sweeps[1:]:
+        assert calls[0][0] is base and all(xe is not base for xe, _ in calls[1:])
+        steps = _trial_steps(kept, base, calls)
+        assert steps[0] == first and steps == [first * 2**j for j in range(len(steps))]
+        best, n_kept = calls[0][1], 0
+        while n_kept < len(steps) and calls[1 + n_kept][1] < best:
+            best, n_kept = calls[1 + n_kept][1], n_kept + 1
+        assert n_kept == len(steps) - 1 or (n_kept == len(steps) and 2 * steps[-1] > alternating.BETA_MAX)
+        out.append((steps, n_kept))
+        first = steps[n_kept - 1] if n_kept else max(first / 2, alternating.BETA_MIN)
+    return out
+
+
+def _infimum_problem():
+    """k = 1 with B's second column zero, whose sweeps extrapolate far (see
+    `test_infimum_at_infinite_eigenvalue`): one search reaches 64."""
+    rng = np.random.default_rng(3)
+    a, b = crandn(rng, 4, 2), crandn(rng, 4, 2)
+    b[:, 1] = 0.0
+    return RmepProblem(blocks=(EquationBlock(a=a, b=(b,)),))
+
+
+class TestExtrapolationSearch:
+    def test_a_sweep_doubles_its_step_at_least_twice(self, monkeypatch):
+        sweeps = _record_search(monkeypatch)
+        _, _, trace = solve_one(random_problem(np.random.default_rng(1), 20, 15, 2))
+        searches = _searches(sweeps)
+        assert any(len(steps) >= 3 for steps, _ in searches)  # two kept trials, each followed by 2 beta
+        assert trace.extrapolations == sum(n_kept > 0 for _, n_kept in searches)
+
+    @pytest.mark.parametrize("beta_max", [64.0, 4.0])
+    def test_search_stops_at_beta_max(self, monkeypatch, beta_max):
+        monkeypatch.setattr(alternating, "BETA_MAX", beta_max)
+        sweeps = _record_search(monkeypatch)
+        solve_one(_infimum_problem())
+        searches = _searches(sweeps)
+        assert max(max(steps) for steps, _ in searches) == beta_max
+        # a search whose every trial lowered theta, stopped only by the cap
+        assert any(n_kept == len(steps) and steps[-1] == beta_max for steps, n_kept in searches)
+
+    def test_first_trial_rejection_halves_the_step_down_to_beta_min(self, monkeypatch):
+        sweeps = _record_search(monkeypatch)
+        _, _, trace = solve_one(random_problem(np.random.default_rng(5), 5, 3, 1))
+        searches = _searches(sweeps)
+        # BETA_START's trial fails, so the next search starts at BETA_MIN; its trial fails too and the step stays there
+        assert [(steps[0], n_kept) for steps, n_kept in searches[:3]] == [
+            (alternating.BETA_START, 0), (alternating.BETA_MIN, 0), (alternating.BETA_MIN, 0)]
+        assert trace.extrapolations == sum(n_kept > 0 for _, n_kept in searches)
+
+    @pytest.mark.parametrize("problem, at_cap", [(_infimum_problem(), True), (random_problem(np.random.default_rng(1), 20, 15, 2), False)],
+                             ids=["infimum", "20x15"])
+    def test_no_sweep_builds_more_than_nine_grams(self, monkeypatch, problem, at_cap):
+        sweeps = _record_search(monkeypatch)
+        _, _, trace = solve_one(problem)
+        calls = [len(grams) for _, _, grams in sweeps]
+        assert len(calls) == trace.iterations and min(calls) >= 1
+        # the vector step's Gram plus at most log2(BETA_MAX / BETA_MIN) + 1 = 8 trials
+        assert max(calls) <= 1 + 8
+        assert (max(calls) == 1 + 8) == at_cap
+
+
 class TestKktResidual:
     def test_zero_at_exact_solution(self):
         p = scalar_problem()
@@ -469,11 +577,13 @@ def _reference_value(columns):
 def _reference_loop(blocks, sweeps):
     """Plain alternation over (A_i, (B_i1, ..., B_ik)) blocks plus the
     extrapolation rule of `solve_one`, coded apart from rmep: each x_i is
-    numpy's full-SVD smallest right singular vector, the value comes from
-    eigh, and one extrapolation per sweep after the first is kept only
-    when it lowers theta, its step growing x1.5 (up to 8) after a kept
-    move and halving (down to 0.5) after a rejected one.  Returns the
-    per-sweep thetas and the counts of kept and rejected moves."""
+    numpy's full-SVD smallest right singular vector and the value comes from
+    eigh.  Every sweep after the first searches the extrapolation step by
+    doubling: it tries beta, then 2 beta, ... up to 64 while each trial
+    lowers theta below the best state so far, and keeps the best trial.  The
+    next sweep starts from that trial's step, or from half the step (down to
+    0.5) when the first trial failed.  Returns the per-sweep thetas and the
+    counts of sweeps that kept a trial and of sweeps that kept none."""
     k = len(blocks)
     coeffs = np.zeros(k + 1, dtype=np.complex128)
     coeffs[0] = 1.0
@@ -489,17 +599,22 @@ def _reference_loop(blocks, sweeps):
             xs.append(np.linalg.svd(pencil)[2][-1, :].conj())
         theta, coeffs = _reference_value(columns(xs))
         if kept is not None:
-            xe = []
+            directions = []
             for x, x_old in zip(xs, kept):
                 overlap = np.vdot(x_old, x)
-                y = x + beta * (x - x_old * overlap / abs(overlap))
-                xe.append(y / np.linalg.norm(y))
-            theta_e, coeffs_e = _reference_value(columns(xe))
-            if theta_e < theta:
-                xs, theta, coeffs = xe, theta_e, coeffs_e
-                beta, accepted = min(1.5 * beta, 8.0), accepted + 1
-            else:
+                directions.append(x - x_old * overlap / abs(overlap))
+            base, step, best = xs, beta, None
+            while step <= 64.0:
+                xe = [(x + step * d) / np.linalg.norm(x + step * d) for x, d in zip(base, directions)]
+                theta_e, coeffs_e = _reference_value(columns(xe))
+                if theta_e >= theta:
+                    break
+                xs, theta, coeffs, best = xe, theta_e, coeffs_e, step
+                step *= 2
+            if best is None:
                 beta, rejected = max(beta / 2, 0.5), rejected + 1
+            else:
+                beta, accepted = best, accepted + 1
         kept = xs
         thetas.append(theta)
     return thetas, accepted, rejected
@@ -536,3 +651,28 @@ class TestRgepSpecialization:
         assert trace.extrapolations == accepted
         for ours, ref in zip(trace.objectives, thetas):
             assert abs(ours - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
+def test_solve_one_leaves_scipy_pool_idle():
+    # The mirror of test_linalg's complete-set test: numpy's pool at 1 thread
+    # and scipy's at 2.  CPU over wall time above 1 means scipy's workers were
+    # busy during the alternating path, whose BLAS-3 work runs in numpy.
+    numpy_pool, scipy_pool = _bundled_openblas("numpy"), _bundled_openblas("scipy")
+    if numpy_pool is None or scipy_pool is None:
+        pytest.skip("numpy or scipy bundles no OpenBLAS: there are no two pools to tell apart")
+    before = numpy_pool[0](1), scipy_pool[0](2)
+    try:
+        rng = np.random.default_rng(25)
+        small, big = rng.standard_normal((200, 200)), rng.standard_normal((600, 600))
+        canary = _cpu_per_wall(lambda: (sla.lu_factor(small), np.linalg.solve(big, big)))
+        if canary < 1.5:
+            pytest.skip(f"a spinning scipy pool does not show in CPU time here: canary CPU/wall {canary:.2f} < 1.5")
+        # gate 4's stream positions 73 (90x80) and 88 (130x120)
+        stream = np.random.default_rng(20240601)
+        seeds = [stream.integers(2**63) for _ in range(89)]
+        problems = [random_problem(np.random.default_rng(seeds[i]), m, n, 2) for i, m, n in ((73, 90, 80), (88, 130, 120))]
+        solve = _cpu_per_wall(lambda: [solve_one(p) for p in problems])
+    finally:
+        numpy_pool[0](before[0])
+        scipy_pool[0](before[1])
+    assert solve <= 1.2, f"solve_one CPU/wall {solve:.2f} (canary {canary:.2f})"

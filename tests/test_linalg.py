@@ -1,9 +1,3 @@
-import ctypes
-import importlib
-import os
-import time
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -22,7 +16,7 @@ from rmep.linalg import (
     svd,
 )
 
-from conftest import EPS, crandn, match_multisets, random_problem
+from conftest import EPS, _bundled_openblas, _cpu_per_wall, crandn, match_multisets, random_problem
 
 
 class TestSvd:
@@ -668,32 +662,6 @@ def test_gemm_matches_matmul_in_any_layout(a_order, z_order, dtypes):
     out = np.empty((7, 7), dtype=expected.dtype, order="F")
     assert linalg.gemm(a, z, out=out) is out  # written in place, no copy
     assert np.array_equal(out, linalg.gemm(a, z))
-
-
-def _bundled_openblas(package):
-    """(set, get) of the thread count of the OpenBLAS that a package's wheel
-    bundles, if the process has loaded it, else None."""
-    root = Path(importlib.import_module(package).__file__).parent
-    for path in [*root.parent.glob(f"{package}.libs/libscipy_openblas*"), *root.glob(".dylibs/libscipy_openblas*")]:
-        try:
-            lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
-        except OSError:
-            continue
-        get = next(getattr(lib, name) for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
-                   if hasattr(lib, name))
-        set_ = lib.openblas_set_num_threads_local
-        set_.argtypes, set_.restype, get.argtypes, get.restype = [ctypes.c_int], ctypes.c_int, [], ctypes.c_int
-        return set_, get
-    return None
-
-
-def _cpu_per_wall(work):
-    """Process CPU time over wall time of work(): above 1 when a second
-    thread, such as a spinning BLAS worker, ran alongside."""
-    time.sleep(0.5)  # the workers of earlier BLAS calls stop spinning
-    wall, cpu = time.perf_counter(), time.process_time()
-    work()
-    return (time.process_time() - cpu) / (time.perf_counter() - wall)
 
 
 def test_complete_set_path_leaves_numpy_pool_idle():
