@@ -55,7 +55,7 @@ from .model import (
     HomogeneousEigenvalue,
     PerturbationSet,
     RmepProblem,
-    homogenize,
+    _complex_normal,
     normalize_homogeneous,
     normalized_residual,
 )
@@ -64,8 +64,6 @@ __all__ = [
     "AlternatingConfig",
     "AlternatingTrace",
     "build_gram",
-    "best_value",
-    "kkt_residual",
     "reconstruct_perturbation",
     "solve_one",
 ]
@@ -83,7 +81,7 @@ class AlternatingConfig:
 
     initial_lambdas -- starting eigenvalue guess (defaults to all zeros);
     max_iters       -- sweep budget of each run;
-    kkt_tol         -- a run stops at the first sweep with `kkt_residual` <= kkt_tol;
+    kkt_tol         -- a run stops at the first sweep with `_kkt_residual` <= kkt_tol;
     restarts        -- number of extra runs from random complex guesses, the
                        best final objective wins;
     seed            -- drives the restart guesses only.
@@ -125,8 +123,9 @@ class AlternatingTrace:
 
 
 def _pencils(problem: RmepProblem, v) -> list[np.ndarray]:
-    """The block pencils R_i(v) = gamma A_i - sum_s alpha_s B_is at value v or at its unit row."""
-    c = v.coefficients if isinstance(v, HomogeneousEigenvalue) else np.concatenate((v[:1], -v[1:]))
+    """The block pencils R_i(v) = gamma A_i - sum_s alpha_s B_is at the unit
+    row v = (gamma, alpha_1, ..., alpha_k)."""
+    c = np.concatenate((v[:1], -v[1:]))
     return [blk.pencil(c) for blk in problem.blocks]
 
 
@@ -160,27 +159,11 @@ def build_gram(problem: RmepProblem, xs) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
-def best_value(h: np.ndarray):
-    """Smallest eigenpair of the Gram matrix as (theta, homogeneous value)."""
-    theta, v = _smallest_eigenpair(h)
-    return theta, HomogeneousEigenvalue.from_vector(v)
-
-
 def _smallest_eigenpair(h):
-    """`best_value` with the value as an eigenvector of H, not yet normalized."""
+    """Smallest eigenpair of the Gram matrix as (theta, eigenvector), the
+    optimal value v up to its normalization."""
     w, v = np.linalg.eigh(h)
     return float(max(w[0], 0.0)), v[:, 0]
-
-
-def kkt_residual(problem: RmepProblem, v: HomogeneousEigenvalue, xs, h) -> float:
-    """Normalized first-order optimality residual at the state (v, xs), with
-    h = build_gram(problem, xs):
-
-        sum_i ||R_i^H R_i x_i - x_i w_i|| / xi_i  +  ||H v - v w|| / sum_i xi_i
-
-    with w_i = ||R_i x_i||^2, w = v^H H v and xi_i = ||A_i||_2^2 + sum_s ||B_is||_2^2.
-    """
-    return _kkt_residual(_pencils(problem, v), np.concatenate(([v.gamma], v.alphas)), xs, h, _xis(problem))
 
 
 def _xis(problem):
@@ -189,7 +172,14 @@ def _xis(problem):
 
 
 def _kkt_residual(pencils, vv, xs, h, xis) -> float:
-    """`kkt_residual` at the unit row vv, with the pencils R_i(v) and the xi_i already formed."""
+    """Normalized first-order optimality residual at the state (v, xs), from
+    the unit row vv of v, its `_pencils`, h = build_gram(problem, xs) and the
+    `_xis`:
+
+        sum_i ||R_i^H R_i x_i - x_i w_i|| / xi_i  +  ||H v - v w|| / sum_i xi_i
+
+    with w_i = ||R_i x_i||^2, w = v^H H v and xi_i = ||A_i||_2^2 + sum_s ||B_is||_2^2.
+    """
     total = 0.0
     for r, x, xi in zip(pencils, xs, xis):
         rx = r @ x
@@ -225,13 +215,14 @@ def reconstruct_perturbation(problem: RmepProblem, value: HomogeneousEigenvalue,
     return PerturbationSet.from_blocks(problem, blocks)
 
 
-def _run(problem, value, cfg):
+def _run(problem, row, cfg):
+    """One run from the unit homogeneous row of a guess; returns (value, xs, trace)."""
     trace = AlternatingTrace()
     xs = kept = None
     beta = BETA_START
     xis = _xis(problem)
     # A sweep's KKT check and the next sweep's vector step share the pencils.
-    pencils = _pencils(problem, value)
+    pencils = _pencils(problem, row)
     for _ in range(cfg.max_iters):
         xs = _vector_step(pencils, xs)
         h = build_gram(problem, xs)
@@ -258,12 +249,12 @@ def _run(problem, value, cfg):
         if trace.kkt[-1] <= cfg.kkt_tol:
             trace.status = STATUS_TOL
             break
-    return HomogeneousEigenvalue.from_vector(vec), xs, trace
+    return HomogeneousEigenvalue(gamma=row[0].real, alphas=row[1:]), xs, trace
 
 
 def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None):
     """Alternate both half-steps until the first sweep whose KKT residual
-    (`kkt_residual`) is at most `cfg.kkt_tol` (status tol-met), or for
+    (`_kkt_residual`) is at most `cfg.kkt_tol` (status tol-met), or for
     `cfg.max_iters` sweeps (budget-exhausted).  From the second sweep on,
     each sweep also searches an extrapolation of the vectors past the
     previous sweep's state and keeps one only when it lowers theta, so the
@@ -284,10 +275,8 @@ def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None):
         init = np.array(cfg.initial_lambdas, dtype=np.complex128).reshape(-1)
         if init.size != problem.k:
             raise ValidationError(f"initial_lambdas must have length {problem.k}")
-    guesses = [init]
-    if cfg.restarts:
-        rng = np.random.default_rng(cfg.seed)
-        guesses += [rng.standard_normal(problem.k) + 1j * rng.standard_normal(problem.k) for _ in range(cfg.restarts)]
+    rng = np.random.default_rng(cfg.seed)
+    guesses = [init] + [_complex_normal(rng, problem.k) for _ in range(cfg.restarts)]
     # One power of two for all blocks: per-block powers would reweight them in theta.
     # `coeffs` is freed once the blocks copy it; the cached 2-norms scale exactly.
     coeffs = [blk.coeffs.copy() for blk in problem.blocks]
@@ -296,7 +285,8 @@ def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None):
     del coeffs
     object.__setattr__(scaled, "spectral_norms", tuple((math.ldexp(na, -e), tuple(math.ldexp(nb, -e) for nb in nbs))
                                                        for na, nbs in problem.spectral_norms))
-    value, xs, trace = min((_run(scaled, homogenize(g), cfg) for g in guesses), key=lambda run: run[2].objectives[-1])
+    rows = normalize_homogeneous(np.column_stack((np.ones(len(guesses)), guesses)))
+    value, xs, trace = min((_run(scaled, row, cfg) for row in rows), key=lambda run: run[2].objectives[-1])
     trace.objectives = np.ldexp(trace.objectives, 2 * e).tolist()
     pset = reconstruct_perturbation(problem, value, xs)
     tup = EigenTuple(value=value, vectors=tuple(xs))

@@ -48,10 +48,8 @@ from .errors import BackendError, CapacityError, DomainError, IrregularMepError,
 from .model import dehomogenize, pencil_coefficients, planted_parts
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_CAPACITY = 3
-EXIT_IRREGULAR = 4
-EXIT_BACKEND = 5
+# The exit code of each error that `main` reports; any other exception propagates.
+ERROR_EXITS = {ValidationError: 2, CapacityError: 3, IrregularMepError: 4, BackendError: 5}
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -388,18 +386,9 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.run(args)
-    except ValidationError as exc:
+    except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except IrregularMepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IRREGULAR
-    except BackendError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
+        return next(code for cls, code in ERROR_EXITS.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

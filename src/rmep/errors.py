@@ -47,9 +47,10 @@ class DomainError(RmepError, ValueError):
 
 
 def check_integer(name, value, minimum):
-    """ValidationError unless `value` is an integer (int or numpy integer)
-    of at least `minimum`."""
-    if not isinstance(value, numbers.Integral):
+    """`value`, or a ValidationError unless it is an integer (int or numpy
+    integer, not a bool) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}")
+    return value

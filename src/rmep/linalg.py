@@ -105,7 +105,7 @@ def _checked(arr, name, ndim=2):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdResult:
     """SVD ``A = U @ diag(s) @ V[:, :len(s)].conj().T``.
 
@@ -120,7 +120,7 @@ class SvdResult:
     v: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GepResult:
     """Homogeneous eigenvalues of the pencil (A, B): lambda_j = alpha[j]/beta[j].
 
@@ -185,13 +185,13 @@ def smallest_singular_vector(a, start=None) -> np.ndarray:
 
     A failed Cholesky at the `eigvalsh` shift (lambda computed above
     sigma_min^2 by more than slack/2), or INVERSE_ITERATION_STEPS steps
-    without acceptance, gives x from the thin SVD of A.  So ||A x||^2
-    exceeds sigma_min^2 by at most MINIMIZER_SLACK * eps * ||A||_F^2, and x
-    is the SVD's vector to rounding, up to a unit phase, unless the two
-    smallest squared singular values tie within that slack.  For a unit
-    `start`, ||A x|| never exceeds ||A start|| beyond rounding.  It works in
-    complex arithmetic, also on real A.  A copy of A is scaled by
-    `unit_scaled` first, so G neither underflows nor overflows and a
+    without acceptance, gives x from `svd` (BackendError if it fails).  So
+    ||A x||^2 exceeds sigma_min^2 by at most MINIMIZER_SLACK * eps *
+    ||A||_F^2, and x is the SVD's vector to rounding, up to a unit phase,
+    unless the two smallest squared singular values tie within that slack.
+    For a unit `start`, ||A x|| never exceeds ||A start|| beyond rounding.
+    It works in complex arithmetic, also on real A.  A copy of A is scaled
+    by `unit_scaled` first, so G neither underflows nor overflows and a
     subnormal A keeps its full precision.
     """
     a = as_matrix(a).astype(np.complex128, copy=False)
@@ -208,7 +208,7 @@ def smallest_singular_vector(a, start=None) -> np.ndarray:
     if n == 1 or not a.any():
         return x
     x = _shifted_inverse_iteration(a, x, start is not None)
-    return np.linalg.svd(a, full_matrices=False)[2][-1].conj() if x is None else x
+    return svd(a).v[:, -1].copy() if x is None else x
 
 
 def unit_scaled(*arrays: np.ndarray) -> int:

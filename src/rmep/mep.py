@@ -76,7 +76,7 @@ MAX_PARAMETERS = 4  # the expansion has k! Kronecker terms per determinant
 KRON_CAP = 20_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorDeterminants:
     """The k+1 lifted matrices D_0..D_k."""
 

@@ -16,7 +16,9 @@ and the seeded random generator used by the benchmark harness.  It also
 holds the two rules every solver shares: `normalize_homogeneous` picks the
 representative above (phase and pivot included), and `pencil_coefficients`
 splits finite from infinite values at GAMMA_THRESHOLD and maps each row to
-its pencil coefficients.
+its pencil coefficients.  The types that hold arrays compare and hash by
+identity (`eq=False`): a field-wise == would ask for the truth value of an
+array.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquationBlock:
     """One equation's coefficients: `a` plus the k parameter matrices `b`.
 
@@ -70,7 +72,7 @@ class EquationBlock:
 
     a: np.ndarray
     b: tuple[np.ndarray, ...]
-    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mats = [as_matrix(self.a, "A")] + [as_matrix(bi, f"B[{s}]") for s, bi in enumerate(self.b)]
@@ -107,7 +109,7 @@ class EquationBlock:
         return (c[..., None, :] @ self.coeffs.reshape(k1, -1)).reshape(c.shape[:-1] + self.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RmepProblem:
     """k coupled equation blocks with m_i >= n_i."""
 
@@ -158,7 +160,7 @@ class RmepProblem:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MepProblem(RmepProblem):
     """The square case m_i = n_i; input to the operator-determinant solver."""
 
@@ -170,7 +172,7 @@ class MepProblem(RmepProblem):
                 raise ValidationError(f"block {i} must be square, got {m}x{n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomogeneousEigenvalue:
     """Normalized homogeneous eigenvalue (gamma, alpha_1..alpha_k)."""
 
@@ -204,7 +206,7 @@ class HomogeneousEigenvalue:
         return self.gamma > GAMMA_THRESHOLD
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenTuple:
     """Candidate solution: homogeneous value, unit vectors and, when known,
     the total normalized residual and its per-block terms."""
@@ -225,7 +227,7 @@ class EigenTuple:
         object.__setattr__(self, "vectors", tuple(vecs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationSet:
     """A perturbed problem together with its squared Frobenius distance
     from the problem it perturbs."""
@@ -343,7 +345,7 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlantedParts:
     """What `planted_parts` draws for one seed, before any noise level is
     chosen: the square reference (A*_i, B*_is) and, per block i, the lifted

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 from .model import EquationBlock, MepProblem, RmepProblem
 
 __all__ = [
@@ -70,14 +70,6 @@ def to_json_dict(problem: RmepProblem) -> dict:
     }
 
 
-def _integer(entry: dict, key: str) -> int:
-    """entry[key], which must be a JSON integer (not a bool or a float)."""
-    value = entry[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def from_json_dict(doc: dict) -> RmepProblem:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValidationError(f"not a {FORMAT_NAME} document")
@@ -85,10 +77,10 @@ def from_json_dict(doc: dict) -> RmepProblem:
     if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ValidationError(f"unsupported version {version!r}")
     try:
-        k = _integer(doc, "k")
+        k = check_integer("k", doc["k"], 1)
         blocks = []
         for entry in doc["blocks"]:
-            m, n = _integer(entry, "rows"), _integer(entry, "cols")
+            m, n = check_integer("rows", entry["rows"], 1), check_integer("cols", entry["cols"], 1)
             a = _decode_matrix(entry["a"], m, n)
             bs = [_decode_matrix(bi, m, n) for bi in entry["b"]]
             if len(bs) != k:

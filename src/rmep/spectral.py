@@ -33,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_integer
+from .linalg import singular_values
 from .model import EigenTuple, EquationBlock, RmepProblem, dehomogenize
 
 __all__ = [
@@ -67,11 +68,7 @@ class OdeEquation:
     n: int
 
     def __post_init__(self):
-        a, b = self.interval
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
-            raise ValidationError(f"invalid interval {self.interval}")
-        if self.n < 4:
-            raise ValidationError("basis size must be at least 4")
+        _basis_interval(self.interval, self.n)
 
 
 @dataclass(frozen=True)
@@ -84,8 +81,19 @@ class OdeSpec:
     def __post_init__(self):
         if len(self.equations) != 2:
             raise ValidationError("exactly two equations are supported")
-        if self.oversampling < 1:
-            raise ValidationError("oversampling must be >= 1")
+        for eq in self.equations:
+            _basis_interval(eq.interval, eq.n, self.oversampling)
+
+
+def _basis_interval(interval, n, oversampling=1):
+    """(a, b) as floats, after the one check of every basis: a finite
+    interval a < b, and integers n >= 4 and oversampling >= 1."""
+    a, b = float(interval[0]), float(interval[1])
+    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        raise ValidationError(f"invalid interval {(a, b)}")
+    check_integer("n", n, 4)
+    check_integer("oversampling", oversampling, 1)
+    return a, b
 
 
 def _clenshaw_curtis(num_nodes: int):
@@ -126,7 +134,7 @@ def _chebyshev_tables(t: np.ndarray, n: int):
     return values, second
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChebyshevBasis:
     """Tabulated basis tau_1..tau_n (tau_j = T_{j-1}) on mapped Lobatto nodes.
 
@@ -144,11 +152,7 @@ class ChebyshevBasis:
 
 
 def build_basis(interval, n: int, oversampling: int = 4) -> ChebyshevBasis:
-    a, b = float(interval[0]), float(interval[1])
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValidationError(f"invalid interval {(a, b)}")
-    if n < 4:
-        raise ValidationError("basis size must be at least 4")
+    a, b = _basis_interval(interval, n, oversampling)
     num_nodes = oversampling * n
     t, w = _clenshaw_curtis(num_nodes)
     nodes = a + (b - a) * (t + 1.0) / 2.0
@@ -166,7 +170,7 @@ def build_basis(interval, n: int, oversampling: int = 4) -> ChebyshevBasis:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedOde:
     """Assembled rectangular problem plus the bases used to build it."""
 
@@ -215,7 +219,7 @@ def discretize(spec: OdeSpec) -> DiscretizedOde:
         # Only the assembled block matters: when f = 0 the operator table alone
         # is rank-deficient (d^2/dt^2 kills degree < 2) but the boundary rows
         # restore full column rank.
-        sigma = np.linalg.svd(a_block, compute_uv=False)
+        sigma = singular_values(a_block)
         if sigma[-1] < 1e-10 * sigma[0]:
             warnings.warn(
                 f"assembled block A on {eq.interval} is numerically rank-deficient "

@@ -55,7 +55,7 @@ __all__ = [
 ATTAINMENT_MARGIN = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockTruncation:
     """Dominant-subspace data of one stacked block [A_i, B_i1, ..., B_ik].
 
@@ -95,7 +95,7 @@ def truncate_blocks(problem: RmepProblem) -> list[BlockTruncation]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncationCertificate:
     """Minimal rank-reduction cost and, when attained, its witnesses.
 

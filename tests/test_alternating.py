@@ -8,11 +8,12 @@ from rmep import alternating
 from rmep.alternating import (
     AlternatingConfig,
     AlternatingTrace,
+    _kkt_residual,
     _pencils,
+    _smallest_eigenpair,
     _vector_step,
-    best_value,
+    _xis,
     build_gram,
-    kkt_residual,
     reconstruct_perturbation,
     solve_one,
 )
@@ -43,6 +44,23 @@ def scaled_problem(problem, e):
     """The problem with every block multiplied by 2^e, exactly."""
     scaled = (np.ldexp(blk.coeffs.real, e) + 1j * np.ldexp(blk.coeffs.imag, e) for blk in problem.blocks)
     return RmepProblem(blocks=tuple(EquationBlock(a=c[0], b=tuple(c[1:])) for c in scaled))
+
+
+def row(value):
+    """The unit homogeneous row (gamma, alpha_1, ..., alpha_k) of a value."""
+    return np.concatenate(([value.gamma], value.alphas))
+
+
+def best_value(h):
+    """theta and the value of the Gram matrix's smallest eigenpair, normalized."""
+    theta, vec = _smallest_eigenpair(h)
+    return theta, HomogeneousEigenvalue.from_vector(vec)
+
+
+def kkt_residual(problem, value, xs):
+    """`_kkt_residual` at the state (value, xs)."""
+    v = row(value)
+    return _kkt_residual(_pencils(problem, v), v, xs, build_gram(problem, xs), _xis(problem))
 
 
 def assert_same_run(run, ref):
@@ -82,7 +100,7 @@ class TestBestVectors:
         a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         p = RmepProblem(blocks=(EquationBlock(a=a, b=(np.zeros((3, 2)),)),))
         v = HomogeneousEigenvalue(gamma=1.0, alphas=[0.0])
-        (x,) = _vector_step(_pencils(p, v))
+        (x,) = _vector_step(_pencils(p, row(v)))
         assert abs(abs(x[1]) - 1.0) < 1e-13
 
     def test_symmetric_pencil_first_sweep(self):
@@ -91,14 +109,14 @@ class TestBestVectors:
         a = np.array([[2.0, 1.0], [1.0, 2.0], [0.0, 0.0]])
         p = RmepProblem(blocks=(EquationBlock(a=a, b=(np.zeros((3, 2)),)),))
         v = HomogeneousEigenvalue(gamma=1.0, alphas=[0.0])
-        (x,) = _vector_step(_pencils(p, v))
+        (x,) = _vector_step(_pencils(p, row(v)))
         assert abs(np.linalg.norm(a @ x) - 1.0) < 1e-14
 
     def test_achieves_smallest_singular_value(self):
         rng = np.random.default_rng(2)
         p = random_problem(rng, 5, 3, 2)
         v = homogenize(crandn(rng, 2))
-        xs = _vector_step(_pencils(p, v))
+        xs = _vector_step(_pencils(p, row(v)))
         for i, x in enumerate(xs):
             r = p.blocks[i].pencil(v.coefficients)
             smin = svd(r).singular_values[-1]
@@ -109,8 +127,8 @@ class TestBestVectors:
         # first sweep must return the same choice every time
         p = RmepProblem(blocks=(EquationBlock(a=np.eye(3), b=(np.zeros((3, 3)),)),))
         v = HomogeneousEigenvalue(gamma=1.0, alphas=[0.0])
-        (x1,) = _vector_step(_pencils(p, v))
-        (x2,) = _vector_step(_pencils(p, v))
+        (x1,) = _vector_step(_pencils(p, row(v)))
+        (x2,) = _vector_step(_pencils(p, row(v)))
         assert np.array_equal(x1, x2)
         assert abs(np.linalg.norm(np.eye(3) @ x1) - 1.0) < 1e-14
 
@@ -119,7 +137,7 @@ class TestBestVectors:
         rng = np.random.default_rng(3)
         p = random_problem(rng, 6, 3, 2)
         v = homogenize(crandn(rng, 2))
-        xs = _vector_step(_pencils(p, v))
+        xs = _vector_step(_pencils(p, row(v)))
         base = sum(np.linalg.norm(p.blocks[i].pencil(v.coefficients) @ x) ** 2 for i, x in enumerate(xs))
         for _ in range(200):
             ys = [crandn(rng, 3) for _ in range(2)]
@@ -148,6 +166,10 @@ class TestBuildGram:
         p = scalar_problem()
         h = build_gram(p, [np.array([1.0])])
         assert np.allclose(h, [[4.0, -2.0], [-2.0, 1.0]])
+
+    def test_needs_one_vector_per_block(self):
+        with pytest.raises(ValidationError, match="one vector per equation block"):
+            build_gram(scalar_problem(), [np.array([1.0])] * 2)
 
     def test_hermitian_psd(self):
         rng = np.random.default_rng(5)
@@ -272,17 +294,21 @@ class TestSolveOne:
             AlternatingConfig(kkt_tol=kkt_tol)
 
     @pytest.mark.parametrize("option", ["max_iters", "restarts"])
-    @pytest.mark.parametrize("value", [2.5, "2"])
+    @pytest.mark.parametrize("value", [2.5, "2", True])
     def test_counts_must_be_integers(self, option, value):
-        # before the check, range's TypeError inside solve_one
+        # before the check, range's TypeError inside solve_one; True passed as 1
         with pytest.raises(ValidationError, match=f"{option} must be an integer"):
             AlternatingConfig(**{option: value})
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
-        # before the check, numpy's ValueError (-1) or SeedSequence's TypeError (1.5)
+        # before the check, numpy's ValueError (-1) or SeedSequence's TypeError (1.5); True passed as 1
         with pytest.raises(ValidationError, match="seed"):
             AlternatingConfig(seed=seed, restarts=1)
+
+    def test_initial_lambdas_need_one_value_per_block(self):
+        with pytest.raises(ValidationError, match="initial_lambdas must have length 1"):
+            solve_one(scalar_problem(), AlternatingConfig(initial_lambdas=(1.0, 2.0)))
 
     def test_infimum_at_infinite_eigenvalue(self):
         # B's zero second column lets gamma -> 0 drive the defect to zero, so
@@ -411,7 +437,7 @@ def _record_search(monkeypatch):
 
     def spy_gram(problem, xs):
         h = gram(problem, xs)
-        sweeps[-1][2].append((xs, best_value(h)[0]))
+        sweeps[-1][2].append((xs, _smallest_eigenpair(h)[0]))
         return h
 
     monkeypatch.setattr(alternating, "_vector_step", spy_vector_step)
@@ -507,7 +533,7 @@ class TestKktResidual:
     def test_zero_at_exact_solution(self):
         p = scalar_problem()
         xs = (np.array([1.0]),)
-        assert kkt_residual(p, homogenize([2.0]), xs, build_gram(p, xs)) <= 1e3 * EPS
+        assert kkt_residual(p, homogenize([2.0]), xs) <= 1e3 * EPS
 
     def test_grows_with_vector_perturbation(self):
         rng = np.random.default_rng(9)
@@ -521,7 +547,7 @@ class TestKktResidual:
         for eps_size in (1e-6, 1e-4, 1e-2):
             y = x + eps_size * d
             y /= np.linalg.norm(y)
-            values.append(kkt_residual(p, tup.value, (y,), build_gram(p, (y,))))
+            values.append(kkt_residual(p, tup.value, (y,)))
         assert values[0] < values[1] < values[2]
 
 
@@ -530,6 +556,10 @@ class TestReconstructPerturbation:
         p = scalar_problem()
         pset = reconstruct_perturbation(p, homogenize([2.0]), [np.array([1.0])])
         assert pset.cost <= 1e-28
+
+    def test_needs_one_vector_per_block(self):
+        with pytest.raises(ValidationError, match="one vector per equation block"):
+            reconstruct_perturbation(scalar_problem(), homogenize([2.0]), [])
 
     def test_scalar_suboptimal_cost(self):
         p = scalar_problem()
@@ -541,7 +571,7 @@ class TestReconstructPerturbation:
         p = random_problem(rng, 6, 4, 2)
         lam = crandn(rng, 2)
         value = homogenize(lam)
-        xs = _vector_step(_pencils(p, value))
+        xs = _vector_step(_pencils(p, row(value)))
         pset = reconstruct_perturbation(p, value, xs)
         for blk, x in zip(pset.blocks, xs):
             r = blk.a @ x - sum(l * (bi @ x) for l, bi in zip(lam, blk.b))

@@ -11,6 +11,7 @@ import pytest
 
 import rmep.alternating
 import rmep.cli
+import rmep.linalg
 import rmep.mep
 import rmep.spectral
 import rmep.tsvd
@@ -677,6 +678,21 @@ def test_backend_error_exit_code(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "complete_set.csv").exists()
 
 
+def test_failed_svd_fallback_in_solve_one_exits_5(tmp_path, capsys, monkeypatch):
+    # The vector kernel's last resort, the SVD, fails to converge.
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(rmep.linalg, "_shifted_inverse_iteration", lambda *args: None)
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    p, _ = random_planted_problem([8, 8], [2, 2], 0.0, seed=4)
+    save_json(p, tmp_path / "p.json")
+    assert main(["solve-one", str(tmp_path / "p.json"), "--out", str(tmp_path), "--no-timestamp"]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: SVD did not converge for shape (8, 2)")
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_ode_mathieu_small(tmp_path):
     rc = main([
         "ode-mathieu", "--alpha", "4", "--beta", "1", "--n1", "12", "--n2", "12",
@@ -741,19 +757,27 @@ def test_ode_mathieu_rejects_bad_geometry(tmp_path, capsys, alpha, beta):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def run_module(argv):
+    """`python -m rmep.cli` in a child process that imports the same rmep as
+    this one, installed or not."""
+    src = str(Path(rmep.tsvd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "rmep.cli", *argv], capture_output=True, text=True, timeout=300,
+                          env=env)
+
+
 def test_console_entry_point_subprocess(tmp_path):
     p, _ = random_planted_problem([8, 8], [2, 2], 0.0, seed=4)
     inp = tmp_path / "p.json"
     save_json(p, inp)
-    # The child imports the same rmep as this process, installed or not.
-    src = str(Path(rmep.tsvd.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "rmep.cli", "solve-complete", str(inp), "--out", str(tmp_path), "--no-timestamp"],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env=env,
-    )
+    proc = run_module(["solve-complete", str(inp), "--out", str(tmp_path), "--no-timestamp"])
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "complete_set.csv").exists()
+
+
+@pytest.mark.parametrize("argv, code", [(["--seed", "-1"], 2), (["--n1", "8", "--n2", "8", "--no-timestamp"], 0)],
+                         ids=["negative-seed", "ok"])
+def test_exit_code_reaches_the_shell(tmp_path, argv, code):
+    proc = run_module(["ode-sl", *argv, "--out", str(tmp_path)])
+    assert proc.returncode == code, proc.stderr
+    assert (tmp_path / "sl_eigenvalues.csv").exists() == (code == 0)

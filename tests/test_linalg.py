@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rmep import linalg, spectral, tsvd
-from rmep.errors import ValidationError
+from rmep.errors import BackendError, ValidationError
 from rmep.linalg import (
     GEP_BACKWARD_RTOL,
     INVERSE_ITERATION_STEPS,
@@ -316,6 +316,16 @@ class TestSmallestSingularVector:
         assert abs(np.linalg.norm(x) - 1) < 1e-14
         assert np.linalg.norm(a @ x) <= 1e-12 * np.linalg.norm(a, 2)
 
+    def test_failed_svd_fallback_is_a_backend_error(self, monkeypatch):
+        # The fallback is `svd`, so LAPACK's failure there is a BackendError, not numpy's LinAlgError.
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(linalg, "_shifted_inverse_iteration", lambda *args: None)
+        monkeypatch.setattr(linalg.np.linalg, "svd", failing_svd)
+        with pytest.raises(BackendError, match=r"SVD did not converge for shape \(9, 6\)"):
+            smallest_singular_vector(crandn(np.random.default_rng(19), 9, 6))
+
     @pytest.mark.parametrize("a, start", [(np.ones((2, 3)), None), (np.eye(2), np.zeros(2)), (np.eye(2), np.ones(3))])
     def test_rejects_bad_input(self, a, start):
         with pytest.raises(ValidationError):
@@ -564,6 +574,20 @@ class TestGep:
         res = gep(np.diag([1.0, 2.0]), np.diag([1.0, 4.0]))
         assert len(failures) == 1 and len(qz_calls) == 1
         assert np.allclose(res.alpha / res.beta, [1.0, 0.5], rtol=0, atol=1e-15)
+
+    def test_failed_qz_is_a_backend_error(self, monkeypatch):
+        def failing_eig(*args, **kwargs):
+            raise linalg.sla.LinAlgError("eig did not converge")
+
+        monkeypatch.setattr(linalg.sla, "eig", failing_eig)
+        with pytest.raises(BackendError, match=r"QZ iteration failed for shape \(2, 2\)"):
+            gep(np.diag([1.0, 2.0]), np.diag([1.0, 4.0]))
+
+    @pytest.mark.parametrize("a, b", [(np.eye(3), np.eye(2)), (np.ones((3, 2)), np.ones((3, 2)))],
+                             ids=["unequal", "non-square"])
+    def test_rejects_unequal_or_non_square_matrices(self, a, b):
+        with pytest.raises(ValidationError, match="square and equal-shaped"):
+            gep(a, b)
 
     def test_real_pencil_with_conjugate_pairs_takes_standard_path(self, qz_calls):
         rng = np.random.default_rng(17)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rmep.errors import CapacityError, IrregularMepError
+from rmep.errors import CapacityError, IrregularMepError, ValidationError
 from rmep import linalg, mep
 from rmep.mep import operator_determinants, solve_mep
 from rmep.model import EquationBlock, MepProblem, dehomogenize
@@ -183,6 +183,11 @@ class TestOperatorDeterminants:
         rng = np.random.default_rng(5)
         p = random_problem(rng, 150, 150, 2, square=True)
         with pytest.raises(CapacityError):
+            operator_determinants(p)
+
+    def test_requires_a_square_problem(self):
+        p = random_problem(np.random.default_rng(8), 3, 2, 1)
+        with pytest.raises(ValidationError, match="square MepProblem"):
             operator_determinants(p)
 
     def test_k_cap(self):

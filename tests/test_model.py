@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmep.errors import InfiniteEigenvalueError, ValidationError
-from rmep.linalg import svd
+from rmep.linalg import GepResult, SvdResult, svd
+from rmep.mep import OperatorDeterminants
 from rmep.model import (
     EigenTuple,
     EquationBlock,
     HomogeneousEigenvalue,
     MepProblem,
     PerturbationSet,
+    PlantedParts,
     RmepProblem,
     dehomogenize,
     homogeneous_residual,
@@ -22,7 +24,8 @@ from rmep.model import (
     planted_parts,
     random_planted_problem,
 )
-from rmep.spectral import builtin_sturm_liouville, discretize
+from rmep.spectral import ChebyshevBasis, DiscretizedOde, builtin_sturm_liouville, discretize
+from rmep.tsvd import BlockTruncation, TruncationCertificate
 
 from conftest import EPS, crandn, frobenius_distance, random_problem
 
@@ -375,3 +378,50 @@ class TestRandomPlantedProblem:
             noisy = [q @ c + sigma / mi * crandn(rng, mi, ni) for c in core]
             assert ref_blk.coeffs.tobytes() == np.stack(core).tobytes()
             assert blk.coeffs.tobytes() == np.stack(noisy).tobytes()
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: EquationBlock(a=np.ones((3, 2)), b=(np.ones((3, 3)),)), "must share shape"),
+        (lambda: RmepProblem(blocks=()), "at least one equation block"),
+        (lambda: HomogeneousEigenvalue(gamma=-0.6, alphas=[0.8]), "nonnegative"),
+        (lambda: EigenTuple(value=homogenize([1.0]), vectors=([2.0],)), "unit 2-norm"),
+        (lambda: PerturbationSet.from_blocks(scalar_problem(), ()), "block count"),
+        (lambda: homogenize([1.0, np.inf]), "finite eigenvalues"),
+        (lambda: normalized_residual(scalar_problem(), tuple_for([1.0], [[1.0], [1.0]])), "vector count"),
+        (lambda: planted_parts([6, 6], [3], seed=0), "equal-length"),
+    ],
+    ids=["block-shapes", "no-blocks", "negative-gamma", "non-unit-vector", "perturbation-count", "non-finite-lambda",
+         "residual-vector-count", "planted-lengths"],
+)
+def test_rejects_invalid_input(make, match):
+    with pytest.raises(ValidationError, match=match):
+        make()
+
+
+class TestIdentitySemantics:
+    """The types that hold arrays compare and hash by identity: a generated
+    field-wise == would ask numpy for the truth value of an array."""
+
+    def test_problems_compare_by_identity(self):
+        p = random_problem(np.random.default_rng(0), 4, 2, 2)
+        q = RmepProblem(blocks=tuple(EquationBlock(a=blk.a, b=blk.b) for blk in p.blocks))
+        assert p == p and p != q
+
+    def test_k2_values_compare_by_identity(self):
+        v, w = homogenize([1.0, 2.0]), homogenize([1.0, 2.0])
+        assert v == v and v != w
+
+    def test_blocks_hash_by_identity(self):
+        blk = EquationBlock(a=np.ones((2, 1)), b=(np.ones((2, 1)),))
+        twin = EquationBlock(a=blk.a, b=blk.b)
+        assert hash(blk) == object.__hash__(blk)
+        assert {blk, blk} == {blk} and len({blk, twin}) == 2
+
+    @pytest.mark.parametrize("cls", [EquationBlock, RmepProblem, MepProblem, HomogeneousEigenvalue, EigenTuple,
+                                     PerturbationSet, PlantedParts, SvdResult, GepResult, OperatorDeterminants,
+                                     BlockTruncation, TruncationCertificate, ChebyshevBasis, DiscretizedOde],
+                             ids=lambda cls: cls.__name__)
+    def test_every_array_holder(self, cls):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__

@@ -86,6 +86,32 @@ class TestBuildBasis:
             build_basis((0.0, 1.0), 3)
 
 
+def _equation(interval=(0.0, 1.0), n=6, f=lambda t: 0.0):
+    return OdeEquation(p=lambda t: 1.0, q=lambda t: 1.0, f=f, interval=interval, n=n)
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: build_basis((0, 1), 4, 0), "oversampling must be >= 1"),
+        (lambda: build_basis((0, 1), 4.5), "n must be an integer"),
+        (lambda: build_basis((1.0, 0.0), 6), "invalid interval"),
+        (lambda: _equation(interval=(0.0, np.inf)), "invalid interval"),
+        (lambda: _equation(n=3), "n must be >= 4"),
+        (lambda: OdeSpec(equations=(_equation(),)), "exactly two equations"),
+        (lambda: OdeSpec(equations=(_equation(), _equation()), oversampling=1.5), "oversampling must be an integer"),
+        (lambda: OdeSpec(equations=(_equation(), _equation()), oversampling=0), "oversampling must be >= 1"),
+        (lambda: discretize(OdeSpec(equations=(_equation(), _equation(f=lambda t: np.nan)))), "non-finite values"),
+        (lambda: reconstruct(build_basis((0.0, 1.0), 6), np.ones(5)), "length 5, basis expects 6"),
+    ],
+    ids=["zero-oversampling", "fractional-n", "reversed-interval", "infinite-interval", "tiny-n", "one-equation",
+         "fractional-oversampling", "spec-zero-oversampling", "non-finite-coefficient", "reconstruct-length"],
+)
+def test_rejects_invalid_input(make, match):
+    with pytest.raises(ValidationError, match=match):
+        make()
+
+
 class TestDiscretize:
     def test_shapes_and_boundary_rows(self):
         spec = builtin_sturm_liouville(n1=8, n2=10)

@@ -218,9 +218,9 @@ class TestSolveComplete:
             assert t.residual == sum(t.block_residuals)
 
     @pytest.mark.parametrize("solve", [solve_complete, solve_mep])
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, False])
     def test_seed_must_be_a_nonnegative_integer(self, solve, seed):
-        # before the check, numpy's ValueError (-1) or SeedSequence's TypeError (1.5)
+        # before the check, numpy's ValueError (-1) or SeedSequence's TypeError (1.5); a bool passed as 0 or 1
         p, _ = random_planted_problem([4, 4], [2, 2], 0.0, seed=0)
         with pytest.raises(ValidationError, match="seed"):
             solve(p if solve is solve_complete else reduced_mep(truncate_blocks(p)), seed=seed)
