@@ -19,8 +19,12 @@ subcommand, each key spelled as its flag (max-iters) or with underscores
 (max_iters).  Each value is checked against the option's declaration (an
 unknown key or a value of the wrong type is a configuration error) and
 installed as the subcommand's default before the command line is parsed
-again, so explicit flags win.  The seed must be >= 0, and the output
-directory is made before any solve.  Every CSV artifact is written by
+again, so explicit flags win.  Every option is checked, and the input file
+read, before the output directory is made; the directory is made before any
+solve.  An integer bound (--seed >= 0, --trials, --k, --top >= 1) is
+checked by `errors.check_integer`, and the files by `serialization`: a
+missing or unreadable input or config file is a configuration error.  Every
+CSV artifact is written by
 `_write_csv`, which formats floats with `.17g` (they parse back bitwise);
 with --no-timestamp, artifacts are byte-identical across runs for a fixed
 seed.  The solvers are called through their modules (`tsvd.solve_complete`,
@@ -29,7 +33,7 @@ every call.
 
 Exit codes: 0 success, 2 configuration error, 3 capacity exceeded,
 4 irregular multiparameter problem, 5 LAPACK failure (an SVD or QZ that
-did not converge).
+did not converge; `linalg` raises it for every one).
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from . import alternating, mep, serialization, spectral, tsvd
-from .errors import BackendError, CapacityError, DomainError, IrregularMepError, ValidationError
-from .model import dehomogenize, pencil_coefficients, planted_parts
+from .errors import BackendError, CapacityError, IrregularMepError, ValidationError, check_integer
+from .model import _planted_shapes, dehomogenize, pencil_coefficients, planted_parts
 
 EXIT_OK = 0
 # The exit code of each error that `main` reports; any other exception propagates.
@@ -117,10 +121,7 @@ def _config_defaults(path: Path, command: argparse.ArgumentParser, name: str) ->
     """The config file's values by option destination, each checked against
     the option's declaration in `command` and converted as its flag would be.
     --sigmas, the one string option, also takes a list of numbers."""
-    try:
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: invalid JSON or UTF-8
-        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
+    loaded = serialization.read_json(path)
     if not isinstance(loaded, dict):
         raise ValidationError("config file must hold a JSON object")
     options = {a.dest: a for a in command._actions if a.option_strings and a.dest not in ("help", "config")}
@@ -181,8 +182,6 @@ def _tuple_table(complete, stop=None) -> tuple[list, list]:
 
 
 def _load_problem(path: Path):
-    if not path.exists():
-        raise ValidationError(f"input file {path} does not exist")
     if path.suffix.lower() == ".json":
         return serialization.load_json(path)
     return serialization.load_binary(path)
@@ -302,10 +301,10 @@ def _cmd_bench_random(args: argparse.Namespace) -> int:
     for sigma in sigmas:
         if not (np.isfinite(sigma) and sigma >= 0):
             raise ValidationError(f"--sigmas must be finite and nonnegative, got {sigma}")
-    if args.trials < 1:
-        raise ValidationError(f"bench-random needs --trials >= 1, got {args.trials}")
+    trials = check_integer("--trials", args.trials, 1)
+    m, n, k = args.m, args.n, check_integer("--k", args.k, 1)
+    _planted_shapes([m] * k, [n] * k)
     out = _output_dir(args.out)
-    m, n, k, trials = args.m, args.n, args.k, args.trials
     # Serial: the per-trial work is Python holding the interpreter lock.
     # Every sigma gets the same children, so each child's planted draw and
     # reference solve are made once and shared by its sigmas.
@@ -330,13 +329,9 @@ def _cmd_bench_random(args: argparse.Namespace) -> int:
 
 def _cmd_ode(args: argparse.Namespace) -> int:
     mathieu = args.command == "ode-mathieu"
-    if args.top < 1:
-        raise ValidationError(f"{args.command} needs --top >= 1, got {args.top}")
+    check_integer("--top", args.top, 1)
     if mathieu:
-        try:
-            h, _ = spectral.mathieu_geometry(args.alpha, args.beta)
-        except DomainError as exc:  # a bad geometry is a bad option, not a solver fault
-            raise ValidationError(str(exc)) from exc
+        h, _ = spectral.mathieu_geometry(args.alpha, args.beta)
         spec = spectral.builtin_mathieu(args.alpha, args.beta, n1=args.n1, n2=args.n2, oversampling=args.oversampling)
     else:
         spec = spectral.builtin_sturm_liouville(n1=args.n1, n2=args.n2, oversampling=args.oversampling)
@@ -383,8 +378,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         if args.seed is None:
             raise ValidationError(f"{args.command} requires a seed (--seed or config)")
-        if args.seed < 0:
-            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+        check_integer("--seed", args.seed, 0)
         return args.run(args)
     except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,7 +43,8 @@ class IrregularMepError(RmepError):
 
 
 class DomainError(RmepError, ValueError):
-    """A function was evaluated outside its defining interval."""
+    """A function was evaluated outside its defining interval.  A parameter
+    outside its allowed range is a ValidationError."""
 
 
 def check_integer(name, value, minimum):
@@ -52,5 +53,5 @@ def check_integer(name, value, minimum):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}")
+        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
     return value

@@ -63,7 +63,8 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError, check_integer
 from .linalg import EPS, gemm, gep, svd, unit_scaled
-from .model import EigenTuple, EquationBlock, HomogeneousEigenvalue, MepProblem, RmepProblem, normalize_homogeneous, pencil_coefficients
+from .model import (EigenTuple, EquationBlock, HomogeneousEigenvalue, MepProblem, RmepProblem, _complex_normal,
+                    normalize_homogeneous, pencil_coefficients)
 
 __all__ = [
     "OperatorDeterminants",
@@ -134,9 +135,8 @@ def operator_determinants(problem: MepProblem) -> OperatorDeterminants:
 def _random_combination(matrices, rng):
     """sum_j w_j D_j for random unit weights w: real when every D_j is real,
     else complex."""
-    w = rng.standard_normal(len(matrices))
-    if any(np.iscomplexobj(dj) for dj in matrices):
-        w = w + 1j * rng.standard_normal(len(matrices))
+    n = len(matrices)
+    w = _complex_normal(rng, n) if any(np.iscomplexobj(dj) for dj in matrices) else rng.standard_normal(n)
     w /= np.linalg.norm(w)
     return sum(wj * dj for wj, dj in zip(w, matrices))
 

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfiniteEigenvalueError, ValidationError
-from .linalg import as_matrix, unit_scaled
+from .linalg import as_matrix, singular_values, unit_scaled
 
 __all__ = [
     "EquationBlock",
@@ -149,13 +149,14 @@ class RmepProblem:
     @cached_property
     def spectral_norms(self) -> tuple[tuple[float, tuple[float, ...]], ...]:
         # Residual denominators are evaluated once per tuple; cache the 2-norms,
-        # one batched norm per block, taken at unit scale and scaled back: LAPACK
-        # rescales input far from unit scale by factors that are not powers of two.
+        # the largest singular values of one batched SVD per block, taken at
+        # unit scale and scaled back: LAPACK rescales input far from unit scale
+        # by factors that are not powers of two.
         out = []
         for blk in self.blocks:
             coeffs = blk.coeffs.copy()
             e = unit_scaled(coeffs)
-            norm_a, *norms_b = (math.ldexp(v, e) for v in np.linalg.norm(coeffs, 2, axis=(1, 2)).tolist())
+            norm_a, *norms_b = (math.ldexp(v, e) for v in singular_values(coeffs)[:, 0].tolist())
             out.append((norm_a, tuple(norms_b)))
         return tuple(out)
 
@@ -364,17 +365,24 @@ class PlantedParts:
         return RmepProblem(blocks=tuple(EquationBlock(a=s[0], b=tuple(s[1:])) for s in noisy))
 
 
-def planted_parts(m, n, seed) -> PlantedParts:
-    """The draw of `random_planted_problem` for one seed; it does not
-    depend on the noise level."""
+def _planted_shapes(m, n) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(m, n) as tuples of ints; ValidationError unless they are equal-length
+    nonempty sequences with m_i > n_i >= 1."""
     m = tuple(int(v) for v in np.atleast_1d(m))
     n = tuple(int(v) for v in np.atleast_1d(n))
     if len(m) != len(n) or not m:
         raise ValidationError("m and n must be equal-length nonempty sequences")
-    k = len(m)
     for mi, ni in zip(m, n):
-        if mi <= ni:
-            raise ValidationError(f"planted problems need m_i > n_i, got {mi} <= {ni}")
+        if not mi > ni >= 1:
+            raise ValidationError(f"planted problems need m_i > n_i >= 1, got m_i = {mi}, n_i = {ni}")
+    return m, n
+
+
+def planted_parts(m, n, seed) -> PlantedParts:
+    """The draw of `random_planted_problem` for one seed; it does not
+    depend on the noise level."""
+    m, n = _planted_shapes(m, n)
+    k = len(m)
     rng = np.random.default_rng(seed)
     ref_blocks, lifted, noise = [], [], []
     for mi, ni in zip(m, n):

@@ -5,7 +5,11 @@ arrays of interleaved (re, im) doubles, written by one encoder and read by
 one decoder, and round-trip bit-exactly for finite values, signed zeros
 included.  A matrix whose imaginary parts are all exactly 0 loads as float64,
 so a real problem is solved in real arithmetic after a round trip too.
-Square problems are tagged so they load back as MepProblem.
+Square problems are tagged so they load back as MepProblem.  Both loaders
+check a document in `from_json_dict`: `load_binary` checks only its own
+framing (magic, truncation, trailing bytes) and hands the header and
+payloads over as a document.  A file that cannot be read, or a JSON file
+that is not valid UTF-8 JSON, is a ValidationError (`read_json`).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "to_json_dict",
     "from_json_dict",
     "save_json",
+    "read_json",
     "load_json",
     "save_binary",
     "load_binary",
@@ -98,14 +103,27 @@ def save_json(problem: RmepProblem, path) -> None:
     Path(path).write_text(json.dumps(to_json_dict(problem)), encoding="utf-8")
 
 
-def load_json(path) -> RmepProblem:
+def _read_bytes(path) -> bytes:
+    """The file's bytes, or a ValidationError when it cannot be read (missing,
+    a directory, no read permission)."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:  # a directory, a file without read permission
+        return Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path):
+    """The JSON value in the UTF-8 file at `path`: a ValidationError when the
+    file cannot be read or holds no valid JSON."""
+    data = _read_bytes(path)
+    try:
+        return json.loads(data.decode("utf-8"))
     except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise ValidationError(f"{path} is not a JSON file: {exc}") from exc
-    return from_json_dict(doc)
+
+
+def load_json(path) -> RmepProblem:
+    return from_json_dict(read_json(path))
 
 
 def save_binary(problem: RmepProblem, path) -> None:
@@ -128,25 +146,22 @@ def _unpack(fmt: str, data: bytes, off: int):
 
 
 def load_binary(path) -> RmepProblem:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    if len(data) < 16 or data[:16] != BINARY_MAGIC:
+    """The problem in a `save_binary` file, decoded by `from_json_dict` from
+    the document its header and payloads spell."""
+    data = _read_bytes(path)
+    if not data.startswith(BINARY_MAGIC):
         raise ValidationError("bad magic header; not a binary problem file")
-    (kind, k), off = _unpack("<BI", data, 16)
+    (kind, k), off = _unpack("<BI", data, len(BINARY_MAGIC))
     blocks = []
     for _ in range(k):
         (m, n), off = _unpack("<II", data, off)
-        mats = []
-        nbytes = 16 * m * n
-        for _ in range(k + 1):
-            if off + nbytes > len(data):
-                raise ValidationError("truncated binary problem file")
-            mats.append(_decode_matrix(np.frombuffer(data, dtype="<f8", count=2 * m * n, offset=off), m, n))
-            off += nbytes
-        blocks.append(EquationBlock(a=mats[0], b=tuple(mats[1:])))
+        count = 2 * m * n * (k + 1)  # doubles of the block's k + 1 matrices
+        if off + 8 * count > len(data):
+            raise ValidationError("truncated binary problem file")
+        a, *b = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(k + 1, 2 * m * n)
+        blocks.append({"rows": m, "cols": n, "a": a, "b": b})
+        off += 8 * count
     if off != len(data):
         raise ValidationError("trailing bytes after the last block")
-    cls = MepProblem if kind == 1 else RmepProblem
-    return cls(blocks=tuple(blocks))
+    return from_json_dict({"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": "mep" if kind == 1 else "rmep",
+                           "k": k, "blocks": blocks})

@@ -331,9 +331,10 @@ def builtin_sturm_liouville(n1: int = 30, n2: int = 30, oversampling: int = 4) -
 
 def mathieu_geometry(alpha: float, beta: float):
     """Focal distance h and radial extent xi0 of the ellipse
-    x^2/alpha^2 + y^2/beta^2 = 1 in elliptic coordinates."""
-    if not (alpha > beta > 0):
-        raise DomainError(f"need alpha > beta > 0, got alpha={alpha}, beta={beta}")
+    x^2/alpha^2 + y^2/beta^2 = 1 in elliptic coordinates; ValidationError
+    unless alpha > beta > 0 and alpha is finite."""
+    if not (alpha > beta > 0 and math.isfinite(alpha)):
+        raise ValidationError(f"need alpha > beta > 0, got alpha={alpha}, beta={beta}")
     h = math.sqrt(alpha * alpha - beta * beta)
     xi0 = math.acosh(alpha / h)
     return h, xi0
@@ -351,6 +352,7 @@ def builtin_mathieu(alpha: float, beta: float, n1: int = 30, n2: int = 30, overs
     with homogeneous Dirichlet ends; mu = h^2 omega^2 / 4 links mu to the
     membrane eigenfrequency omega.  Mapped onto the generic coefficient
     slots: p1 = 1, q1 = -2 cos 2s and p2 = -1, q2 = +2 cosh 2t.
+    ValidationError unless alpha > beta > 0 and alpha is finite (`mathieu_geometry`).
     """
     h, xi0 = mathieu_geometry(alpha, beta)
     zero = lambda t: 0.0

@@ -123,7 +123,7 @@ def truncation_certificate(problem: RmepProblem) -> TruncationCertificate:
         b_hat = tuple(core @ vb.conj().T for vb in t.vblocks[1:])
         blocks.append(EquationBlock(a=a_hat, b=b_hat))
     pset = PerturbationSet.from_blocks(problem, blocks)
-    attained = all(np.linalg.norm(t.vblocks[0], 2) < 1.0 - ATTAINMENT_MARGIN for t in truncations)
+    attained = all(singular_values(t.vblocks[0])[0] < 1.0 - ATTAINMENT_MARGIN for t in truncations)
     couplings = None
     if attained:
         couplings = []

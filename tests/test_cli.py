@@ -199,14 +199,19 @@ def test_bench_random_requires_seed(tmp_path):
         (["--sigmas", "nan"], "sigma"),
         (["--sigmas", "inf"], "sigma"),
         (["--sigmas", "0,abc"], "--sigmas expects a number, got 'abc'"),
+        (["--m", "5", "--n", "5"], "planted problems need m_i > n_i >= 1, got m_i = 5, n_i = 5"),
+        (["--n", "-1"], "planted problems need m_i > n_i >= 1, got m_i = 8, n_i = -1"),
+        (["--k", "0"], "--k must be >= 1, got 0"),
     ],
-    ids=["empty-sigmas", "negative-trials", "zero-trials", "nan-sigma", "inf-sigma", "text-sigma"],
+    ids=["empty-sigmas", "negative-trials", "zero-trials", "nan-sigma", "inf-sigma", "text-sigma", "square-blocks",
+         "negative-n", "zero-k"],
 )
 def test_bench_random_rejects_bad_input(tmp_path, capsys, flags, message):
-    argv = ["bench-random", "--m", "8", "--n", "2", "--seed", "1", "--out", str(tmp_path)]
+    out = tmp_path / "out"
+    argv = ["bench-random", "--m", "8", "--n", "2", "--seed", "1", "--out", str(out)]
     assert main(argv + flags) == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "bench.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sigmas", [[0, 0.1, float("nan")], [0, -0.1]], ids=["late-nan", "late-negative"])
@@ -272,8 +277,8 @@ def test_solve_one_rejects_non_finite_kkt_tol(tmp_path, capsys, kkt_tol):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, message", [(["--max-iters", "0"], "max_iters must be >= 1"),
-                                            (["--restarts", "-1"], "restarts must be >= 0")],
+@pytest.mark.parametrize("flags, message", [(["--max-iters", "0"], "max_iters must be >= 1, got 0"),
+                                            (["--restarts", "-1"], "restarts must be >= 0, got -1")],
                          ids=["max-iters", "restarts"])
 def test_solve_one_rejects_bad_budget(tmp_path, capsys, flags, message):
     p, _ = random_planted_problem([8, 8], [2, 2], 0.0, seed=4)
@@ -408,7 +413,7 @@ def test_config_values_of_wrong_type_are_config_errors(tmp_path, capsys, command
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("content, message", [(None, "cannot read config file"),
+@pytest.mark.parametrize("content, message", [(None, "cannot read {cfg}: "),
                                               ("[1, 2]", "config file must hold a JSON object")],
                          ids=["directory", "list"])
 def test_unusable_config_file_is_config_error(tmp_path, capsys, content, message):
@@ -418,7 +423,7 @@ def test_unusable_config_file_is_config_error(tmp_path, capsys, content, message
     else:
         cfg.write_text(content)
     assert main(["ode-sl", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert capsys.readouterr().err.startswith("error: " + message.format(cfg=cfg))
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -660,37 +665,50 @@ def test_ode_top_beyond_the_set_writes_the_finite_rows(tmp_path, monkeypatch, ar
     assert not (tmp_path / f"{name}_u1_{len(data) + 1:02d}.csv").exists()
 
 
-def test_backend_error_exit_code(tmp_path, capsys, monkeypatch):
-    # The values-only SVD that ranks the complete set fails to converge.
+def run_with_failing_svd(tmp_path, capsys, monkeypatch, command, fails=lambda compute_uv: True):
+    """main on `command` with a saved planted problem (two 8x2 blocks) while
+    np.linalg.svd raises LinAlgError on the calls where fails(compute_uv);
+    returns (exit code, stderr lines)."""
     svd = np.linalg.svd
 
     def failing_svd(a, *args, compute_uv=True, **kwargs):
-        if not compute_uv:
+        if fails(compute_uv):
             raise np.linalg.LinAlgError("SVD did not converge")
         return svd(a, *args, compute_uv=compute_uv, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     p, _ = random_planted_problem([8, 8], [2, 2], 0.0, seed=4)
     save_json(p, tmp_path / "p.json")
-    assert main(["solve-complete", str(tmp_path / "p.json"), "--out", str(tmp_path), "--no-timestamp"]) == 5
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: SVD did not converge for shape (4, 8, 2)")
+    rc = main([command, str(tmp_path / "p.json"), "--out", str(tmp_path), "--no-timestamp"])
+    return rc, capsys.readouterr().err.splitlines()
+
+
+def test_backend_error_exit_code(tmp_path, capsys, monkeypatch):
+    # The values-only SVDs fail to converge; the first, of block 1's (A, B_1, B_2)
+    # stack, is the spectral norms' that the ranking divides by.
+    rc, err = run_with_failing_svd(tmp_path, capsys, monkeypatch, "solve-complete", lambda compute_uv: not compute_uv)
+    assert rc == 5
+    assert len(err) == 1 and err[0].startswith("error: SVD did not converge for shape (3, 8, 2)")
     assert not (tmp_path / "complete_set.csv").exists()
 
 
 def test_failed_svd_fallback_in_solve_one_exits_5(tmp_path, capsys, monkeypatch):
-    # The vector kernel's last resort, the SVD, fails to converge.
-    def failing_svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
+    # The vector kernel's last resort, the SVD, fails to converge; the
+    # values-only SVDs of the spectral norms do not.
     monkeypatch.setattr(rmep.linalg, "_shifted_inverse_iteration", lambda *args: None)
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    p, _ = random_planted_problem([8, 8], [2, 2], 0.0, seed=4)
-    save_json(p, tmp_path / "p.json")
-    assert main(["solve-one", str(tmp_path / "p.json"), "--out", str(tmp_path), "--no-timestamp"]) == 5
-    err = capsys.readouterr().err.splitlines()
+    rc, err = run_with_failing_svd(tmp_path, capsys, monkeypatch, "solve-one", lambda compute_uv: compute_uv)
+    assert rc == 5
     assert len(err) == 1 and err[0].startswith("error: SVD did not converge for shape (8, 2)")
     assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command, artifact", [("solve-one", "trace.csv"), ("solve-complete", "complete_set.csv")])
+def test_every_failed_svd_exits_5(tmp_path, capsys, monkeypatch, command, artifact):
+    # Every SVD fails to converge, the spectral norms' included.
+    rc, err = run_with_failing_svd(tmp_path, capsys, monkeypatch, command)
+    assert rc == 5
+    assert len(err) == 1 and err[0].startswith("error: SVD did not converge for shape (")
+    assert not (tmp_path / artifact).exists()
 
 
 def test_ode_mathieu_small(tmp_path):
@@ -712,7 +730,7 @@ def test_ode_mathieu_small(tmp_path):
 def test_ode_rejects_top_below_one(tmp_path, capsys, command, top):
     rc = main([command, "--n1", "8", "--n2", "8", "--top", top, "--out", str(tmp_path), "--no-timestamp"])
     assert rc == 2
-    assert f"--top >= 1, got {top}" in capsys.readouterr().err
+    assert f"--top must be >= 1, got {top}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -748,7 +766,7 @@ def test_ode_sl_table_values_at_n30(tmp_path, sl_solution_n30):
     assert any(abs(l - 24.6740) <= 1e-4 for l in lams)
 
 
-@pytest.mark.parametrize("alpha, beta", [("1", "4"), ("2", "2"), ("4", "0")])
+@pytest.mark.parametrize("alpha, beta", [("1", "4"), ("2", "2"), ("4", "0"), ("inf", "1")])
 def test_ode_mathieu_rejects_bad_geometry(tmp_path, capsys, alpha, beta):
     rc = main(["ode-mathieu", "--alpha", alpha, "--beta", beta, "--n1", "8", "--n2", "8",
                "--out", str(tmp_path), "--no-timestamp"])

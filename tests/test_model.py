@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmep.errors import InfiniteEigenvalueError, ValidationError
+from rmep.errors import BackendError, InfiniteEigenvalueError, ValidationError
 from rmep.linalg import GepResult, SvdResult, svd
 from rmep.mep import OperatorDeterminants
 from rmep.model import (
@@ -62,6 +62,15 @@ class TestProblemTypes:
             for blk, (norm_a, norms_b) in zip(p.blocks, p.spectral_norms):
                 assert norm_a == float(np.linalg.norm(blk.a, 2))
                 assert norms_b == tuple(float(np.linalg.norm(b, 2)) for b in blk.b)
+
+    def test_spectral_norms_svd_failure_is_backend_error(self, monkeypatch):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        p = random_problem(np.random.default_rng(1), 6, 4, 2)
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(BackendError, match=r"SVD did not converge for shape \(3, 6, 4\)"):
+            p.spectral_norms
 
     @settings(max_examples=60, deadline=None)
     @given(e=st.integers(-600, 600))

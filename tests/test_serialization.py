@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from rmep.serialization import (
     from_json_dict,
     load_binary,
     load_json,
+    read_json,
     save_binary,
     save_json,
     to_json_dict,
@@ -157,6 +159,29 @@ def test_binary_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + bytes(16))
     with pytest.raises(ValidationError, match="trailing bytes after the last block"):
         load_binary(path)
+
+
+@pytest.mark.parametrize("header, message", [(struct.pack("<BI", 0, 0), "^k must be >= 1, got 0$"),
+                                             (struct.pack("<BIII", 0, 1, 0, 1), "^rows must be >= 1, got 0$")],
+                         ids=["k-zero", "rows-zero"])
+def test_binary_counts_are_checked_by_the_json_rules(tmp_path, header, message):
+    path = tmp_path / "p.bin"
+    path.write_bytes(b"RMEP-PROBLEM-v1\x00" + header)
+    with pytest.raises(ValidationError, match=message):
+        load_binary(path)
+
+
+@pytest.mark.parametrize("content, message", [("missing", "^cannot read "), ("directory", "^cannot read "),
+                                              (b"\xff{}", " is not a JSON file: "), (b"{", " is not a JSON file: ")],
+                         ids=["missing", "directory", "invalid-utf8", "invalid-json"])
+def test_read_json_failures_are_validation_errors(tmp_path, content, message):
+    path = tmp_path / "d.json"
+    if content == "directory":
+        path.mkdir()
+    elif content != "missing":
+        path.write_bytes(content)
+    with pytest.raises(ValidationError, match=message):
+        read_json(path)
 
 
 def test_json_is_plain_json(tmp_path):

@@ -373,7 +373,7 @@ class TestBuiltins:
         assert abs(eq2.interval[1] - np.arccosh(4.0 / np.sqrt(15.0))) < 1e-15
 
     def test_mathieu_rejects_bad_axes(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="need alpha > beta > 0"):
             builtin_mathieu(1.0, 4.0)
 
 
