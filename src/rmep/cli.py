@@ -19,19 +19,20 @@ subcommand, each key spelled as its flag (max-iters) or with underscores
 (max_iters).  Each value is checked against the option's declaration (an
 unknown key or a value of the wrong type is a configuration error) and
 installed as the subcommand's default before the command line is parsed
-again, so explicit flags win.  Every option is checked, and the input file
-read, before the output directory is made; the directory is made before any
-solve.  An integer bound (--seed >= 0, --trials, --k, --top >= 1) is
-checked by `errors.check_integer`, and the files by `serialization`: a
-missing or unreadable input or config file is a configuration error.  Every
-CSV artifact is written by
-`_write_csv`, which formats floats with `.17g` (they parse back bitwise);
-with --no-timestamp, artifacts are byte-identical across runs for a fixed
-seed.  The solvers are called through their modules (`tsvd.solve_complete`,
-not a name bound at import), so a tracer that swaps module attributes sees
-every call.
+again, so explicit flags win.  Every option is checked, the input file read
+and the solve's size judged from its shapes by `mep.check_capacity` before
+the output directory is made; the directory is made before any solve.  An
+integer bound (--seed >= 0, --trials, --k, --top >= 1) is checked by
+`errors.check_integer`, and the files by `serialization`: a missing or
+unreadable input or config file is a configuration error.  Every CSV
+artifact is written by `_write_csv`, which formats floats with `.17g` (they
+parse back bitwise); with --no-timestamp, artifacts are byte-identical
+across runs for a fixed seed.  The solvers are called through their modules
+(`tsvd.solve_complete`, not a name bound at import), so a tracer that swaps
+module attributes sees every call.
 
-Exit codes: 0 success, 2 configuration error, 3 capacity exceeded,
+Exit codes: 0 success, 2 configuration error, 3 capacity exceeded (k > 4,
+or more memory than `errors.MEMORY_BUDGET` by the shapes alone),
 4 irregular multiparameter problem, 5 LAPACK failure (an SVD or QZ that
 did not converge; `linalg` raises it for every one).
 """
@@ -227,6 +228,7 @@ def _cmd_solve_one(args: argparse.Namespace) -> int:
 
 def _cmd_solve_complete(args: argparse.Namespace) -> int:
     problem = _load_problem(args.input)
+    mep.check_capacity(problem.shapes)
     out = _output_dir(args.out)
     complete = tsvd.solve_complete(problem, seed=args.seed)
     _write_csv(out / "complete_set.csv", args.no_timestamp, *_tuple_table(complete))
@@ -304,6 +306,7 @@ def _cmd_bench_random(args: argparse.Namespace) -> int:
     trials = check_integer("--trials", args.trials, 1)
     m, n, k = args.m, args.n, check_integer("--k", args.k, 1)
     _planted_shapes([m] * k, [n] * k)
+    mep.check_capacity([(m, n)] * k)
     out = _output_dir(args.out)
     # Serial: the per-trial work is Python holding the interpreter lock.
     # Every sigma gets the same children, so each child's planted draw and
@@ -335,6 +338,7 @@ def _cmd_ode(args: argparse.Namespace) -> int:
         spec = spectral.builtin_mathieu(args.alpha, args.beta, n1=args.n1, n2=args.n2, oversampling=args.oversampling)
     else:
         spec = spectral.builtin_sturm_liouville(n1=args.n1, n2=args.n2, oversampling=args.oversampling)
+    mep.check_capacity([(eq.n + 2, eq.n) for eq in spec.equations])  # the shapes of `discretize`'s blocks
     out = _output_dir(args.out)
     disc = spectral.discretize(spec)
     complete = tsvd.solve_complete(disc.problem, seed=args.seed)

@@ -1,6 +1,11 @@
-"""Exception hierarchy shared across the package, and its integer check."""
+"""Exception hierarchy shared across the package, its integer check and its
+memory budget."""
 
 import numbers
+
+# Bytes that one complete-set solve or one planted draw may ask for, judged
+# from its shapes before anything is allocated: half of an 8 GiB machine.
+MEMORY_BUDGET = 4 * 2**30
 
 
 class RmepError(Exception):
@@ -12,7 +17,9 @@ class ValidationError(RmepError, ValueError):
 
 
 class CapacityError(RmepError):
-    """A requested dense operation would exceed a fixed size cap."""
+    """A requested solve is too large, judged from its shapes alone: its
+    estimated memory exceeds MEMORY_BUDGET, or it has more parameters than
+    the determinant expansion supports (`mep.check_capacity`)."""
 
 
 class BackendError(RmepError):
@@ -55,3 +62,9 @@ def check_integer(name, value, minimum):
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
     return value
+
+
+def check_memory(what, nbytes):
+    """CapacityError if `what` would need more than MEMORY_BUDGET bytes."""
+    if nbytes > MEMORY_BUDGET:
+        raise CapacityError(f"{what} needs about {nbytes / 2**30:.3g} GiB, budget {MEMORY_BUDGET / 2**30:.3g} GiB")

@@ -222,8 +222,10 @@ def solve_complete(problem: RmepProblem, seed: int = 0) -> CompleteSet:
     infinite-eigenvalue threshold sort last with rho = inf.  The returned
     `CompleteSet` computes vectors only for the tuples that are read.  The
     seed, an integer >= 0, draws the lifted pencil's random combinations.
+    `mep.check_capacity` judges the rectangular shapes before any of it.
     """
     check_integer("seed", seed, 0)
+    mep.check_capacity(problem.shapes)
     reduced = reduced_mep(truncate_blocks(problem))
     rows = mep.solve_from_determinants(mep.operator_determinants(reduced), seed=seed)
     finite, c = pencil_coefficients(rows)

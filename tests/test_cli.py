@@ -11,6 +11,7 @@ import pytest
 
 import rmep.alternating
 import rmep.cli
+import rmep.errors
 import rmep.linalg
 import rmep.mep
 import rmep.spectral
@@ -318,8 +319,8 @@ def test_solvers_are_looked_up_through_their_modules(tmp_path, monkeypatch):
 
 
 def test_capacity_error_exit_code(tmp_path):
-    # N = 40^2 = 1600 tuples is fine, but a kron cap cannot be exceeded via
-    # the CLI directly; instead craft k too large for the determinant expansion
+    # k = 5 is too many parameters for the determinant expansion; the loaded
+    # problem's shapes decide it before --out is made.
     rng = np.random.default_rng(0)
     from rmep.model import EquationBlock, RmepProblem
 
@@ -333,8 +334,42 @@ def test_capacity_error_exit_code(tmp_path):
     p = RmepProblem(blocks=blocks)
     inp = tmp_path / "p.json"
     save_json(p, inp)
-    rc = main(["solve-complete", str(inp), "--out", str(tmp_path)])
+    rc = main(["solve-complete", str(inp), "--out", str(tmp_path / "out")])
     assert rc == 3
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve-complete", "p.json"], "the complete-set solve of 25 tuples"),
+    (["ode-sl", "--n1", "6", "--n2", "6"], "the complete-set solve of 36 tuples"),
+    (["ode-mathieu", "--n1", "6", "--n2", "6"], "the complete-set solve of 36 tuples"),
+    (["bench-random", "--seed", "1"], "the complete-set solve of 25 tuples"),
+    (["bench-random", "--seed", "1", "--m", "200"], "the planted draw"),
+], ids=["solve-complete", "ode-sl", "ode-mathieu", "bench-random-solve", "bench-random-draw"])
+def test_capacity_is_decided_from_the_shapes_before_out(tmp_path, capsys, monkeypatch, argv, message):
+    # A 100 kB budget is below each solve's estimate (115 to 240 kB) and the
+    # 200-row planted draw's (576 kB), but above the default draw's (58 kB).
+    monkeypatch.setattr(rmep.errors, "MEMORY_BUDGET", 10**5)
+    p, _ = random_planted_problem([12, 12], [5, 5], 0.01, seed=4)
+    save_json(p, tmp_path / "p.json")
+    calls = [spy(monkeypatch, rmep.spectral, "discretize"), spy(monkeypatch, rmep.tsvd, "truncate_blocks"),
+             spy(monkeypatch, rmep.cli, "_planted_trial")]
+    argv = [str(tmp_path / a) if a == "p.json" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message} needs about ")
+    assert calls == [[], [], []]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench-random", "--seed", "1", "--k", "5", "--m", "3", "--n", "2", "--trials", "1"], "supports k <= 4"),
+    (["ode-sl", "--n1", "200", "--n2", "200"], "the complete-set solve of 40000 tuples"),
+], ids=["bench-random-k5", "ode-sl-n200"])
+def test_over_capacity_commands_make_no_out(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_singular_pencil_exit_code(tmp_path, capsys):

@@ -1,12 +1,13 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rmep.errors import CapacityError, IrregularMepError, ValidationError
-from rmep import linalg, mep
+from rmep import errors, linalg, mep, tsvd
 from rmep.mep import operator_determinants, solve_mep
-from rmep.model import EquationBlock, MepProblem, dehomogenize
+from rmep.model import EquationBlock, MepProblem, RmepProblem, dehomogenize, random_planted_problem
 
 from conftest import crandn, match_multisets, pencil_vector_error, random_problem, shared_b_problem
 
@@ -206,6 +207,64 @@ class TestOperatorDeterminants:
             comm = g[0] @ g[1] - g[1] @ g[0]
             bound = 1e-8 * np.linalg.norm(g[0], "fro") * np.linalg.norm(g[1], "fro")
             assert np.linalg.norm(comm, "fro") <= bound
+
+
+def traced_peak(work):
+    """Peak bytes that tracemalloc sees work() allocate above what is already
+    allocated, and work()'s exception if it raised one."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            work()
+            raised = None
+        except CapacityError as exc:
+            raised = exc
+        return tracemalloc.get_traced_memory()[1] - base, raised
+    finally:
+        tracemalloc.stop()
+
+
+def tall_problem(seed, m, n, k, complex_data):
+    """k blocks of shape m x n with standard normal entries, real or complex."""
+    p = random_problem(np.random.default_rng(seed), m, n, k)
+    if complex_data:
+        return p
+    return RmepProblem(blocks=tuple(EquationBlock(a=blk.a.real, b=tuple(b.real for b in blk.b)) for blk in p.blocks))
+
+
+class TestCheckCapacity:
+    def test_solve_complete_refuses_before_the_lifted_matrices(self, monkeypatch):
+        # N = 144: the lifted pencil needs about 3.8 MB by the estimate, and
+        # one real N x N matrix is 166 kB.
+        p, _ = random_planted_problem([15, 15], [12, 12], 0.01, seed=2)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 10**6)
+        peak, raised = traced_peak(lambda: tsvd.solve_complete(p))
+        assert isinstance(raised, CapacityError) and "the complete-set solve of 144 tuples" in str(raised)
+        assert peak < 8 * p.total_dim**2
+
+    def test_tall_one_parameter_problem_is_judged_by_its_ranking(self, monkeypatch):
+        # One real 200 x 200 lifted matrix is 0.32 MB, but the ranking stacks 200
+        # complex 203 x 200 pencils (130 MB): the budget lies between the two.
+        p = tall_problem(3, 203, 200, 1, complex_data=True)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 50 * 2**20)
+        with pytest.raises(CapacityError, match="the complete-set solve of 200 tuples"):
+            tsvd.solve_complete(p)
+
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("m, n, k", [(103, 100, 1), (28, 25, 2), (11, 8, 3)])
+    def test_estimate_bounds_the_measured_peak(self, monkeypatch, m, n, k, complex_data):
+        # Either the ranking stack (k = 1, 16.5 MB) or one N x N matrix (k = 2
+        # and 3, 3.1 and 2.1 MB) is several MB, so fixed overheads do not count.
+        p = tall_problem(4, m, n, k, complex_data)
+        peak, raised = traced_peak(lambda: tsvd.solve_complete(p))
+        assert raised is None
+        # The estimate is at least the peak, and within 3 times it.
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", peak - 1)
+        with pytest.raises(CapacityError):
+            mep.check_capacity(p.shapes)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 3 * peak)
+        mep.check_capacity(p.shapes)
 
 
 class TestSolveMep:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmep.errors import BackendError, InfiniteEigenvalueError, ValidationError
+from rmep import errors, model
+from rmep.errors import BackendError, CapacityError, InfiniteEigenvalueError, ValidationError
 from rmep.linalg import GepResult, SvdResult, svd
 from rmep.mep import OperatorDeterminants
 from rmep.model import (
@@ -317,6 +318,15 @@ class TestPerturbations:
 
 
 class TestRandomPlantedProblem:
+    def test_draw_over_the_memory_budget_is_refused_before_it_is_made(self, monkeypatch):
+        # The estimate of a 200 x 5 draw with k = 1 is 6 * 16 * 2 * 1000 = 192 kB.
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 10**5)
+        drawn = []
+        monkeypatch.setattr(model, "_complex_normal", lambda *args: drawn.append(args))
+        with pytest.raises(CapacityError, match="the planted draw needs about"):
+            planted_parts([200], [5], seed=0)
+        assert drawn == []
+
     def test_exact_rank_at_zero_noise(self):
         p, ref = random_planted_problem([10, 12], [4, 3], 0.0, seed=42)
         for blk in p.blocks:
