@@ -43,6 +43,7 @@ is at most `AlternatingConfig.kkt_tol`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,9 +80,11 @@ BETA_START, BETA_MAX, BETA_MIN = 1.0, 64.0, 0.5
 class AlternatingConfig:
     """Options for `solve_one`.
 
-    initial_lambdas -- starting eigenvalue guess (defaults to all zeros);
+    initial_lambdas -- starting eigenvalue guess, finite real or complex
+                       numbers (defaults to all zeros);
     max_iters       -- sweep budget of each run;
-    kkt_tol         -- a run stops at the first sweep with `_kkt_residual` <= kkt_tol;
+    kkt_tol         -- a run stops at the first sweep with `_kkt_residual` <= kkt_tol,
+                       a positive finite real number;
     restarts        -- number of extra runs from random complex guesses, the
                        best final objective wins;
     seed            -- drives the restart guesses only.
@@ -95,8 +98,17 @@ class AlternatingConfig:
 
     def __post_init__(self):
         check_integer("max_iters", self.max_iters, 1)
-        if not 0 < self.kkt_tol < np.inf:
-            raise ValidationError(f"kkt_tol must be positive and finite, got {self.kkt_tol}")
+        tol = self.kkt_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+            raise ValidationError(f"kkt_tol must be positive and finite, got {tol!r}")
+        if self.initial_lambdas is not None:
+            try:
+                guess = np.asarray(self.initial_lambdas)
+                numeric = guess.dtype.kind in "iufc" and np.isfinite(guess).all()
+            except ValueError:  # a ragged sequence
+                numeric = False
+            if not numeric:
+                raise ValidationError(f"initial_lambdas must be finite numbers, got {self.initial_lambdas!r}")
         check_integer("restarts", self.restarts, 0)
         check_integer("seed", self.seed, 0)
 

@@ -27,9 +27,10 @@ integer bound (--seed >= 0, --trials, --k, --top >= 1) is checked by
 unreadable input or config file is a configuration error.  Every CSV
 artifact is written by `_write_csv`, which formats floats with `.17g` (they
 parse back bitwise); with --no-timestamp, artifacts are byte-identical
-across runs for a fixed seed.  The solvers are called through their modules
-(`tsvd.solve_complete`, not a name bound at import), so a tracer that swaps
-module attributes sees every call.
+across runs for a fixed seed.  The solvers are called through their
+modules, not bound at import (`tsvd.solve_complete`, and for bench-random's
+trials `tsvd.complete_rows`, its values stage alone), so a tracer that
+swaps module attributes sees every call.
 
 Exit codes: 0 success, 2 configuration error, 3 capacity exceeded (k > 4,
 or more memory than `errors.MEMORY_BUDGET` by the shapes alone),
@@ -282,7 +283,9 @@ def _bench_trial(m: int, n: int, k: int, sigma: float, child_seed, shared=None) 
     """One trial's error statistics at `sigma`; `shared` is the trial's
     `_planted_trial`, computed here when not given."""
     parts, ref_vals = _planted_trial(m, n, k, child_seed) if shared is None else shared
-    comp_vals = tsvd.solve_complete(parts.at(sigma), seed=int(child_seed.generate_state(1)[0])).lambdas
+    # Only values are compared, so the complete set's ranking is not computed.
+    finite, c = pencil_coefficients(tsvd.complete_rows(parts.at(sigma), seed=int(child_seed.generate_state(1)[0])))
+    comp_vals = -c[finite, 1:]
     ref_idx, comp_idx = _greedy_match(ref_vals, comp_vals)
     errs = _relative_errors(ref_vals[ref_idx], comp_vals[comp_idx])
     total = n**k

@@ -55,7 +55,8 @@ rectangular blocks, for only the tuples that are read.
 `check_capacity` is the one capacity rule: from the block shapes alone it
 refuses k > MAX_PARAMETERS, or a complete-set solve whose estimated peak
 memory exceeds `errors.MEMORY_BUDGET`.  `operator_determinants`,
-`tsvd.solve_complete` and the CLI (before it makes `--out`) all call it.
+`tsvd.complete_rows` (the values stage of every complete-set solve) and the
+CLI (before it makes `--out`) all call it.
 """
 
 from __future__ import annotations

@@ -10,10 +10,12 @@ perturbed problem into the square multiparameter problem
     V_11^H x = lambda_1 V_21^H x + ... + lambda_k V_{k+1,1}^H x,
 
 whose N = n_1*...*n_k tuples are the complete set of approximate
-eigen-tuples for the rectangular problem.  `solve_complete` takes their
-values from it, ranks them on the original blocks by the smallest singular
-values of their pencils alone and returns a `CompleteSet`, which builds
-EigenTuples, vectors included, only for the tuples that are read.  When additionally
+eigen-tuples for the rectangular problem.  The solve has two stages.
+`complete_rows` takes their values from it, as unranked rows, which is all
+that a caller comparing values needs.  `solve_complete` then ranks them on
+the original blocks by the smallest singular values of their pencils alone
+and returns a `CompleteSet`, which builds EigenTuples, vectors included,
+only for the tuples that are read.  When additionally
 ||V_11||_2 < 1, the minimal cost is attained and explicit coupling matrices
 X_is with A^_i = sum_s B^_is X_is exist; they are built from a column-pivoted
 QR of V_12.
@@ -47,6 +49,7 @@ __all__ = [
     "truncation_certificate",
     "reduced_mep",
     "CompleteSet",
+    "complete_rows",
     "solve_complete",
 ]
 
@@ -206,11 +209,23 @@ class CompleteSet(Sequence):
         return out
 
 
+def complete_rows(problem: RmepProblem, seed: int = 0) -> np.ndarray:
+    """The values of all N approximate eigen-tuples, unranked: the (N, k+1)
+    homogeneous rows of the reduced square problem, normalized by
+    `model.normalize_homogeneous`, in the lifted pencil's order.  The seed,
+    an integer >= 0, draws the lifted pencil's random combinations.
+    `mep.check_capacity` judges the rectangular shapes before any of it.
+    """
+    check_integer("seed", seed, 0)
+    mep.check_capacity(problem.shapes)
+    reduced = reduced_mep(truncate_blocks(problem))
+    return mep.solve_from_determinants(mep.operator_determinants(reduced), seed=seed)
+
+
 def solve_complete(problem: RmepProblem, seed: int = 0) -> CompleteSet:
     """All N approximate eigen-tuples, ranked by ascending total residual.
 
-    The reduced square problem supplies the eigenvalues, as the rows that
-    `model.normalize_homogeneous` normalizes.  A finite tuple is ranked on
+    `complete_rows` supplies the eigenvalues.  A finite tuple is ranked on
     the original blocks through its pencils A_i - sum_s lambda_s B_is (from
     `model.pencil_coefficients`), whose smallest singular value sigma_i is
     the least ||A_i x_i - sum_s lambda_s B_is x_i|| over unit x_i:
@@ -220,14 +235,9 @@ def solve_complete(problem: RmepProblem, seed: int = 0) -> CompleteSet:
     `normalized_residual`'s metric to a few eps, from one values-only batched
     SVD per block (`linalg.singular_values`).  Tuples with gamma at/below the
     infinite-eigenvalue threshold sort last with rho = inf.  The returned
-    `CompleteSet` computes vectors only for the tuples that are read.  The
-    seed, an integer >= 0, draws the lifted pencil's random combinations.
-    `mep.check_capacity` judges the rectangular shapes before any of it.
+    `CompleteSet` computes vectors only for the tuples that are read.
     """
-    check_integer("seed", seed, 0)
-    mep.check_capacity(problem.shapes)
-    reduced = reduced_mep(truncate_blocks(problem))
-    rows = mep.solve_from_determinants(mep.operator_determinants(reduced), seed=seed)
+    rows = complete_rows(problem, seed)
     finite, c = pencil_coefficients(rows)
     rho = np.full((len(rows), problem.k), np.inf)
     if finite.any():

@@ -287,11 +287,20 @@ class TestSolveOne:
             assert trace.objectives[0] <= homogeneous_residual(p, t) + 1e-12 * scale
             assert trace.objectives[-1] <= trace.objectives[0]
 
-    @pytest.mark.parametrize("kkt_tol", [float("nan"), float("inf"), 0.0, -1e-6])
+    @pytest.mark.parametrize("kkt_tol", [float("nan"), float("inf"), 0.0, -1e-6, True, "1e-3", 1j])
     def test_kkt_tol_must_be_positive_and_finite(self, kkt_tol):
-        # NaN would never meet the stop rule and inf would meet it at once
+        # NaN would never meet the stop rule and inf would meet it at once; before
+        # the type check, True passed as 1.0 and a string or complex raised a bare TypeError
         with pytest.raises(ValidationError, match="kkt_tol"):
             AlternatingConfig(kkt_tol=kkt_tol)
+
+    @pytest.mark.parametrize("initial_lambdas",
+                             [("a", "b"), (np.inf, 0.0), (complex(0, np.nan),), (True,), (1.0, (2.0, 3.0))])
+    def test_initial_lambdas_must_be_finite_numbers(self, initial_lambdas):
+        # before the check, numpy's ValueError for strings or a ragged guess, a
+        # RuntimeWarning and an unnamed normalization error for inf, and True passed as 1
+        with pytest.raises(ValidationError, match="initial_lambdas must be finite numbers"):
+            AlternatingConfig(initial_lambdas=initial_lambdas)
 
     @pytest.mark.parametrize("option", ["max_iters", "restarts"])
     @pytest.mark.parametrize("value", [2.5, "2", True])

@@ -237,12 +237,14 @@ def test_bench_random_solves_each_reference_once_for_every_sigma(tmp_path, monke
     trials = spy(monkeypatch, rmep.cli, "_bench_trial")
     draws = spy(monkeypatch, rmep.cli, "planted_parts")
     solves = spy(monkeypatch, rmep.mep, "solve_from_determinants")
+    values = spy(monkeypatch, rmep.tsvd, "complete_rows")
     completes = spy(monkeypatch, rmep.tsvd, "solve_complete")
     argv = ["bench-random", "--m", str(m), "--n", str(n), "--k", str(k), "--sigmas", "0,0.1,0.2", "--trials", "3",
             "--seed", str(seed), "--out", str(tmp_path), "--no-timestamp"]
     assert main(argv) == 0
-    # 3 draws and 3 reference solves; each of the 9 trials solves its noisy problem.
-    assert len(draws) == 3 and len(trials) == len(completes) == 9 and len(solves) == 3 + 9
+    # 3 draws and 3 reference solves; each of the 9 trials solves its noisy
+    # problem for its values alone, and ranks none of them.
+    assert len(draws) == 3 and len(trials) == len(values) == 9 and len(solves) == 3 + 9 and completes == []
     monkeypatch.undo()
     # The rows of independent trials, each drawing and solving its own
     # reference, as perfbench's serial reference calls them.

@@ -12,6 +12,7 @@ from rmep.model import (
     RmepProblem,
     dehomogenize,
     normalized_residual,
+    pencil_coefficients,
     random_planted_problem,
 )
 from rmep.mep import solve_mep
@@ -267,6 +268,21 @@ class TestCompleteSet:
         assert complete.lambdas.tobytes() == np.array([dehomogenize(t.value) for t in finite]).tobytes()
         assert complete.total[: len(finite)].tolist() == [t.residual for t in finite]
         assert np.all(np.isinf(complete.total[len(finite):])) and np.all(np.isinf(complete.rho[len(finite):]))
+
+    @pytest.mark.parametrize("name", COMPLETE_SET_PROBLEMS)
+    def test_ranking_permutes_the_values_stage_bitwise(self, name):
+        p = COMPLETE_SET_PROBLEMS[name]()
+        rows = tsvd.complete_rows(p, seed=0)
+        complete = solve_complete(p, seed=0)
+        assert sorted(row.tobytes() for row in complete.rows) == sorted(row.tobytes() for row in rows)
+        # bench-random's values: -c of `pencil_coefficients`, real when every row
+        # is, and with its zero imaginary parts negated; + 0 clears the zero's sign.
+        finite, c = pencil_coefficients(rows)
+
+        def bits(lambdas):
+            return sorted(lam.tobytes() for lam in np.asarray(lambdas, np.complex128) + 0)
+
+        assert bits(complete.lambdas) == bits(-c[finite, 1:])
 
 
 def complex_cast(problem):
