@@ -20,7 +20,7 @@ from .errors import (
     RmepError,
     ValidationError,
 )
-from .mep import operator_determinants, solve_mep
+from .mep import CompleteSet, operator_determinants, solve_mep
 from .model import (
     EigenTuple,
     EquationBlock,
@@ -46,7 +46,7 @@ from .spectral import (
     discretize,
     reconstruct,
 )
-from .tsvd import CompleteSet, reduced_mep, solve_complete, truncate_blocks, truncation_certificate
+from .tsvd import reduced_mep, solve_complete, truncate_blocks, truncation_certificate
 
 __version__ = "0.1.0"
 

@@ -122,7 +122,6 @@ class AlternatingTrace:
     kkt: list[float] = field(default_factory=list)
     extrapolations: int = 0
     status: str = STATUS_BUDGET
-    likely_infimum: bool = False
 
     @property
     def iterations(self) -> int:
@@ -277,8 +276,8 @@ def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None):
     entries pass about 2^511).  Returns (tuple, perturbation, trace); the
     tuple carries the finite residual and its per-block terms
     (`normalized_residual`) when gamma clears the infinite-eigenvalue
-    threshold, and `trace.likely_infimum` is set when it does not (the
-    optimum is then approached but not attained by any finite tuple).
+    threshold, and None when it does not (the optimum is then likely an
+    infimum, approached but not attained by any finite tuple).
     """
     cfg = cfg or AlternatingConfig()
     if cfg.initial_lambdas is None:
@@ -305,6 +304,4 @@ def solve_one(problem: RmepProblem, cfg: AlternatingConfig | None = None):
     if value.is_finite():
         rho, total = normalized_residual(scaled, tup)
         tup = replace(tup, residual=total, block_residuals=tuple(rho.tolist()))
-    else:
-        trace.likely_infimum = True
     return tup, pset, trace

@@ -30,7 +30,9 @@ parse back bitwise); with --no-timestamp, artifacts are byte-identical
 across runs for a fixed seed.  The solvers are called through their
 modules, not bound at import (`tsvd.solve_complete`, and for bench-random's
 trials `tsvd.complete_rows`, its values stage alone), so a tracer that
-swaps module attributes sees every call.
+swaps module attributes sees every call.  bench-random reads the values of
+its reference and of each noisy solve as the `lambdas` of an unranked
+`mep.CompleteSet`.
 
 Exit codes: 0 success, 2 configuration error, 3 capacity exceeded (k > 4,
 or more memory than `errors.MEMORY_BUDGET` by the shapes alone),
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import alternating, mep, serialization, spectral, tsvd
 from .errors import BackendError, CapacityError, IrregularMepError, ValidationError, check_integer
-from .model import _planted_shapes, dehomogenize, pencil_coefficients, planted_parts
+from .model import _planted_shapes, dehomogenize, planted_parts
 
 EXIT_OK = 0
 # The exit code of each error that `main` reports; any other exception propagates.
@@ -168,7 +170,7 @@ def _write_csv(path: Path, no_timestamp: bool, header, rows) -> None:
 
 def _tuple_table(complete, stop=None) -> tuple[list, list]:
     """complete_set.csv's header and rows for the first `stop` tuples of a
-    `tsvd.CompleteSet` (all by default), from its arrays: j, re/im of each
+    `mep.CompleteSet` (all by default), from its arrays: j, re/im of each
     lambda_s, gamma, rho, rho_1..rho_k.  An infinite tuple (gamma at or below
     the threshold) shows its raw alphas and rho = inf.  rho and rho_i are the
     stored residuals, so the rho column is the order of the rows."""
@@ -203,6 +205,7 @@ def _cmd_solve_one(args: argparse.Namespace) -> int:
     problem = _load_problem(args.input)
     out = _output_dir(args.out)
     tup, pset, trace = alternating.solve_one(problem, cfg)
+    finite = tup.value.is_finite()
     _write_csv(out / "trace.csv", args.no_timestamp, ["iter", "theta1", "eps_kkt"],
                [[j, theta, kkt] for j, (theta, kkt) in enumerate(zip(trace.objectives, trace.kkt), start=1)])
     doc = {
@@ -212,13 +215,13 @@ def _cmd_solve_one(args: argparse.Namespace) -> int:
         "theta": trace.objectives[-1],
         "kkt": trace.final_kkt,
         "status": trace.status,
-        "likely_infimum": trace.likely_infimum,
+        "likely_infimum": not finite,
         "iterations": trace.iterations,
         "extrapolations": trace.extrapolations,
         "perturbation_cost": pset.cost,
         "vectors": [[[z.real, z.imag] for z in x] for x in tup.vectors],
     }
-    if not trace.likely_infimum:
+    if finite:
         lam = dehomogenize(tup.value)
         doc["lambdas"] = [[l.real, l.imag] for l in lam]
         doc["rho"] = tup.residual
@@ -274,9 +277,8 @@ def _planted_trial(m: int, n: int, k: int, child_seed) -> tuple:
     parts = planted_parts([m] * k, [n] * k, child_seed)
     solver_seed = int(child_seed.generate_state(1)[0])
     # The reference needs only values, so no vectors are computed for it.
-    finite, c = pencil_coefficients(mep.solve_from_determinants(mep.operator_determinants(parts.reference),
-                                                                seed=solver_seed))
-    return parts, -c[finite, 1:]
+    rows = mep.solve_from_determinants(mep.operator_determinants(parts.reference), seed=solver_seed)
+    return parts, mep.CompleteSet(parts.reference, rows).lambdas
 
 
 def _bench_trial(m: int, n: int, k: int, sigma: float, child_seed, shared=None) -> dict:
@@ -284,8 +286,9 @@ def _bench_trial(m: int, n: int, k: int, sigma: float, child_seed, shared=None) 
     `_planted_trial`, computed here when not given."""
     parts, ref_vals = _planted_trial(m, n, k, child_seed) if shared is None else shared
     # Only values are compared, so the complete set's ranking is not computed.
-    finite, c = pencil_coefficients(tsvd.complete_rows(parts.at(sigma), seed=int(child_seed.generate_state(1)[0])))
-    comp_vals = -c[finite, 1:]
+    problem = parts.at(sigma)
+    rows = tsvd.complete_rows(problem, seed=int(child_seed.generate_state(1)[0]))
+    comp_vals = mep.CompleteSet(problem, rows).lambdas
     ref_idx, comp_idx = _greedy_match(ref_vals, comp_vals)
     errs = _relative_errors(ref_vals[ref_idx], comp_vals[comp_idx])
     total = n**k
@@ -341,7 +344,7 @@ def _cmd_ode(args: argparse.Namespace) -> int:
         spec = spectral.builtin_mathieu(args.alpha, args.beta, n1=args.n1, n2=args.n2, oversampling=args.oversampling)
     else:
         spec = spectral.builtin_sturm_liouville(n1=args.n1, n2=args.n2, oversampling=args.oversampling)
-    mep.check_capacity([(eq.n + 2, eq.n) for eq in spec.equations])  # the shapes of `discretize`'s blocks
+    mep.check_capacity(spec.shapes)
     out = _output_dir(args.out)
     disc = spectral.discretize(spec)
     complete = tsvd.solve_complete(disc.problem, seed=args.seed)

@@ -40,17 +40,21 @@ underflow and overflow.
 
 The lifted pencil supplies only the values: `solve_from_determinants`
 returns the homogeneous tuples as the rows of an array, normalized by
-`model.normalize_homogeneous`.  Each tuple's vectors come from its own
-pencils instead: `tuples_from_pencils`, the one vector route of the
-package, returns for every row of coefficients c the smallest right
-singular vector x_i of sum_j c_j S_ij, as arrays, one batched SVD per block
-over all rows.  Its callers take c from `model.pencil_coefficients`:
-(1, -lambda_1, ..., -lambda_k) for a finite tuple and (gamma, -alpha_1,
-..., -alpha_k) for an infinite one.  `solve_mep` calls it on every tuple, so
-a square problem gets the null vectors of its tuples' pencils, which need
-no factoring of z and exist also where z is not a Kronecker product
-(multiple eigenvalues).  `tsvd.CompleteSet` calls it on the pencils of the
-rectangular blocks, for only the tuples that are read.
+`model.normalize_homogeneous`.  `CompleteSet` is the one place that turns
+such rows into results: it holds them with the problem whose pencils they
+belong to, derives each row's pencil coefficients from
+`model.pencil_coefficients` ((1, -lambda_1, ..., -lambda_k) for a finite
+tuple and (gamma, -alpha_1, ..., -alpha_k) for an infinite one), gives the
+finite values as `lambdas`, and builds EigenTuples on demand.  Each tuple's
+vectors come from its own pencils: `tuples_from_pencils`, the one vector
+route of the package, returns for every row of coefficients c the smallest
+right singular vector x_i of sum_j c_j S_ij, as arrays, one batched SVD per
+block over all rows that are read.  `solve_mep` returns every tuple of its
+`CompleteSet`, so a square problem gets the null vectors of its tuples'
+pencils, which need no factoring of z and exist also where z is not a
+Kronecker product (multiple eigenvalues).  `tsvd.solve_complete` returns a
+ranked `CompleteSet` over the rectangular blocks, and bench-random reads
+only its `lambdas`.
 
 `check_capacity` is the one capacity rule: from the block shapes alone it
 refuses k > MAX_PARAMETERS, or a complete-set solve whose estimated peak
@@ -62,6 +66,7 @@ CLI (before it makes `--out`) all call it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
@@ -74,6 +79,7 @@ from .model import (EigenTuple, EquationBlock, HomogeneousEigenvalue, MepProblem
                     normalize_homogeneous, pencil_coefficients)
 
 __all__ = [
+    "CompleteSet",
     "OperatorDeterminants",
     "check_capacity",
     "operator_determinants",
@@ -174,8 +180,8 @@ def _random_combination(matrices, rng):
 def solve_mep(problem: MepProblem, seed: int = 0) -> list[EigenTuple]:
     """All N = n_1*...*n_k tuples of a square problem, multiplicities kept,
     each with the null vectors of its own pencils (residual None): the
-    normalized rows of `solve_from_determinants`, with the pencils of
-    `model.pencil_coefficients`.
+    normalized rows of `solve_from_determinants`, read through an unranked
+    `CompleteSet`.
 
     Deterministic for a fixed seed, an integer >= 0 (which draws the mass
     matrix's weights, then the tuple-splitting combination).  A copy of each
@@ -187,12 +193,7 @@ def solve_mep(problem: MepProblem, seed: int = 0) -> list[EigenTuple]:
     for c in scaled:
         unit_scaled(c)
     problem = MepProblem(blocks=tuple(EquationBlock(a=c[0], b=tuple(c[1:])) for c in scaled))
-    rows = solve_from_determinants(operator_determinants(problem), seed=seed)
-    vectors = tuples_from_pencils(problem, pencil_coefficients(rows)[1])
-    return [
-        EigenTuple(HomogeneousEigenvalue(gamma=row[0].real, alphas=row[1:]), tuple(x[t] for x in vectors))
-        for t, row in enumerate(rows)
-    ]
+    return list(CompleteSet(problem, solve_from_determinants(operator_determinants(problem), seed=seed)))
 
 
 def tuples_from_pencils(problem: RmepProblem, c) -> list[np.ndarray]:
@@ -201,6 +202,59 @@ def tuples_from_pencils(problem: RmepProblem, c) -> list[np.ndarray]:
     (T, n_i) array.  One batched SVD per block serves all T rows, in real
     arithmetic when the blocks and `c` are real."""
     return [svd(blk.pencil(c)).v[:, :, -1] for blk in problem.blocks]
+
+
+class CompleteSet(Sequence):
+    """The tuples of a lifted solve, held as arrays: `rows` (N, k+1), the
+    normalized homogeneous values (gamma, alpha_1, ..., alpha_k) in the
+    caller's order, and `rho` (N, k), their normalized residuals on
+    `problem`'s blocks (inf in infinite rows), or None when unranked.
+
+    The other arrays are derived from these: `finite` (N,) and
+    `coefficients` (N, k+1) from `model.pencil_coefficients(rows)`, and
+    `total` (N,) as rho.sum(axis=1) (None when unranked).  `lambdas` gives
+    the finite values without building any tuple.  `len`, indexing, slicing
+    and iteration build EigenTuples on demand, with residuals when ranked and
+    the tuple finite, else None: the tuples of a slice, or of the whole set,
+    take their vectors from one `tuples_from_pencils` call, so a tuple's
+    vectors are bitwise the same however it is reached.
+    """
+
+    def __init__(self, problem: RmepProblem, rows, rho=None):
+        self.problem, self.rows, self.rho = problem, rows, rho
+        self.finite, self.coefficients = pencil_coefficients(rows)
+        self.total = None if rho is None else rho.sum(axis=1)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._tuples(range(len(self))[index])
+        return self._tuples([range(len(self))[index]])[0]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        """(lambda_1, ..., lambda_k) of each finite tuple, in order, as the
+        rows of an array: bitwise `dehomogenize` of each tuple's value."""
+        rows = self.rows[self.finite]
+        return rows[:, 1:] / rows[:, :1].real
+
+    def _tuples(self, positions) -> list[EigenTuple]:
+        positions = list(positions)
+        if not positions:
+            return []
+        vectors = tuples_from_pencils(self.problem, self.coefficients[positions])
+        out = []
+        for j, t in enumerate(positions):
+            value = HomogeneousEigenvalue(gamma=self.rows[t, 0].real, alphas=self.rows[t, 1:])
+            ranked = self.rho is not None and self.finite[t]
+            residuals = (float(self.total[t]), tuple(self.rho[t].tolist())) if ranked else (None, None)
+            out.append(EigenTuple(value, tuple(x[j] for x in vectors), *residuals))
+        return out
 
 
 def _column_vdots(w, x, out):

@@ -81,8 +81,13 @@ class OdeSpec:
     def __post_init__(self):
         if len(self.equations) != 2:
             raise ValidationError("exactly two equations are supported")
-        for eq in self.equations:
-            _basis_interval(eq.interval, eq.n, self.oversampling)
+        check_integer("oversampling", self.oversampling, 1)
+
+    @property
+    def shapes(self) -> tuple[tuple[int, int], ...]:
+        """The (n + 2) x n shape of each block that `discretize` assembles:
+        n rows of the operator's R factor and two boundary rows."""
+        return tuple((eq.n + 2, eq.n) for eq in self.equations)
 
 
 def _basis_interval(interval, n, oversampling=1):

@@ -14,16 +14,15 @@ eigen-tuples for the rectangular problem.  The solve has two stages.
 `complete_rows` takes their values from it, as unranked rows, which is all
 that a caller comparing values needs.  `solve_complete` then ranks them on
 the original blocks by the smallest singular values of their pencils alone
-and returns a `CompleteSet`, which builds EigenTuples, vectors included,
-only for the tuples that are read.  When additionally
-||V_11||_2 < 1, the minimal cost is attained and explicit coupling matrices
-X_is with A^_i = sum_s B^_is X_is exist; they are built from a column-pivoted
-QR of V_12.
+and returns them as a `mep.CompleteSet` (re-exported here), which builds
+EigenTuples, vectors included, only for the tuples that are read.  When
+additionally ||V_11||_2 < 1, the minimal cost is attained and explicit
+coupling matrices X_is with A^_i = sum_s B^_is X_is exist; they are built
+from a column-pivoted QR of V_12.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,15 +31,8 @@ import scipy.linalg as sla
 from . import mep
 from .errors import check_integer
 from .linalg import singular_values, svd
-from .model import (
-    EigenTuple,
-    EquationBlock,
-    HomogeneousEigenvalue,
-    MepProblem,
-    PerturbationSet,
-    RmepProblem,
-    pencil_coefficients,
-)
+from .mep import CompleteSet
+from .model import EquationBlock, MepProblem, PerturbationSet, RmepProblem, pencil_coefficients
 
 __all__ = [
     "BlockTruncation",
@@ -158,57 +150,6 @@ def reduced_mep(truncations: list[BlockTruncation]) -> MepProblem:
     return MepProblem(blocks=tuple(blocks))
 
 
-class CompleteSet(Sequence):
-    """The complete set of `solve_complete`, ranked, held as arrays.
-
-    Row j of each array belongs to the j-th tuple in ascending total
-    residual, the finite tuples first and the infinite ones after them in
-    the lifted pencil's order: `rows` (N, k+1) holds the normalized
-    homogeneous values (gamma, alpha_1, ..., alpha_k), `finite` (N,) marks
-    gamma > GAMMA_THRESHOLD, `rho` (N, k) and `total` (N,) hold the
-    normalized residuals (inf in infinite rows), and `coefficients` (N, k+1)
-    the pencil coefficients of `model.pencil_coefficients`.  `lambdas` gives
-    the finite values without building any tuple.  `len`, indexing, slicing
-    and iteration build EigenTuples on demand: the tuples of a slice, or of
-    the whole set, take their vectors from one `mep.tuples_from_pencils`
-    call, so a tuple's vectors are bitwise the same however it is reached.
-    """
-
-    def __init__(self, problem: RmepProblem, rows, finite, rho, total, coefficients):
-        self.problem = problem
-        self.rows, self.finite, self.rho, self.total, self.coefficients = rows, finite, rho, total, coefficients
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._tuples(range(len(self))[index])
-        return self._tuples([range(len(self))[index]])[0]
-
-    def __iter__(self):
-        return iter(self[:])
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        """(lambda_1, ..., lambda_k) of each finite tuple, in order, as the
-        rows of an array: bitwise `dehomogenize` of each tuple's value."""
-        rows = self.rows[self.finite]
-        return rows[:, 1:] / rows[:, :1].real
-
-    def _tuples(self, positions) -> list[EigenTuple]:
-        positions = list(positions)
-        if not positions:
-            return []
-        vectors = mep.tuples_from_pencils(self.problem, self.coefficients[positions])
-        out = []
-        for j, t in enumerate(positions):
-            value = HomogeneousEigenvalue(gamma=self.rows[t, 0].real, alphas=self.rows[t, 1:])
-            residuals = (float(self.total[t]), tuple(self.rho[t].tolist())) if self.finite[t] else (None, None)
-            out.append(EigenTuple(value, tuple(x[j] for x in vectors), *residuals))
-        return out
-
-
 def complete_rows(problem: RmepProblem, seed: int = 0) -> np.ndarray:
     """The values of all N approximate eigen-tuples, unranked: the (N, k+1)
     homogeneous rows of the reduced square problem, normalized by
@@ -235,7 +176,8 @@ def solve_complete(problem: RmepProblem, seed: int = 0) -> CompleteSet:
     `normalized_residual`'s metric to a few eps, from one values-only batched
     SVD per block (`linalg.singular_values`).  Tuples with gamma at/below the
     infinite-eigenvalue threshold sort last with rho = inf.  The returned
-    `CompleteSet` computes vectors only for the tuples that are read.
+    `mep.CompleteSet` holds the rows and rho in that order and computes
+    vectors only for the tuples that are read.
     """
     rows = complete_rows(problem, seed)
     finite, c = pencil_coefficients(rows)
@@ -244,7 +186,6 @@ def solve_complete(problem: RmepProblem, seed: int = 0) -> CompleteSet:
         cf = c[finite]
         for i, (blk, (norm_a, norms_b)) in enumerate(zip(problem.blocks, problem.spectral_norms)):
             rho[finite, i] = singular_values(blk.pencil(cf))[:, -1] / (norm_a + np.abs(cf[:, 1:]) @ norms_b)
-    total = rho.sum(axis=1)
     # Stable, so the infinite tuples (total inf) keep the lifted pencil's order.
-    order = np.argsort(total, kind="stable")
-    return CompleteSet(problem, rows[order], finite[order], rho[order], total[order], c[order])
+    order = np.argsort(rho.sum(axis=1), kind="stable")
+    return CompleteSet(problem, rows[order], rho[order])

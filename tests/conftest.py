@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import importlib
 import os
@@ -21,29 +22,58 @@ if os.environ.get("CI"):
 
 
 def _bundled_openblas(package):
-    """(set, get) of the thread count of the OpenBLAS that a package's wheel
-    bundles, if the process has loaded it, else None."""
+    """The setter of the thread count of the OpenBLAS that a package's wheel
+    bundles (it returns the previous count), if the process has loaded that
+    library, else None."""
     root = Path(importlib.import_module(package).__file__).parent
     for path in [*root.parent.glob(f"{package}.libs/libscipy_openblas*"), *root.glob(".dylibs/libscipy_openblas*")]:
         try:
             lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
         except OSError:
             continue
-        get = next(getattr(lib, name) for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
-                   if hasattr(lib, name))
         set_ = lib.openblas_set_num_threads_local
-        set_.argtypes, set_.restype, get.argtypes, get.restype = [ctypes.c_int], ctypes.c_int, [], ctypes.c_int
-        return set_, get
+        set_.argtypes, set_.restype = [ctypes.c_int], ctypes.c_int
+        return set_
     return None
 
 
-def _cpu_per_wall(work):
+def cpu_per_wall(work):
     """Process CPU time over wall time of work(): above 1 when a second
     thread, such as a spinning BLAS worker, ran alongside."""
     time.sleep(0.5)  # the workers of earlier BLAS calls stop spinning
     wall, cpu = time.perf_counter(), time.process_time()
     work()
     return (time.process_time() - cpu) / (time.perf_counter() - wall)
+
+
+@contextlib.contextmanager
+def openblas_pools(numpy_threads, scipy_threads, canary, tries=5):
+    """Run the body with the thread counts of the OpenBLAS pools that numpy
+    and scipy bundle set as given, and yield the canary's CPU/wall: the best
+    of up to `tries` runs of canary(), a call that leaves the two-thread
+    pool's workers spinning while the other pool's one thread works.
+
+    Skips the calling test where the two pools cannot be told apart: one of
+    the packages bundles no OpenBLAS, or no run shows the spin in CPU time
+    (canary below 1.5).  On a shared host the canary varies from run to
+    run, so the best run counts and one low reading does not skip."""
+    pools = _bundled_openblas("numpy"), _bundled_openblas("scipy")
+    if None in pools:
+        pytest.skip("numpy or scipy bundles no OpenBLAS: there are no two pools to tell apart")
+    before = [set_(threads) for set_, threads in zip(pools, (numpy_threads, scipy_threads))]
+    try:
+        best = 0.0
+        for _ in range(tries):
+            best = max(best, cpu_per_wall(canary))
+            if best >= 1.5:
+                break
+        else:
+            pytest.skip(f"a spinning pool does not show in CPU time here: canary CPU/wall {best:.2f} < 1.5, "
+                        f"best of {tries} runs")
+        yield best
+    finally:
+        for set_, threads in zip(pools, before):
+            set_(threads)
 
 
 def crandn(rng, *shape):

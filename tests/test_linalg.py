@@ -16,7 +16,7 @@ from rmep.linalg import (
     svd,
 )
 
-from conftest import EPS, _bundled_openblas, _cpu_per_wall, crandn, match_multisets, random_problem
+from conftest import EPS, cpu_per_wall, crandn, match_multisets, openblas_pools, random_problem
 
 
 class TestSvd:
@@ -691,18 +691,11 @@ def test_gemm_matches_matmul_in_any_layout(a_order, z_order, dtypes):
 def test_complete_set_path_leaves_numpy_pool_idle():
     # Numpy's pool at 2 threads and scipy's at 1: CPU over wall time above 1
     # means numpy's workers were busy during work that scipy's thread does.
-    numpy_pool, scipy_pool = _bundled_openblas("numpy"), _bundled_openblas("scipy")
-    if numpy_pool is None or scipy_pool is None:
-        pytest.skip("numpy or scipy bundles no OpenBLAS: there are no two pools to tell apart")
-    before = numpy_pool[0](2), scipy_pool[0](1)
-    try:
-        rng = np.random.default_rng(25)
-        big, factored = rng.standard_normal((600, 600)), rng.standard_normal((600, 600))
-        canary = _cpu_per_wall(lambda: (np.linalg.norm(big), sla.lu_factor(factored)))
-        if canary < 1.5:
-            pytest.skip(f"a spinning numpy pool does not show in CPU time here: canary CPU/wall {canary:.2f} < 1.5")
+    rng = np.random.default_rng(25)
+    big, factored = rng.standard_normal((600, 600)), rng.standard_normal((600, 600))
+    with openblas_pools(2, 1, lambda: (np.linalg.norm(big), sla.lu_factor(factored))) as canary:
         problem = spectral.discretize(spectral.builtin_sturm_liouville(n1=20, n2=20)).problem
-        solve = _cpu_per_wall(lambda: tsvd.solve_complete(problem))
+        solve = cpu_per_wall(lambda: tsvd.solve_complete(problem))
         spec = spectral.builtin_sturm_liouville(n1=24, n2=24)
         disc = spectral.discretize(spec)
         top = tsvd.solve_complete(disc.problem)[:3]
@@ -713,9 +706,6 @@ def test_complete_set_path_leaves_numpy_pool_idle():
                 for t in top:
                     for basis, x in zip(disc.bases, t.vectors):
                         spectral.sample_eigenfunction(basis, x)
-        evaluations = _cpu_per_wall(evaluate)
-    finally:
-        numpy_pool[0](before[0])
-        scipy_pool[0](before[1])
+        evaluations = cpu_per_wall(evaluate)
     assert solve <= 1.2, f"solve_complete CPU/wall {solve:.2f} (canary {canary:.2f})"
     assert evaluations <= 1.2, f"evaluations CPU/wall {evaluations:.2f} (canary {canary:.2f})"

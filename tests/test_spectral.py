@@ -121,6 +121,13 @@ class TestDiscretize:
             for bi in blk.b:
                 assert np.all(bi[-2:, :] == 0.0)
 
+    @pytest.mark.parametrize("make", [lambda: builtin_sturm_liouville(n1=8, n2=10),
+                                      lambda: builtin_mathieu(4.0, 1.0, n1=9, n2=6)], ids=["sl", "mathieu"])
+    def test_spec_states_the_block_shapes(self, make):
+        # The CLI judges capacity from spec.shapes before it discretizes.
+        spec = make()
+        assert discretize(spec).problem.shapes == spec.shapes
+
     def test_gram_consistency(self):
         # R^H R must reproduce the weighted Gram matrix of the operator table
         spec = builtin_sturm_liouville(n1=8, n2=8)

@@ -275,14 +275,34 @@ class TestCompleteSet:
         rows = tsvd.complete_rows(p, seed=0)
         complete = solve_complete(p, seed=0)
         assert sorted(row.tobytes() for row in complete.rows) == sorted(row.tobytes() for row in rows)
-        # bench-random's values: -c of `pencil_coefficients`, real when every row
-        # is, and with its zero imaginary parts negated; + 0 clears the zero's sign.
-        finite, c = pencil_coefficients(rows)
+        # bench-random's values: the lambdas of the unranked set over the same rows.
+        unranked = mep.CompleteSet(p, rows).lambdas
+        assert sorted(lam.tobytes() for lam in complete.lambdas) == sorted(lam.tobytes() for lam in unranked)
 
-        def bits(lambdas):
-            return sorted(lam.tobytes() for lam in np.asarray(lambdas, np.complex128) + 0)
+    @pytest.mark.parametrize("name", COMPLETE_SET_PROBLEMS)
+    def test_derived_arrays_are_those_of_rows_and_rho(self, name):
+        complete = solve_complete(COMPLETE_SET_PROBLEMS[name](), seed=0)
+        finite, c = pencil_coefficients(complete.rows)
+        total = complete.rho.sum(axis=1)
+        for derived, expected in ((complete.finite, finite), (complete.coefficients, c), (complete.total, total)):
+            assert derived.dtype == expected.dtype and derived.tobytes() == expected.tobytes()
 
-        assert bits(complete.lambdas) == bits(-c[finite, 1:])
+    @pytest.mark.parametrize("name", COMPLETE_SET_PROBLEMS)
+    def test_unranked_set_gives_the_tuples_of_solve_mep(self, name):
+        # solve_mep's own scaling, so that its rows and vectors are those of `scaled`.
+        coeffs = [blk.coeffs.copy() for blk in reduced_mep(truncate_blocks(COMPLETE_SET_PROBLEMS[name]())).blocks]
+        for c in coeffs:
+            linalg.unit_scaled(c)
+        scaled = MepProblem(blocks=tuple(EquationBlock(a=c[0], b=tuple(c[1:])) for c in coeffs))
+        unranked = mep.CompleteSet(scaled, mep.solve_from_determinants(mep.operator_determinants(scaled), seed=3))
+        assert unranked.rho is None and unranked.total is None
+        tuples = list(unranked)
+        assert all(t.residual is None and t.block_residuals is None for t in tuples)
+        assert [tuple_bits(t) for t in tuples] == [tuple_bits(t) for t in solve_mep(scaled, seed=3)]
+
+    def test_tsvd_re_exports_the_one_complete_set(self):
+        assert tsvd.CompleteSet is mep.CompleteSet
+        assert isinstance(solve_complete(shared_b_problem(), seed=0), mep.CompleteSet)
 
 
 def complex_cast(problem):
