@@ -277,7 +277,7 @@ def _planted_trial(m: int, n: int, k: int, child_seed) -> tuple:
     parts = planted_parts([m] * k, [n] * k, child_seed)
     solver_seed = int(child_seed.generate_state(1)[0])
     # The reference needs only values, so no vectors are computed for it.
-    rows = mep.solve_from_determinants(mep.operator_determinants(parts.reference), seed=solver_seed)
+    rows = mep.solve_from_determinants(parts.reference, seed=solver_seed)
     return parts, mep.CompleteSet(parts.reference, rows).lambdas
 
 

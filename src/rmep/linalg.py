@@ -16,22 +16,26 @@ exact power-of-two scaling, is the one scaling rule of both solvers.
 
 `gep` first solves the pencil (A, B) as the standard problem B^{-1} A: one
 LU of B, `scipy.linalg.eig` (`dgeev` or `zgeev`) on B^{-1} A for right and
-left vectors, and left pencil vectors B^{-H} y.  That result is kept only
-when every pair, right and left, has a normwise backward error on the
-original pencil of at most GEP_BACKWARD_RTOL; otherwise (or when B is
-exactly singular) the pencil goes through QZ.  The check forms A Z and B Z
-for all right vectors in one pass, and A^T and B^T times the left ones in
-another, with scipy's gemm, so all of the pencil's O(N^3) work runs in
-scipy's OpenBLAS; its Frobenius norms take no BLAS call, so a numpy that
-bundles its own OpenBLAS never wakes that second pool to spin against
-scipy's.  The standard path returns beta = 1.  The path is chosen
+left vectors, and left pencil vectors B^{-H} y, all in place: B holds its
+LU and A holds B^{-1} A.  That result is kept only when every pair, right
+and left, has a normwise backward error on the original pencil of at most
+GEP_BACKWARD_RTOL (`_backward_stable`, the one rule); otherwise (or when B
+is exactly singular) the pencil goes through QZ.  The residuals come from
+the pencil's stream: for two arrays (`_DensePencil`, on copies) they are
+A Z and B Z for all right vectors in one pass, and A^T and B^T times the
+left ones in another, and `mep` streams its lifted pencil's residuals from
+row blocks of its determinants.  All of the pencil's O(N^3) work runs in
+scipy's OpenBLAS (`gemm`); its Frobenius norms take no BLAS call, so a
+numpy that bundles its own OpenBLAS never wakes that second pool to spin
+against scipy's.  The standard path returns beta = 1.  The path is chosen
 by the backward error, not by a condition estimate of B: a mass matrix with
 rcond 6e-14 can still give backward errors at the QZ level.  `gep` also
 decides whether the pencil is singular (det(A - lambda B) = 0 for every
 lambda) and raises IrregularMepError then; only QZ's pairs are judged,
 since the standard path is kept only for an invertible B.
-The functions are pure, and returned arrays are freshly allocated (`gemm`
-writes into an `out` it is given).
+The functions are pure, apart from `gep` on a stream's arrays and
+`unit_scaled`, and returned arrays are freshly allocated (`gemm` writes
+into an `out` it is given).
 """
 
 from __future__ import annotations
@@ -321,35 +325,104 @@ def _squared_norm(y):
     return np.vdot(y, y).real
 
 
-def gep(a, b) -> GepResult:
+def gep(a, b, stream=None) -> GepResult:
     """Eigenpairs of the pencil A z = lambda B z, with right and left
-    eigenvectors: standard form B^{-1} A when its backward error passes,
-    else QZ.  A real pencil (both A and B real) is solved in real arithmetic:
-    its eigenvalues come as a complex array, and its eigenvectors are real
-    when every eigenvalue is real, else complex with conjugate pairs of
-    columns.  A and B are read, never written.  IrregularMepError when the
-    pencil is singular: QZ found a pair that is zero to rounding."""
-    dtype = _working_dtype(a, b)
-    a = _checked(np.asarray(a, dtype=dtype), "A")
-    b = _checked(np.asarray(b, dtype=dtype), "B")
+    eigenvectors: standard form B^{-1} A when every pair passes the
+    backward-error check, else QZ.  A real pencil (both A and B real) is
+    solved in real arithmetic: its eigenvalues come as a complex array, and
+    its eigenvectors are real when every eigenvalue is real, else complex
+    with conjugate pairs of columns.  IrregularMepError when the pencil is
+    singular: QZ found a pair that is zero to rounding.
+
+    Without a `stream`, A and B are read, never written: gep works on
+    copies.  With one, A and B are what `stream.pencil()` returned,
+    F-ordered arrays of one dtype that gep overwrites (B with its LU, A with
+    B^{-1} A and then eig's workspace), and the stream stands in for the
+    pencil wherever gep needs it again:
+
+    - `stream.residuals(alpha, beta, right, left_conj)` returns the 2-norms
+      of beta A z - alpha B z for the unit columns z of `right`, and of
+      (beta A - alpha B)^T w for the unit columns w of `left_conj` (the
+      conjugated left vectors), one per pair;
+    - `stream.pencil()` forms A and B again, for QZ.
+
+    gep passes the pairs that it returns through `stream.residuals` last, so
+    a stream can read more off the same products (the lifted pencil of
+    `mep` reads its Rayleigh quotients there).
+    """
+    if stream is None:
+        dtype = _working_dtype(a, b)
+        stream = _DensePencil(np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
+        a, b = stream.pencil()
+    a, b = _checked(a, "A"), _checked(b, "B")
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValidationError(f"pencil matrices must be square and equal-shaped, got {a.shape}, {b.shape}")
     # Frobenius norms without np.linalg.norm, whose threaded dot in numpy's
     # pool would spin on through scipy's LU and eig below.
     scale_a, scale_b = (math.hypot(*_column_norms(x)) for x in (a, b))
     with np.errstate(all="ignore"):  # overflow from a near-singular B fails the check below
-        result = _standard(a, b, scale_a, scale_b)
-    return result if result is not None else _qz(a, b, scale_a, scale_b)
+        pairs = _standard(a, b)
+        if pairs is not None:
+            mu, right, left_conj = pairs
+            beta = np.ones_like(mu)
+            if _backward_stable(stream.residuals(mu, beta, right, left_conj), mu, beta, scale_a, scale_b):
+                return GepResult(alpha=mu, beta=beta, right=right, left=np.conjugate(left_conj, out=left_conj))
+            del pairs, mu, right, left_conj
+        result = _qz(*stream.pencil(), scale_a, scale_b)
+        # In place and back: the stream takes the left vectors conjugated.
+        left_conj = np.conjugate(result.left, out=result.left)
+        stream.residuals(result.alpha, result.beta, result.right, left_conj)
+        np.conjugate(left_conj, out=left_conj)
+    return result
 
 
-def _standard(a, b, scale_a, scale_b):
-    """eig on B^{-1} A; None when B is singular or a pair fails the
-    backward-error check.  Temporaries are overwritten in place."""
-    lu, piv, info = _lapack("getrf", b)(b)
+class _DensePencil:
+    """`gep`'s stream for a pencil given as two arrays of one dtype."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def pencil(self):
+        return np.array(self.a, order="F"), np.array(self.b, order="F")
+
+    def residuals(self, alpha, beta, right, left_conj):
+        # The left residual (beta A - alpha B)^T w is the right residual of
+        # the transposed pencil.
+        return tuple(_residual_norms(pa, pb, alpha, beta, vectors)
+                     for pa, pb, vectors in ((self.a, self.b, right), (self.a.T, self.b.T, left_conj)))
+
+
+def _residual_norms(a, b, alpha, beta, z):
+    """||beta_j A z_j - alpha_j B z_j|| for the columns z_j of z."""
+    res = gemm(a, z)
+    bz = gemm(b, z)
+    if not np.iscomplexobj(z):  # real vectors come only with real eigenvalues
+        alpha, beta = alpha.real, beta.real
+    res *= beta
+    bz *= alpha
+    res -= bz
+    return _column_norms(res)
+
+
+def _backward_stable(residuals, alpha, beta, scale_a, scale_b) -> bool:
+    """The one backward-error rule: every right and left pair's residual
+    norm (unit vectors) is at most GEP_BACKWARD_RTOL (|beta| ||A|| +
+    |alpha| ||B||); a NaN fails it."""
+    scale = np.maximum(np.abs(beta) * scale_a + np.abs(alpha) * scale_b, np.finfo(np.float64).tiny)
+    return all(np.all(norms / scale <= GEP_BACKWARD_RTOL) for norms in residuals)
+
+
+def _standard(a, b):
+    """(mu, right, left_conj) of eig on B^{-1} A: the eigenvalues and the
+    unit right and conjugated left pencil vectors; None when B is singular,
+    B^{-1} A is not finite or eig fails.  Overwrites B with its LU and A
+    with B^{-1} A, then eig's workspace; they must be F-ordered to be
+    overwritten rather than copied."""
+    lu, piv, info = _lapack("getrf", b)(b, overwrite_a=True)
     if info != 0:
         return None
     getrs = _lapack("getrs", b)
-    c, info = getrs(lu, piv, a)
+    c, info = getrs(lu, piv, a, overwrite_b=True)
     if info != 0 or not np.all(np.isfinite(c)):
         return None
     try:
@@ -364,18 +437,18 @@ def _standard(a, b, scale_a, scale_b):
     if u.dtype == lu.dtype:
         left_conj, _ = getrs(lu, piv, u, trans=1, overwrite_b=True)
     else:
-        # Complex vectors of a real pencil: in the float64 view of u the real
-        # and imaginary parts are independent columns for the real LU.
-        parts, _ = getrs(lu, piv, np.ascontiguousarray(u).view(np.float64), trans=1, overwrite_b=True)
-        left_conj = np.ascontiguousarray(parts).view(np.complex128)
-    del lu, u
+        # Complex vectors of a real pencil: their real and imaginary parts
+        # are independent right-hand sides for the real LU, the columns 2j
+        # and 2j + 1 of one real array.
+        parts = np.empty((u.shape[0], 2 * u.shape[1]), order="F")
+        parts[:, 0::2], parts[:, 1::2] = u.real, u.imag
+        del u
+        parts, _ = getrs(lu, piv, parts, trans=1, overwrite_b=True)
+        left_conj = np.empty((parts.shape[0], parts.shape[1] // 2), dtype=np.complex128, order="F")
+        left_conj.real, left_conj.imag = parts[:, 0::2], parts[:, 1::2]
     right /= _column_norms(right)
     left_conj /= _column_norms(left_conj)
-    for pa, pb, vectors in ((a, b, right), (a.T, b.T, left_conj)):
-        if not np.all(_backward_errors(pa, pb, mu, vectors, scale_a, scale_b) <= GEP_BACKWARD_RTOL):
-            return None
-    left = np.conjugate(left_conj, out=left_conj)
-    return GepResult(alpha=mu, beta=np.ones_like(mu), right=right, left=left)
+    return mu, right, left_conj
 
 
 def _column_norms(x):
@@ -385,29 +458,19 @@ def _column_norms(x):
     return np.sqrt(sum(np.einsum("ij,ij->j", p, p) for p in parts))
 
 
-def _backward_errors(a, b, mu, z, scale_a, scale_b):
-    """||A z_j - mu_j B z_j|| / (||A|| + |mu_j| ||B||) for unit columns z_j."""
-    res = gemm(a, z)
-    bz = gemm(b, z)
-    # Real vectors come only with real eigenvalues.
-    bz *= mu if np.iscomplexobj(z) else mu.real
-    res -= bz
-    return _column_norms(res) / np.maximum(scale_a + np.abs(mu) * scale_b, np.finfo(np.float64).tiny)
-
-
 def _qz(a, b, scale_a, scale_b):
     """QZ solve of the pencil, for when the standard form is not accurate.  A
     pair with |alpha| <= GEP_BACKWARD_RTOL ||A||_F and |beta| <= GEP_BACKWARD_RTOL
     ||B||_F marks a singular pencil (the zero pencil is one): IrregularMepError."""
     try:
-        ab, vl, vr = sla.eig(a, b, left=True, right=True, homogeneous_eigvals=True)
+        ab, vl, vr = sla.eig(a, b, left=True, right=True, homogeneous_eigvals=True, overwrite_a=True, overwrite_b=True)
     except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
         raise BackendError(f"QZ iteration failed for shape {a.shape}", shape=a.shape) from exc
     alpha, beta = np.asarray(ab[0]), np.asarray(ab[1])
     if np.any((np.abs(alpha) <= GEP_BACKWARD_RTOL * scale_a) & (np.abs(beta) <= GEP_BACKWARD_RTOL * scale_b)):
         raise IrregularMepError("the pencil is singular: QZ found an eigenvalue pair (alpha, beta) "
                                 "that is zero to rounding")
-    vr = vr / np.linalg.norm(vr, axis=0, keepdims=True)
-    vl = vl / np.linalg.norm(vl, axis=0, keepdims=True)
+    vr /= _column_norms(vr)
+    vl /= _column_norms(vl)
     return GepResult(alpha=alpha, beta=beta, right=vr, left=vl)
 

@@ -11,10 +11,12 @@ perturbed problem into the square multiparameter problem
 
 whose N = n_1*...*n_k tuples are the complete set of approximate
 eigen-tuples for the rectangular problem.  The solve has two stages.
-`complete_rows` takes their values from it, as unranked rows, which is all
-that a caller comparing values needs.  `solve_complete` then ranks them on
-the original blocks by the smallest singular values of their pencils alone
-and returns them as a `mep.CompleteSet` (re-exported here), which builds
+`complete_rows` takes their values from it, as unranked rows, with
+`mep.solve_from_determinants`, which streams the lifted determinants in row
+blocks; that is all that a caller comparing values needs.  `solve_complete`
+then ranks them on the original blocks by the smallest singular values of
+their pencils alone, formed and decomposed in chunks of `mep.ranking_chunk`
+tuples, and returns them as a `mep.CompleteSet` (re-exported here), which builds
 EigenTuples, vectors included, only for the tuples that are read.  When
 additionally ||V_11||_2 < 1, the minimal cost is attained and explicit
 coupling matrices X_is with A^_i = sum_s B^_is X_is exist; they are built
@@ -160,7 +162,7 @@ def complete_rows(problem: RmepProblem, seed: int = 0) -> np.ndarray:
     check_integer("seed", seed, 0)
     mep.check_capacity(problem.shapes)
     reduced = reduced_mep(truncate_blocks(problem))
-    return mep.solve_from_determinants(mep.operator_determinants(reduced), seed=seed)
+    return mep.solve_from_determinants(reduced, seed=seed)
 
 
 def solve_complete(problem: RmepProblem, seed: int = 0) -> CompleteSet:
@@ -173,8 +175,11 @@ def solve_complete(problem: RmepProblem, seed: int = 0) -> CompleteSet:
 
         rho_i = sigma_i / (||A_i||_2 + sum_s |lambda_s| ||B_is||_2),
 
-    `normalized_residual`'s metric to a few eps, from one values-only batched
-    SVD per block (`linalg.singular_values`).  Tuples with gamma at/below the
+    `normalized_residual`'s metric to a few eps, from values-only batched
+    SVDs (`linalg.singular_values`) per block, one per chunk of
+    `mep.ranking_chunk` tuples: the SVD is per matrix, so the chunks change
+    no bit of rho, and the stack of pencils stays within
+    `mep.RANKING_CHUNK_BYTES`.  Tuples with gamma at/below the
     infinite-eigenvalue threshold sort last with rho = inf.  The returned
     `mep.CompleteSet` holds the rows and rho in that order and computes
     vectors only for the tuples that are read.
@@ -184,8 +189,10 @@ def solve_complete(problem: RmepProblem, seed: int = 0) -> CompleteSet:
     rho = np.full((len(rows), problem.k), np.inf)
     if finite.any():
         cf = c[finite]
+        chunk = mep.ranking_chunk(problem.shapes)
         for i, (blk, (norm_a, norms_b)) in enumerate(zip(problem.blocks, problem.spectral_norms)):
-            rho[finite, i] = singular_values(blk.pencil(cf))[:, -1] / (norm_a + np.abs(cf[:, 1:]) @ norms_b)
+            smallest = [singular_values(blk.pencil(cf[s : s + chunk]))[:, -1] for s in range(0, len(cf), chunk)]
+            rho[finite, i] = np.concatenate(smallest) / (norm_a + np.abs(cf[:, 1:]) @ norms_b)
     # Stable, so the infinite tuples (total inf) keep the lifted pencil's order.
     order = np.argsort(rho.sum(axis=1), kind="stable")
     return CompleteSet(problem, rows[order], rho[order])

@@ -349,9 +349,9 @@ def test_capacity_error_exit_code(tmp_path):
     (["bench-random", "--seed", "1", "--m", "200"], "the planted draw"),
 ], ids=["solve-complete", "ode-sl", "ode-mathieu", "bench-random-solve", "bench-random-draw"])
 def test_capacity_is_decided_from_the_shapes_before_out(tmp_path, capsys, monkeypatch, argv, message):
-    # A 100 kB budget is below each solve's estimate (115 to 240 kB) and the
+    # A 64 kB budget is below each solve's estimate (70 to 145 kB) and the
     # 200-row planted draw's (576 kB), but above the default draw's (58 kB).
-    monkeypatch.setattr(rmep.errors, "MEMORY_BUDGET", 10**5)
+    monkeypatch.setattr(rmep.errors, "MEMORY_BUDGET", 2**16)
     p, _ = random_planted_problem([12, 12], [5, 5], 0.01, seed=4)
     save_json(p, tmp_path / "p.json")
     calls = [spy(monkeypatch, rmep.spectral, "discretize"), spy(monkeypatch, rmep.tsvd, "truncate_blocks"),

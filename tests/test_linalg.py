@@ -631,9 +631,9 @@ class TestGep:
         a = crandn(rng, n, n)
         b = np.eye(n) + 0.25 * crandn(rng, n, n) / np.sqrt(2 * n)  # cond(B) <= ~3
         scale_a, scale_b = np.linalg.norm(a), np.linalg.norm(b)
-        std = linalg._standard(a, b, scale_a, scale_b)
-        qz = linalg._qz(a, b, scale_a, scale_b)
-        assert std is not None
+        std = gep(a, b)
+        qz = linalg._qz(*linalg._DensePencil(a, b).pencil(), scale_a, scale_b)
+        assert np.all(std.beta == 1.0)  # the standard form passed its check
         assert match_multisets(std.alpha, qz.alpha / qz.beta) <= 1e-10 * scale_a
         assert max(pencil_backward_errors(a, b, std)) <= 20 * n * EPS
         assert max(pencil_backward_errors(a, b, qz)) <= 20 * n * EPS

@@ -1,11 +1,10 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from rmep.errors import CapacityError, IrregularMepError, ValidationError
-from rmep import errors, linalg, mep, tsvd
+from rmep import errors, linalg, mep, spectral, tsvd
 from rmep.mep import operator_determinants, solve_mep
 from rmep.model import EquationBlock, MepProblem, RmepProblem, dehomogenize, random_planted_problem
 
@@ -244,12 +243,27 @@ class TestCheckCapacity:
         assert peak < 8 * p.total_dim**2
 
     def test_tall_one_parameter_problem_is_judged_by_its_ranking(self, monkeypatch):
-        # One real 200 x 200 lifted matrix is 0.32 MB, but the ranking stacks 200
-        # complex 203 x 200 pencils (130 MB): the budget lies between the two.
+        # One real 200 x 200 lifted matrix is 0.32 MB, but the ranking stacks
+        # its 200 complex 203 x 200 pencils in chunks of 103 (67 MB): the budget
+        # lies between the two.
         p = tall_problem(3, 203, 200, 1, complex_data=True)
         monkeypatch.setattr(errors, "MEMORY_BUDGET", 50 * 2**20)
         with pytest.raises(CapacityError, match="the complete-set solve of 200 tuples"):
             tsvd.solve_complete(p)
+
+    def test_near_square_one_parameter_problem_fits(self, monkeypatch):
+        # Unchunked, the ranking of a 903 x 900 problem would stack 900 complex
+        # pencils, 13.6 GiB by the estimate; its chunks hold 64 MiB, its lifted
+        # pencil takes 14 * 8 * 900^2 bytes (91 MB), and its truncation's SVD
+        # of a complex 903 x 1800 block (136 MiB measured) decides.
+        assert mep.ranking_chunk([(903, 900)]) == 2**26 // (16 * 903 * 900)
+        mep.check_capacity([(903, 900)])
+        p = tall_problem(4, 903, 900, 1, complex_data=True)
+        peak, _ = traced_peak(lambda: tsvd.truncate_blocks(p))
+        assert peak > max(14 * 8 * 900**2, 20 * mep.ranking_chunk(p.shapes) * 903 * 900)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", peak - 1)
+        with pytest.raises(CapacityError):
+            mep.check_capacity(p.shapes)
 
     @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("m, n, k", [(103, 100, 1), (28, 25, 2), (11, 8, 3)])
@@ -265,6 +279,65 @@ class TestCheckCapacity:
             mep.check_capacity(p.shapes)
         monkeypatch.setattr(errors, "MEMORY_BUDGET", 3 * peak)
         mep.check_capacity(p.shapes)
+
+
+def sl_reduction(n):
+    """The reduced square problem of the Sturm-Liouville system at n1 = n2 = n:
+    real, with a real spectrum."""
+    problem = spectral.discretize(spectral.builtin_sturm_liouville(n1=n, n2=n)).problem
+    return tsvd.reduced_mep(tsvd.truncate_blocks(problem))
+
+
+class TestLiftedStream:
+    @pytest.mark.parametrize("k, n", [(1, 5), (2, 3), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("blocks", ["one", "many"])
+    def test_streamed_pencil_is_the_dense_sum_bitwise(self, monkeypatch, k, n, blocks):
+        # Zero plus w_j D_j in order j = 0..k, as the dense sums with the
+        # weights that the seed draws, mass first; the QZ fallback's second
+        # forming gives the same bits.
+        if blocks == "many":
+            monkeypatch.setattr(mep, "MIN_BLOCK_BYTES", 1)
+        for p in problems_real_and_complex(30 + k, n, k):
+            d = operator_determinants(p).matrices
+            rng = np.random.default_rng(7)
+            draw = (lambda size: rng.standard_normal(size) + 1j * rng.standard_normal(size)) \
+                if np.iscomplexobj(d[0]) else rng.standard_normal
+            w, c = (x / np.linalg.norm(x) for x in (draw(k + 1), draw(k + 1)))
+            expected = [sum(cj * dj for cj, dj in zip(c, d)), sum(wj * dj for wj, dj in zip(w, d))]
+            lifted = mep._LiftedPencil(p, np.random.default_rng(7))
+            assert (len(lifted.blocks) == 1) == (blocks == "one")
+            for _ in range(2):
+                formed = lifted.pencil()
+                assert all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(formed, expected))
+
+    @pytest.mark.parametrize("k, n, bound", [(2, 24, 6.5), (2, 20, 13), (3, 7, 13), (4, 4, 13)],
+                             ids=["sl-real", "complex-k2", "complex-k3", "complex-k4"])
+    def test_lifted_solve_never_holds_the_determinants(self, k, n, bound):
+        # In real N x N arrays, the dense D_j took 9.2 (real) and 18.7 to 23.0
+        # (complex): the D_j, the pencil pair, its LU and both vector sets.
+        p = sl_reduction(n) if k == 2 and n == 24 else random_problem(np.random.default_rng(40 + k), n, n, k,
+                                                                       square=True)
+        assert np.iscomplexobj(p.blocks[0].a) == (bound == 13)
+        rows = []
+        peak, _ = traced_peak(lambda: rows.append(mep.solve_from_determinants(p, seed=0)))
+        assert bound == 13 or not np.any(rows[0].imag)  # the real reduction has a real spectrum
+        assert peak <= bound * 8 * p.total_dim**2
+
+    @pytest.mark.parametrize("dims, most", [((5,), 2), ((3, 4), 5), ((3, 4), 4), ((2, 3, 4), 3), ((2, 2, 2, 2), 1),
+                                            ((2, 3), 6), ((2, 3), 0)])
+    def test_row_blocks_tile_the_lifted_rows(self, dims, most):
+        # Each block's Kronecker product of its row selections holds exactly
+        # its lifted rows, at most max(1, most) of them, and the blocks tile
+        # the rows in order.
+        n_total = int(np.prod(dims))
+        index = np.arange(n_total).reshape(dims)
+        start = 0
+        for selections, rows in mep._row_blocks(dims, most):
+            covered = index[tuple(selections)].ravel()
+            assert covered.tolist() == list(range(n_total))[rows] == list(range(start, start + len(covered)))
+            assert len(covered) <= max(1, most) or most >= n_total
+            start += len(covered)
+        assert start == n_total
 
 
 class TestSolveMep:
@@ -325,16 +398,17 @@ class TestSolveMep:
     def test_zero_left_vectors_take_the_least_squares_row(self, monkeypatch, columns):
         # A zero left vector makes w^H M z = 0 exactly and its two-sided row
         # zero, so those tuples can only come from the least-squares quotient.
-        deltas = operator_determinants(random_problem(np.random.default_rng(15), 3, 3, 2, square=True))
-        unforced = mep.solve_from_determinants(deltas, seed=0)
-        gep = mep.gep
+        # Zero left vectors have a zero left residual, so the standard form
+        # keeps them, and the quotients are read off the same products.
+        p = random_problem(np.random.default_rng(15), 3, 3, 2, square=True)
+        unforced = mep.solve_from_determinants(p, seed=0)
+        standard = linalg._standard
         def zero_left(*args):
-            result = gep(*args)
-            left = result.left.copy()
-            left[:, columns] = 0.0
-            return dataclasses.replace(result, left=left)
-        monkeypatch.setattr(mep, "gep", zero_left)
-        forced = mep.solve_from_determinants(deltas, seed=0)
+            mu, right, left_conj = standard(*args)
+            left_conj[:, columns] = 0.0
+            return mu, right, left_conj
+        monkeypatch.setattr(linalg, "_standard", zero_left)
+        forced = mep.solve_from_determinants(p, seed=0)
         assert np.abs(forced - unforced).max() <= 1e-14
 
     @pytest.mark.parametrize("scale", [2.0**-400, 2.0**400, 1e-170, 1e170], ids=["2^-400", "2^400", "1e-170", "1e170"])
@@ -398,7 +472,7 @@ class TestSolveMep:
         qz_calls = []
         qz = linalg._qz
         monkeypatch.setattr(linalg, "_qz", lambda *args: qz_calls.append(1) or qz(*args))
-        standard = mep.solve_from_determinants(operator_determinants(p), seed=0)
+        standard = mep.solve_from_determinants(p, seed=0)
         assert qz_calls == []
         monkeypatch.setattr(linalg, "_standard", lambda *args: None)
         sols = solve_mep(p, seed=0)
@@ -417,11 +491,9 @@ class TestSolveMep:
         # and the zero pencil of the all-zero problem.
         zero = np.zeros((2, 2))
         for p in (annihilating_problem(), mep_from([(zero, zero, zero), (zero, zero, zero)])):
-            d = operator_determinants(p).matrices
-            rng = np.random.default_rng(0)
-            mass, a = (mep._random_combination(d, rng) for _ in range(2))
+            lifted = mep._LiftedPencil(p, np.random.default_rng(0))
             with pytest.raises(IrregularMepError, match="singular"):
-                mep.gep(a, mass)
+                mep.gep(*lifted.pencil(), lifted)
 
     def test_large_entries_are_not_irregular(self):
         # Scaling every block by 1e6 leaves the tuples alone but puts ||M||_F
@@ -429,8 +501,8 @@ class TestSolveMep:
         # GEP_BACKWARD_RTOL ||M||_F: only a QZ pair may count as zero.
         p = random_problem(np.random.default_rng(14), 3, 3, 2, square=True)
         scaled = mep_from([(1e6 * blk.a, *(1e6 * b for b in blk.b)) for blk in p.blocks])
-        rows = mep.solve_from_determinants(operator_determinants(scaled), seed=0)
-        assert match_multisets(rows, mep.solve_from_determinants(operator_determinants(p), seed=0)) <= 1e-10
+        rows = mep.solve_from_determinants(scaled, seed=0)
+        assert match_multisets(rows, mep.solve_from_determinants(p, seed=0)) <= 1e-10
 
     def test_irregular_raises(self):
         zero = np.zeros((2, 2))

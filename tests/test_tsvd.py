@@ -294,11 +294,22 @@ class TestCompleteSet:
         for c in coeffs:
             linalg.unit_scaled(c)
         scaled = MepProblem(blocks=tuple(EquationBlock(a=c[0], b=tuple(c[1:])) for c in coeffs))
-        unranked = mep.CompleteSet(scaled, mep.solve_from_determinants(mep.operator_determinants(scaled), seed=3))
+        unranked = mep.CompleteSet(scaled, mep.solve_from_determinants(scaled, seed=3))
         assert unranked.rho is None and unranked.total is None
         tuples = list(unranked)
         assert all(t.residual is None and t.block_residuals is None for t in tuples)
         assert [tuple_bits(t) for t in tuples] == [tuple_bits(t) for t in solve_mep(scaled, seed=3)]
+
+    @pytest.mark.parametrize("name", COMPLETE_SET_PROBLEMS)
+    def test_one_tuple_chunks_rank_bitwise(self, monkeypatch, name):
+        # The batched SVD is per matrix, so the chunks of the ranking change no bit.
+        p = COMPLETE_SET_PROBLEMS[name]()
+        assert mep.ranking_chunk(p.shapes) >= p.total_dim
+        whole = solve_complete(p, seed=0)
+        monkeypatch.setattr(mep, "RANKING_CHUNK_BYTES", 1)
+        assert mep.ranking_chunk(p.shapes) == 1
+        chunked = solve_complete(p, seed=0)
+        assert chunked.rho.tobytes() == whole.rho.tobytes() and chunked.rows.tobytes() == whole.rows.tobytes()
 
     def test_tsvd_re_exports_the_one_complete_set(self):
         assert tsvd.CompleteSet is mep.CompleteSet
@@ -324,22 +335,26 @@ class TestRealArithmetic:
         assert all(m.dtype == np.float64 for t in truncations for m in (t.u1, t.v_trailing, *t.vblocks))
         deltas = mep.operator_determinants(reduced_mep(truncations))
         assert all(d.dtype == np.float64 for d in deltas.matrices)
-        dtypes = []
-        for module, name in ((mep, "gep"), (tsvd, "singular_values"), (mep, "svd")):
+        dtypes, products = [], []
+        for module, name, seen in ((mep, "gep", dtypes), (tsvd, "singular_values", dtypes), (mep, "svd", dtypes),
+                                   (mep, "gemm", products)):
             original = getattr(module, name)
 
-            def spy(*args, original=original):
-                dtypes.extend(np.asarray(a).dtype for a in args)
-                return original(*args)
+            def spy(*args, original=original, seen=seen, **kwargs):
+                seen.extend(a.dtype for a in args if isinstance(a, np.ndarray))
+                return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, spy)
         lapack = linalg._lapack
         monkeypatch.setattr(linalg, "_lapack", lambda name, x: dtypes.append((name, x.dtype)) or lapack(name, x))
         tuples = list(solve_complete(p, seed=0))
         # The combination, the mass matrix, its LU, the refit pencils of the
-        # values-only pass and those of the vector pass are all real.
+        # values-only pass and those of the vector pass are all real, and so
+        # are the streamed determinants and vectors of every residual product.
         assert dtypes == [np.float64, np.float64, ("getrf", np.float64), ("getrs", np.float64), np.float64, np.float64,
                           np.float64, np.float64]
+        # One block: D_j Z and D_j^T W for j = 0, 1, 2, two operands each.
+        assert len(products) == 2 * 6 and set(products) == {np.dtype(np.float64)}
         assert len(tuples) == 36 and not np.any(homogeneous_rows(tuples).imag)
         assert all(not np.any(x.imag) for t in tuples for x in t.vectors)
 
